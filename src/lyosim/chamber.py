@@ -14,12 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .drying_primary import (
     STAGE_PRIMARY,
     DryingParams,
     _make_core,
-    jac_sparsity,
     sublimation_flux,
     _volume_average,
 )
@@ -28,9 +28,8 @@ from .solver import EventSpec, IntegratorConfig, integrate_adaptive
 from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry
 from .trajectory import Trajectory
 
-__all__ = ["ChamberModel", "chamber_pressure_rhs", "run_primary_with_condenser"]
-
-STAGE_PRIMARY_FAILURE = STAGE_PRIMARY
+__all__ = ["ChamberModel", "chamber_pressure_rhs", "chamber_pressure_gain",
+           "run_primary_with_condenser"]
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,15 @@ def chamber_pressure_rhs(p_w_c: float, j_w: float, ch: ChamberModel) -> float:
     return rate
 
 
+def chamber_pressure_gain(p_w_c: float, j_w: float, ch: ChamberModel) -> float:
+    """d(dp_w,c/dt)/dj_w (Pa/kg): the ideal-gas factor R T / (V M), or zero
+    while the setpoint clamp of :func:`chamber_pressure_rhs` holds (the
+    rate there is negative exactly when the load is under capacity)."""
+    if p_w_c <= ch.p_setpoint and j_w < ch.j_w_max:
+        return 0.0
+    return GAS_CONSTANT * ch.T_bar / (ch.V_c * ch.M_w)
+
+
 def run_primary_with_condenser(initial_temperature: float | np.ndarray,
                                dp: DryingParams, rad: RadiationSpec,
                                geom: VialGeometry, ch: ChamberModel, *,
@@ -104,7 +112,8 @@ def run_primary_with_condenser(initial_temperature: float | np.ndarray,
         T0 = np.full(n_z, float(T0))
     elif T0.shape != (n_z,):
         raise ConfigurationError(f"initial profile must have shape ({n_z},)")
-    core = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel)
+    core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel,
+                                pressure_state=True)
     A_z = geom.A_z
     S_stop = H * (1.0 - front_epsilon_rel)
     if not 0.0 <= S0 < S_stop:
@@ -117,11 +126,20 @@ def run_primary_with_condenser(initial_temperature: float | np.ndarray,
         dpdt = chamber_pressure_rhs(p, ch.n_vial * A_z * N_w, ch)
         return np.concatenate([dT, [dS, dpdt]])
 
+    def jac(t: float, y: np.ndarray) -> csc_matrix:
+        p = max(y[n_z + 1], ch.p_setpoint)
+        dp_dy = 1.0 if y[n_z + 1] >= ch.p_setpoint else 0.0
+
+        def load_gain(N_w: float) -> float:
+            return ch.n_vial * A_z * chamber_pressure_gain(p, ch.n_vial * A_z * N_w, ch)
+
+        return core_jac(t, y[:n_z], y[n_z], p, dp_dy=dp_dy, load_gain=load_gain)
+
     done = EventSpec(lambda t, y: y[n_z] - S_stop, terminal=True, direction=1.0,
                      name="front_complete")
     y0 = np.concatenate([T0, [S0, ch.p_setpoint]])
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
-                             events=[done], jac_sparsity=jac_sparsity(n_z, extra_cols=1))
+                             events=[done], jac=jac)
     t_end = res.first_event_time("front_complete")
     if t_end is None:
         raise StageTimeoutError(
@@ -165,4 +183,5 @@ def run_primary_with_condenser(initial_temperature: float | np.ndarray,
     traj.meta["peak_pressure_Pa"] = float(np.max(p_hist))
     traj.meta["peak_load_kg_per_s"] = float(np.max(ch.n_vial * A_z * N_w))
     traj.meta["n_z"] = n_z
+    traj.meta["solver"] = res.counters()
     return traj

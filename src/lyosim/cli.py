@@ -267,6 +267,7 @@ def _dispatch(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario.data["seed"] = args.seed
+        validate_scenario(scenario.data, where=f"--seed {args.seed}")
     out_dir = _output_dir(args) if args.out else None
     if out_dir is None:
         env_dir = scenario.output_directory() or os.environ.get("LYOSIM_OUTPUT_DIR") or "."

@@ -22,11 +22,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
-from .solver import EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import RadiationSpec, VialGeometry, psat_sublimation
+from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
+from .thermo import RadiationSpec, VialGeometry, psat_sublimation, psat_sublimation_slope
 from .trajectory import Trajectory
 
 __all__ = [
@@ -109,19 +110,30 @@ def sublimation_flux(T_interface: float, S: float, dp: DryingParams,
 
 
 def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
-               n_z: int, gap_floor_rel: float = 0.5e-3
-               ) -> Callable[[float, np.ndarray, float, float],
-                             tuple[np.ndarray, float, float]]:
+               n_z: int, gap_floor_rel: float = 0.5e-3, pressure_state: bool = False
+               ) -> tuple[Callable[[float, np.ndarray, float, float],
+                                   tuple[np.ndarray, float, float]],
+                          Callable[..., csc_matrix]]:
     """Build the discretized right-hand side shared by the fixed-pressure
-    and chamber-coupled drivers.
+    and chamber-coupled drivers, and its exact Jacobian.
 
-    The returned callable maps (t, T, S, p_w_chamber) to (dT/dt, dS/dt,
-    N_w) and is total: implicit-solver trial steps may probe unphysical
-    states, so the flux vanishes for nonpositive front temperatures (the
-    continuous limit, since saturation pressure vanishes there) and the gap
-    H - S is floored at ``gap_floor_rel * H`` so the 1/gap^2 diffusion
-    coefficient stays bounded when a trial step overshoots the terminal
-    event.  Callers tie the floor to half their front-completion margin.
+    Returns ``(core, jac)``.  ``core`` maps (t, T, S, p_w_chamber) to
+    (dT/dt, dS/dt, N_w) and is total: implicit-solver trial steps may probe
+    unphysical states, so the flux vanishes for nonpositive front
+    temperatures (the continuous limit, since saturation pressure vanishes
+    there) and the gap H - S is floored at ``gap_floor_rel * H`` so the
+    1/gap^2 diffusion coefficient stays bounded when a trial step
+    overshoots the terminal event.  Callers tie the floor to half their
+    front-completion margin.
+
+    ``jac(t, T, S, p_w_chamber, dp_dy=1.0, load_gain=None)`` is the
+    Jacobian of (dT/dt, dS/dt) with respect to the state (T, S) as a CSC
+    matrix.  It takes the branches of ``core``, each with its one-sided
+    derivative, so it is total on the same states.  With
+    ``pressure_state`` the state gains the chamber pressure p as a last
+    component: the model sees p_w_chamber, whose derivative with respect to
+    p is ``dp_dy`` (zero under a setpoint clamp), and the appended row of
+    dp/dt is ``load_gain(N_w)`` (d(dp/dt)/dN_w) times dN_w/d(T_0, S, p).
     """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
@@ -133,6 +145,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     rho_cp = dp.rho_f * dp.Cp_f
     drho = dp.rho_f - dp.rho_e
     side_rad = rad.sigma * rad.F_side * 4.0 * H / geom.d  # A_r / (A_z H) folded in
+    top_rad = rad.sigma * rad.F_top
     gap_floor = gap_floor_rel * H
 
     def core(t: float, T: np.ndarray, S: float, p_w_c: float):
@@ -145,7 +158,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         T_b = dp.shelf_temperature(t)
         T_u = dp.upper_temperature(t)
         T_c = dp.wall_temperature(t)
-        q_top_rad = rad.sigma * rad.F_top * (T_u**4 - T_front**4)
+        q_top_rad = top_rad * (T_u**4 - T_front**4)
         Te = np.empty(n_z + 2)
         Te[1:-1] = T
         # ghost nodes fold the front energy balance and the bottom film in
@@ -156,33 +169,106 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         q_rad = (side_rad / (rho_cp * gap)) * (T_c**4 - T**4)
         return diff + conv + q_rad, dS, N_w
 
-    return core
+    # Jacobian structure, in the order jac lists the values: the T_0 column
+    # (every equation senses the front temperature through dS/dt), the
+    # tridiagonal T block right of it, the S column (every equation senses
+    # the gap) and, under a chamber, the p column.  The S and p rows hold
+    # entries in the border columns only.
+    n = n_z + 1 + int(pressure_state)
+    every = np.arange(n)
+    nodes = np.arange(n_z)
+    dense_cols = [n_z, n_z + 1] if pressure_state else [n_z]
+    pattern = CscPattern(
+        rows=np.concatenate([every, nodes[:-1], nodes[1:], nodes[2:]]
+                            + [every] * len(dense_cols)),
+        cols=np.concatenate([np.zeros(n, dtype=int), nodes[1:], nodes[1:], nodes[1:-1]]
+                            + [np.full(n, j) for j in dense_cols]),
+        n=n)
+
+    def jac(t: float, T: np.ndarray, S: float, p_w_c: float,
+            dp_dy: float = 1.0, load_gain: Callable[[float], float] | None = None):
+        # the branches of core: gap floor, dead flux, max(S, 0)
+        gap = max(H - S, gap_floor)
+        gap_S = -1.0 if H - S >= gap_floor else 0.0
+        T_front = T[0]
+        N_w = N_T = N_S = N_p = 0.0
+        if T_front > 0.0:
+            S_eff = max(S, 0.0)
+            driving = psat_sublimation(T_front) - p_w_c
+            if driving > 0.0:
+                R = cake_resistance(S_eff, dp)
+                N_w = driving / R
+                N_T = psat_sublimation_slope(T_front) / R
+                N_p = -1.0 / R
+                if S >= 0.0:
+                    N_S = -N_w * dp.Rp1 * dp.Rp2 / ((dp.Rp2 + S_eff) ** 2 * R)
+        T_b = dp.shelf_temperature(t)
+        T_u = dp.upper_temperature(t)
+        T_c = dp.wall_temperature(t)
+        # core's coefficients: diffusion a, advection beta, side radiation c
+        a = k / (rho_cp * gap**2 * dxi**2)
+        beta_N = 1.0 / (drho * 2.0 * dxi * gap)  # d beta / d N_w
+        beta = N_w * beta_N
+        c = side_rad / (rho_cp * gap)
+        front_gain = 2.0 * dxi * gap / k
+        film_gain = 2.0 * dxi * gap * dp.h_b / k
+        net_front = N_w * dp.dH_sub - top_rad * (T_u**4 - T_front**4)
+        ghost_top = T[1] - front_gain * net_front
+        ghost_bot = T[n_z - 2] - film_gain * (T[n_z - 1] - T_b)
+        left = np.concatenate(([ghost_top], T[:-1]))
+        right = np.concatenate((T[1:], [ghost_bot]))
+        lap = right - 2.0 * T + left
+        u_diff = upwind_coef * (right - left)
+        u_beta = upwind_coef * beta
+        # derivatives of beta and of the ghost nodes along the border states
+        beta_T = N_T * beta_N
+        beta_S = N_S * beta_N - beta * gap_S / gap
+        top_T = -front_gain * (N_T * dp.dH_sub + 4.0 * top_rad * T_front**3)
+        top_S = -(2.0 * dxi / k) * (gap_S * net_front + gap * N_S * dp.dH_sub)
+        bot_S = -(2.0 * dxi * dp.h_b / k) * gap_S * (T[n_z - 1] - T_b)
+        via_top = a - u_beta[0]  # d f_0 / d ghost_top
+        via_bot = a + u_beta[-1]  # d f_{n_z-1} / d ghost_bot
+
+        col_T0 = np.zeros(n)
+        col_T0[:n_z] = u_diff * beta_T
+        col_T0[0] += -2.0 * a + via_top * top_T - 4.0 * c * T_front**3
+        col_T0[1] += a - u_beta[1]
+        col_T0[n_z] = N_T / drho
+        upper = a + u_beta[:-1]
+        upper[0] = 2.0 * a  # the top ghost node carries T_1 too
+        diag = -2.0 * a - 4.0 * c * T[1:] ** 3
+        diag[-1] -= via_bot * film_gain
+        lower = a - u_beta[2:]
+        lower[-1] = 2.0 * a  # the bottom ghost node carries T_{n_z-2} too
+        col_S = np.zeros(n)
+        col_S[:n_z] = (-2.0 * a * gap_S / gap) * lap + u_diff * beta_S \
+            - (c * gap_S / gap) * (T_c**4 - T**4)
+        col_S[0] += via_top * top_S
+        col_S[n_z - 1] += via_bot * bot_S
+        col_S[n_z] = N_S / drho
+        cols = [col_T0, upper, diag, lower, col_S]
+        if pressure_state:
+            col_p = np.zeros(n)
+            col_p[:n_z] = u_diff * (N_p * beta_N)
+            col_p[0] -= via_top * front_gain * N_p * dp.dH_sub
+            col_p[n_z] = N_p / drho
+            col_p *= dp_dy
+            gain = load_gain(N_w)
+            col_T0[-1] = gain * N_T
+            col_S[-1] = gain * N_S
+            col_p[-1] = gain * N_p * dp_dy
+            cols.append(col_p)
+        return pattern.matrix(np.concatenate(cols))
+
+    return core, jac
 
 
 def primary_rhs(state: PrimaryState, dp: DryingParams, rad: RadiationSpec,
                 geom: VialGeometry) -> tuple[np.ndarray, float]:
     """(dT/dt per node, dS/dt) at a fixed chamber partial pressure."""
-    core = _make_core(dp, rad, geom, state.T.shape[0])
+    core, _ = _make_core(dp, rad, geom, state.T.shape[0])
     dT, dS, _ = core(state.t, np.asarray(state.T, dtype=float), state.S, dp.p_w_chamber)
     return dT, dS
-
-
-def jac_sparsity(n_z: int, extra_cols: int = 0) -> np.ndarray:
-    """Jacobian sparsity of the discretized system: tridiagonal in T, plus
-    full coupling to the front node (through dS/dt) and to S (through the
-    gap).  ``extra_cols`` appends further dense state columns/rows (the
-    chamber pressure in failure mode)."""
-    n = n_z + 1 + extra_cols
-    A = np.zeros((n, n), dtype=int)
-    idx = np.arange(n_z)
-    A[idx, idx] = 1
-    A[idx[:-1], idx[:-1] + 1] = 1
-    A[idx[1:], idx[1:] - 1] = 1
-    A[:, 0] = 1  # every equation senses the front temperature via dS/dt
-    A[:, n_z:] = 1  # the front position (and any appended states) enter everywhere
-    A[n_z:, 0] = 1
-    A[n_z:, n_z:] = 1
-    return A
 
 
 def _volume_average(values: np.ndarray) -> np.ndarray:
@@ -231,17 +317,20 @@ def run_primary(initial_temperature: float | np.ndarray,
         T0 = np.full(n_z, float(T0))
     elif T0.shape != (n_z,):
         raise ConfigurationError(f"initial profile must have shape ({n_z},)")
-    core = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel)
+    core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dT, dS, _ = core(t, y[:n_z], y[n_z], dp.p_w_chamber)
         return np.concatenate([dT, [dS]])
 
+    def jac(t: float, y: np.ndarray) -> csc_matrix:
+        return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
+
     done = EventSpec(lambda t, y: y[n_z] - S_stop, terminal=True, direction=1.0,
                      name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, [S0]]), config,
-                             events=[done], jac_sparsity=jac_sparsity(n_z))
+                             events=[done], jac=jac)
     t_end = res.first_event_time("front_complete")
     if t_end is None:
         S_last = float(res.y[n_z, -1])
@@ -287,6 +376,7 @@ def run_primary(initial_temperature: float | np.ndarray,
     traj.meta["sublimed_mass_kg"] = float((dp.rho_f - dp.rho_e) * A_z * H)
     traj.meta["duration_s"] = float(t_complete - t0)
     traj.meta["n_z"] = n_z
+    traj.meta["solver"] = res.counters()
     return traj
 
 

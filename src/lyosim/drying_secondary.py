@@ -12,12 +12,14 @@ and distributed radiation from the chamber wall through the glass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
+from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
-from .solver import EventSpec, IntegratorConfig, integrate_adaptive
+from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
 from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry
 from .trajectory import Trajectory
 
@@ -131,18 +133,41 @@ def secondary_rhs(state: SecondaryState, kin: DesorptionKinetics, rad: Radiation
     return diff + sink + q_rad, dc
 
 
-def jac_sparsity(n_z: int) -> np.ndarray:
-    """Block sparsity: tridiagonal T block, diagonal T<->c coupling."""
-    n = 2 * n_z
-    A = np.zeros((n, n), dtype=int)
-    idx = np.arange(n_z)
-    A[idx, idx] = 1
-    A[idx[:-1], idx[:-1] + 1] = 1
-    A[idx[1:], idx[1:] - 1] = 1
-    A[idx, n_z + idx] = 1  # dT/dt senses the local desorption rate
-    A[n_z + idx, idx] = 1  # dc/dt senses the local temperature
-    A[n_z + idx, n_z + idx] = 1
-    return A
+def _make_jac(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditions,
+              geom: VialGeometry, n_z: int) -> Callable[[float, np.ndarray], csc_matrix]:
+    """Exact Jacobian of :func:`secondary_rhs` on the state (T, c_w) as a
+    CSC matrix: a tridiagonal T block, diagonal T-c_w coupling both ways
+    and a diagonal c_w block.  The schedules enter the right-hand side
+    additively, so the Jacobian does not depend on time."""
+    dz = geom.H / (n_z - 1)
+    rho_cp = kin.rho_e * kin.Cp_e
+    a = kin.k_e / (rho_cp * dz**2)
+    sink = kin.rho_d * kin.dH_des / rho_cp
+    side_rad = rad.sigma * rad.F_side * 4.0 / (geom.d * rho_cp)
+    top_gain = (2.0 * dz / kin.k_e) * rad.sigma * rad.F_top
+    film_gain = 2.0 * dz * cond.h_b / kin.k_e
+    nodes = np.arange(n_z)
+    # values in the order: T diagonal, T super- and subdiagonal, dT/dc_w,
+    # dc_w/dT, c_w diagonal
+    pattern = CscPattern(
+        rows=np.concatenate([nodes, nodes[:-1], nodes[1:], nodes, n_z + nodes, n_z + nodes]),
+        cols=np.concatenate([nodes, nodes[1:], nodes[:-1], n_z + nodes, nodes, n_z + nodes]),
+        n=2 * n_z)
+    upper = np.full(n_z - 1, a)
+    upper[0] = 2.0 * a  # the top ghost node carries T_1 too
+    lower = np.full(n_z - 1, a)
+    lower[-1] = 2.0 * a  # the bottom ghost node carries T_{n_z-2} too
+
+    def jac(t: float, y: np.ndarray) -> csc_matrix:
+        T = y[:n_z]
+        k_d = kin.rate_constant(T)
+        dc_dT = -k_d * (kin.E_a / (kin.R * T**2)) * (y[n_z:] - kin.c_eq)
+        diag = -2.0 * a + sink * dc_dT - 4.0 * side_rad * T**3
+        diag[0] -= a * 4.0 * top_gain * T[0] ** 3
+        diag[-1] -= a * film_gain
+        return pattern.matrix(np.concatenate([diag, upper, lower, -sink * k_d, dc_dT, -k_d]))
+
+    return jac
 
 
 def run_secondary(initial_temperature: float | np.ndarray,
@@ -199,7 +224,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
     events = [done] if c_target >= 0.0 else []
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, c0]), config,
-                             events=events, jac_sparsity=jac_sparsity(n_z))
+                             events=events, jac=_make_jac(kin, rad, cond, geom, n_z))
     t_end = res.first_event_time("dry_enough") if events else None
     if t_end is None:
         if require_target:
@@ -217,6 +242,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
     traj = _package(ts, T_hist, c_hist, w, t_end, stage_label)
     traj.meta["final_state"] = SecondaryState(T=T_hist[-1].copy(), c_w=c_hist[-1].copy(),
                                               t=float(t_end))
+    traj.meta["solver"] = res.counters()
     return traj
 
 

@@ -3,9 +3,11 @@
 Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  The stage models
 are stiff (thermal relaxation times from seconds to hours in one system, and
 a moving-front transform that becomes singular near completion), so the
-default method is the variable-order BDF family with an analytically
-supplied Jacobian sparsity pattern.  An explicit Runge-Kutta method is kept
-available as a cross-check reference.
+default method is the variable-order BDF family.  The distributed stages
+supply their exact Jacobians in closed form as sparse CSC matrices, whose
+fixed structure :class:`CscPattern` builds once per stage; without one the
+implicit methods fall back to scipy's finite-difference Jacobian.  An
+explicit Runge-Kutta method is kept available as a cross-check reference.
 
 Event localization on the dense output is exposed separately as
 :func:`locate_event` so stage drivers and tests can refine or audit event
@@ -20,10 +22,11 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, DomainError, SolverError
 
-__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult",
+__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
            "integrate_adaptive", "locate_event"]
 
 _METHODS = {"bdf": "BDF", "lsoda": "LSODA", "explicit": "RK45", "rk45": "RK45"}
@@ -92,6 +95,7 @@ class IntegrationResult:
     y_events: dict[str, np.ndarray] = field(default_factory=dict)
     nfev: int = 0
     njev: int = 0
+    nlu: int = 0
     status: int = 0
     message: str = ""
 
@@ -99,11 +103,41 @@ class IntegrationResult:
     def terminated_by_event(self) -> bool:
         return self.status == 1
 
+    def counters(self) -> dict[str, int]:
+        """Accepted steps (the mesh ``t`` when no ``t_eval`` was given) and
+        the RHS, Jacobian and LU counts of the run."""
+        return {"steps": int(self.t.shape[0] - 1), "nfev": int(self.nfev),
+                "njev": int(self.njev), "nlu": int(self.nlu)}
+
     def first_event_time(self, name: str) -> float | None:
         te = self.t_events.get(name)
         if te is None or te.size == 0:
             return None
         return float(te[0])
+
+
+class CscPattern:
+    """Fixed sparsity structure of a Jacobian, in CSC form.
+
+    ``rows`` and ``cols`` list the structurally nonzero entries, each
+    (row, col) pair once, in the order the caller produces their values;
+    :meth:`matrix` takes the values in that order and returns the CSC
+    matrix.  The index arrays are built here once and shared by every
+    matrix, so each Jacobian evaluation only fills ``data``.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int) -> None:
+        rows = np.asarray(rows, dtype=np.int32)
+        cols = np.asarray(cols, dtype=np.int32)
+        self._order = np.lexsort((rows, cols))
+        self.indices = rows[self._order]
+        self.indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+        self.shape = (n, n)
+
+    def matrix(self, values: np.ndarray) -> csc_matrix:
+        return csc_matrix((values[self._order], self.indices, self.indptr),
+                          shape=self.shape)
 
 
 def _wrap_events(events: Sequence[EventSpec] | None):
@@ -126,20 +160,21 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        y0: np.ndarray,
                        config: IntegratorConfig = IntegratorConfig(),
                        events: Sequence[EventSpec] | None = None,
-                       jac_sparsity: np.ndarray | None = None,
+                       jac: Callable[[float, np.ndarray], object] | None = None,
                        t_eval: np.ndarray | None = None) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
     Returns an :class:`IntegrationResult`; raises :class:`SolverError` when
     the integrator fails (the error reports the last reached time and
-    state).  ``jac_sparsity`` is forwarded to the implicit methods so the
-    finite-difference Jacobian uses column grouping.
+    state).  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense or sparse;
+    it is forwarded to the implicit methods (BDF, Radau) only, and the
+    other methods ignore it.
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     method = config.scipy_method()
     kwargs = {}
-    if jac_sparsity is not None and method in ("BDF", "Radau"):
-        kwargs["jac_sparsity"] = jac_sparsity
+    if jac is not None and method in ("BDF", "Radau"):
+        kwargs["jac"] = jac
     if config.first_step is not None:
         kwargs["first_step"] = config.first_step
     res = solve_ivp(
@@ -176,6 +211,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
         y_events=y_events,
         nfev=res.nfev,
         njev=res.njev,
+        nlu=res.nlu,
         status=res.status,
         message=res.message,
     )

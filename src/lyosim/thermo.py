@@ -23,6 +23,7 @@ __all__ = [
     "MixtureProperties",
     "psat_evaporation",
     "psat_sublimation",
+    "psat_sublimation_slope",
     "heat_of_vaporization",
     "freezing_point",
     "radiation_exchange",
@@ -68,6 +69,11 @@ def psat_sublimation(T: float) -> float:
     if T <= 0.0:
         raise DomainError(f"psat_sublimation needs T > 0 K, got {T}")
     return math.exp(_ICE_A / T + _ICE_B)
+
+
+def psat_sublimation_slope(T: float) -> float:
+    """Temperature derivative (Pa/K) of :func:`psat_sublimation`."""
+    return -_ICE_A / (T * T) * psat_sublimation(T)
 
 
 def heat_of_vaporization(T: float) -> float:

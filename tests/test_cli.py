@@ -120,6 +120,15 @@ def test_seed_flag_changes_stochastic_outcome(tmp_path):
     assert times[0] != times[1]
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    code = main(["freeze", "--scenario", "stochastic_freezing", "--seed", "-1",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "--seed -1" in err and "seed" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_sweep_writes_table(tmp_path):
     code = main(["freeze", "--out", str(tmp_path),
                  "--sweep", "freezing.final_temperature_K=233:237:3"])

@@ -1,5 +1,7 @@
 """Moving-front primary drying: flux oracles, invariants, convergence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,10 @@ from lyosim import (
     VialGeometry,
     run_primary,
 )
+from lyosim import drying_primary
 from lyosim.drying_primary import (
     PrimaryState,
     cake_resistance,
-    jac_sparsity,
     primary_rhs,
     steady_profile_residual,
     sublimation_flux,
@@ -126,15 +128,75 @@ def test_rhs_front_cooling_from_sublimation(geom):
     assert abs(dT[-1]) < abs(dT[0])  # bottom is insulated from the sink
 
 
-def test_jac_sparsity_pattern():
-    J = jac_sparsity(5)
-    assert J.shape == (6, 6)
-    # tridiagonal band plus full coupling with the front coordinate
-    assert J[0, 2] == 0.0 and J[1, 3] == 0.0
-    assert np.all(J[:, -1] == 1.0)
-    assert np.all(J[-1, 0] == 1.0)
-    J2 = jac_sparsity(5, extra_cols=1)
-    assert J2.shape == (7, 7)
+# --- exact Jacobian -----------------------------------------------------------------
+
+def _primary_system(driver_system, geom, n_z, dp=None):
+    """(rhs, jac) that run_primary hands to the integrator."""
+    dp = _default_dp() if dp is None else dp
+    rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
+        235.0, dp, RadiationSpec(), geom, n_z=n_z))
+    return rhs, jac
+
+
+def test_jacobian_sparsity_structure(driver_system, geom):
+    rhs, jac = _primary_system(driver_system, geom, 5)
+    y = np.concatenate([np.linspace(240.0, 250.0, 5), [0.4 * geom.H]])
+    J = jac(100.0, y)
+    assert J.format == "csc" and J.shape == (6, 6)
+    P = J.copy()
+    P.data[:] = 1.0
+    P = P.toarray()
+    # tridiagonal T block, dense T_0 and S columns, S row only in the border
+    assert np.all(P[:, 0] == 1.0) and np.all(P[:, -1] == 1.0)
+    assert P[0, 2] == 0.0 and P[1, 3] == 0.0 and P[4, 2] == 0.0
+    assert np.all(P[-1, 1:-1] == 0.0)
+    # the index arrays are built once per stage; each call fills data only
+    J2 = jac(200.0, y + 1.0)
+    assert np.shares_memory(J2.indices, J.indices)
+    assert np.shares_memory(J2.indptr, J.indptr)
+
+
+@pytest.mark.parametrize("n_z", [5, 51])
+@pytest.mark.parametrize("case", ["mid_drying", "gap_floor", "cold_front", "behind_top"])
+def test_jacobian_matches_central_differences(driver_system, jacobian_error, geom,
+                                              n_z, case):
+    rhs, jac = _primary_system(driver_system, geom, n_z)
+    T = np.linspace(240.0, 255.0, n_z)
+    S = 0.4 * geom.H
+    steps = None
+    if case == "gap_floor":
+        # H - S under the floor of half the 1e-3 completion margin; the S
+        # step stays a quarter of the way to the floor's kink
+        S = geom.H * (1.0 - 0.25e-3)
+        steps = np.append(1.0e-6 * T, 0.25 * (S - geom.H * (1.0 - 0.5e-3)))
+    elif case == "cold_front":
+        T[0] = 200.0  # saturation 0.16 Pa, under the 3 Pa chamber: no flux
+    elif case == "behind_top":
+        S = -1.0e-4  # a trial state above the product: the cake has no depth
+    y = np.concatenate([T, [S]])
+    assert jacobian_error(rhs, jac, 1000.0, y, steps) < 1.0e-5
+    if case == "cold_front":
+        assert np.all(jac(1000.0, y).toarray()[n_z] == 0.0)
+
+
+@pytest.mark.parametrize("method", ["lsoda", "rk45"])
+def test_non_implicit_methods_run_without_the_jacobian(geom, method):
+    # jac goes to BDF/Radau only: scipy would warn that it has no effect on
+    # RK45, and LSODA would reject a sparse one
+    dp = _default_dp()
+    cfg = IntegratorConfig(method=method)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if method == "rk45":
+            # explicit steps are bounded by the n_z = 3 diffusion time
+            with pytest.raises(StageTimeoutError):
+                run_primary(235.0, dp, RadiationSpec(), geom, n_z=3, config=cfg,
+                            time_limit_s=600.0, samples=10)
+            return
+        traj = run_primary(235.0, dp, RadiationSpec(), geom, n_z=5, config=cfg,
+                           samples=10)
+    ref = run_primary(235.0, dp, RadiationSpec(), geom, n_z=5, samples=10)
+    assert traj.meta["duration_s"] == pytest.approx(ref.meta["duration_s"], rel=1.0e-3)
 
 
 # --- full stage ----------------------------------------------------------------------
@@ -182,6 +244,15 @@ def test_event_and_duration(baseline):
     assert t_end == baseline.t[-1]
     assert baseline.meta["duration_s"] == pytest.approx(t_end - baseline.t[0])
     assert set(baseline.stage) == {"primary_drying"}
+
+
+def test_solver_counters_in_meta(baseline):
+    counts = baseline.meta["solver"]
+    assert set(counts) == {"steps", "nfev", "njev", "nlu"}
+    assert all(isinstance(v, int) for v in counts.values())
+    # the exact Jacobian is refreshed rarely and never by finite differences
+    assert 0 < counts["njev"] < counts["steps"] < counts["nfev"]
+    assert counts["nlu"] >= counts["njev"]
 
 
 def test_grid_doubling_changes_endpoint_under_one_percent(geom):

@@ -16,6 +16,7 @@ from lyosim import (
     VialGeometry,
     run_secondary,
 )
+from lyosim import drying_secondary
 from lyosim.drying_secondary import SecondaryState, desorption_rate, secondary_rhs
 
 
@@ -126,6 +127,21 @@ def test_event_localization_stable_under_rtol_halving(geom):
     assert abs(ends[1] - ends[0]) / ends[1] < 1.0e-3
 
 
+@pytest.mark.parametrize("n_z", [5, 51])
+def test_jacobian_matches_central_differences(driver_system, jacobian_error, geom, n_z):
+    kin = DesorptionKinetics(c_eq=0.005)
+    cond = _conditions(300.0, T_wall=290.0, T_upper=285.0)
+    rhs, jac, _ = driver_system(drying_secondary, lambda: run_secondary(
+        273.15, 0.088, kin, RadiationSpec(), cond, geom, n_z=n_z))
+    rng = np.random.default_rng(7)
+    y = np.concatenate([275.0 + 20.0 * rng.random(n_z), 0.02 + 0.06 * rng.random(n_z)])
+    assert jacobian_error(rhs, jac, 500.0, y) < 1.0e-5
+    J = jac(500.0, y)
+    assert J.format == "csc" and J.shape == (2 * n_z, 2 * n_z)
+    # tridiagonal T block (3 n_z - 2), T-c both ways and the c diagonal
+    assert J.nnz == 3 * n_z - 2 + 3 * n_z
+
+
 @pytest.fixture(scope="module")
 def heated_run(geom):
     kin = DesorptionKinetics()
@@ -142,6 +158,13 @@ def test_bound_water_monotone_nonnegative(heated_run):
     assert c[-1] == pytest.approx(0.01, rel=1e-6)
     prof = heated_run.fields["bound_water_kg_per_kg"]
     assert np.all(prof >= 0.0)
+
+
+def test_solver_counters_in_meta(heated_run):
+    counts = heated_run.meta["solver"]
+    assert set(counts) == {"steps", "nfev", "njev", "nlu"}
+    # the Jacobian does not depend on time and changes slowly with the state
+    assert 0 < counts["njev"] < counts["steps"] < counts["nfev"]
 
 
 def test_cake_heats_toward_shelf(heated_run):

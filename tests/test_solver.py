@@ -1,9 +1,11 @@
 """Stiff integrator wrapper and event localization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_matrix
 
 from lyosim import (
     ConfigurationError,
@@ -91,12 +93,28 @@ def test_stiff_system_is_cheap_for_bdf():
     assert res_bdf.nfev < res_rk.nfev / 5
 
 
-def test_jac_sparsity_accepted():
+def test_jac_forwarded_to_implicit_methods():
+    calls = []
+
+    def jac(t, y):
+        calls.append(t)
+        return csc_matrix(_A)
+
+    y0 = np.array([1.0, 0.0])
     cfg = IntegratorConfig(rtol=1.0e-8, atol=1.0e-12)
-    spars = (np.abs(_A) > 0).astype(float)
-    res = integrate_adaptive(_stiff_rhs, (0.0, 5.0), np.array([1.0, 0.0]), cfg,
-                             jac_sparsity=spars)
+    res = integrate_adaptive(_stiff_rhs, (0.0, 5.0), y0, cfg, jac=jac)
     assert np.allclose(res.sol(5.0), _stiff_exact(5.0), atol=1.0e-9)
+    # a constant exact Jacobian is evaluated once and never by differences
+    assert len(calls) == res.njev == 1
+    assert res.nlu >= 1 and res.nfev > 0
+    calls.clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # scipy warns on arguments it ignores
+        for method in ("rk45", "lsoda"):
+            res = integrate_adaptive(_stiff_rhs, (0.0, 0.1), y0,
+                                     IntegratorConfig(method=method), jac=jac)
+            assert res.status == 0
+    assert calls == []
 
 
 def test_t_eval_sampling():
