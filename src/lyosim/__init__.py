@@ -63,8 +63,7 @@ from .params import DEFAULT_SCENARIO, ParameterSet, build_parameters, default_pa
 from .pipeline import consistent_parameters, run_full_cycle
 from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
 from .schedules import Schedule, as_schedule
-from .solver import EventSpec, IntegrationResult, IntegratorConfig, \
-    integrate_adaptive, locate_event
+from .solver import EventSpec, IntegrationResult, IntegratorConfig, integrate_adaptive
 from .thermo import (
     Formulation,
     MixtureProperties,

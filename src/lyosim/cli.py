@@ -24,7 +24,6 @@ import numpy as np
 
 from .analysis import PorousMedium, biot_number, cylinder_eigenvalues, \
     effective_diffusivity, time_scales
-from .chamber import run_primary_with_condenser
 from .compare import ComparisonReport, ReferenceSeries, compare_with_reference
 from .drying_primary import run_primary
 from .drying_secondary import run_secondary
@@ -105,10 +104,12 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
         summary["final_ice_mass_kg"] = fs.m_i
         summary["final_water_mass_kg"] = fs.m_w
         summary["end_time_s"] = traj.t_end
-    elif command == "primary":
+    elif command in ("primary", "failure"):
+        # failure: the same stage under the chamber's saturating condenser
         traj = run_primary(params.primary_initial_T, params.primary,
-                           params.radiation, params.geometry, n_z=params.n_z,
-                           config=params.integrator,
+                           params.radiation, params.geometry,
+                           params.chamber if command == "failure" else None,
+                           n_z=params.n_z, config=params.integrator,
                            time_limit_s=params.primary_time_limit_s,
                            samples=params.samples_per_stage)
         summary = {"events": dict(traj.events)}
@@ -122,16 +123,6 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                              config=params.integrator,
                              time_limit_s=params.secondary_time_limit_s,
                              samples=params.samples_per_stage)
-        summary = {"events": dict(traj.events)}
-        summary.update(_scalar_meta(traj.meta))
-        summary["end_time_s"] = traj.t_end
-    elif command == "failure":
-        traj = run_primary_with_condenser(params.primary_initial_T, params.primary,
-                                          params.radiation, params.geometry,
-                                          params.chamber, n_z=params.n_z,
-                                          config=params.integrator,
-                                          time_limit_s=params.primary_time_limit_s,
-                                          samples=params.samples_per_stage)
         summary = {"events": dict(traj.events)}
         summary.update(_scalar_meta(traj.meta))
         summary["end_time_s"] = traj.t_end

@@ -13,7 +13,9 @@ Vapor leaving the front crosses the already-dried cake whose resistance
 grows with cake depth, R_p(S) = Rp0 + Rp1 S / (Rp2 + S); the flux is
 proportional to the gap between the ice saturation pressure at the front
 temperature and the chamber water partial pressure, clamped at zero
-because recondensation from the chamber is not modeled.
+because recondensation from the chamber is not modeled.  The chamber
+partial pressure is either fixed or, when a condenser cannot keep up, a
+state of the chamber water balance (:mod:`lyosim.chamber`).
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csc_matrix
 
+from .chamber import ChamberModel, chamber_pressure_gain, chamber_pressure_rhs
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
 from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import RadiationSpec, VialGeometry, psat_sublimation, psat_sublimation_slope
+from .thermo import (RadiationSpec, VialGeometry, psat_sublimation,
+                     psat_sublimation_slope, trapezoid_weights)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -115,7 +119,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
                                    tuple[np.ndarray, float, float]],
                           Callable[..., csc_matrix]]:
     """Build the discretized right-hand side shared by the fixed-pressure
-    and chamber-coupled drivers, and its exact Jacobian.
+    and chamber-coupled modes of :func:`run_primary`, and its exact Jacobian.
 
     Returns ``(core, jac)``.  ``core`` maps (t, T, S, p_w_chamber) to
     (dT/dt, dS/dt, N_w) and is total: implicit-solver trial steps may probe
@@ -271,17 +275,9 @@ def primary_rhs(state: PrimaryState, dp: DryingParams, rad: RadiationSpec,
     return dT, dS
 
 
-def _volume_average(values: np.ndarray) -> np.ndarray:
-    """Trapezoidal average over a uniform grid; works on (..., n_z) arrays."""
-    n = values.shape[-1]
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return values @ w
-
-
 def run_primary(initial_temperature: float | np.ndarray,
-                dp: DryingParams, rad: RadiationSpec, geom: VialGeometry, *,
+                dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
+                chamber: ChamberModel | None = None, *,
                 n_z: int = 51,
                 config: IntegratorConfig = IntegratorConfig(),
                 t0: float = 0.0,
@@ -302,6 +298,14 @@ def run_primary(initial_temperature: float | np.ndarray,
     :class:`StageTimeoutError` reports whether the front stalled for lack
     of driving force.  The trajectory carries the full temperature field
     under ``fields["temperature_K"]``.
+
+    Without a ``chamber`` the chamber water partial pressure is held at
+    ``dp.p_w_chamber``.  With a :class:`~lyosim.chamber.ChamberModel` the
+    vial is one of ``chamber.n_vial`` identical vials sharing the chamber
+    water balance: the partial pressure is a state that starts at the
+    setpoint, rises whenever the collective sublimation load exceeds the
+    condenser capacity and feeds back on the flux of every vial, and
+    ``meta`` gains ``peak_pressure_Pa`` and ``peak_load_kg_per_s``.
     """
     H = geom.H
     if samples < 2:
@@ -317,24 +321,54 @@ def run_primary(initial_temperature: float | np.ndarray,
         T0 = np.full(n_z, float(T0))
     elif T0.shape != (n_z,):
         raise ConfigurationError(f"initial profile must have shape ({n_z},)")
-    core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel)
+    core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel,
+                                pressure_state=chamber is not None)
+    A_z = geom.A_z
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dT, dS, _ = core(t, y[:n_z], y[n_z], dp.p_w_chamber)
-        return np.concatenate([dT, [dS]])
+    if chamber is None:
+        def pressure(y: np.ndarray) -> np.ndarray:
+            return np.full(y.shape[1:], dp.p_w_chamber)
 
-    def jac(t: float, y: np.ndarray) -> csc_matrix:
-        return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            dT, dS, _ = core(t, y[:n_z], y[n_z], dp.p_w_chamber)
+            return np.concatenate([dT, [dS]])
+
+        def jac(t: float, y: np.ndarray) -> csc_matrix:
+            return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
+
+        y0 = np.concatenate([T0, [S0]])
+    else:
+        load = chamber.n_vial * A_z  # vapor load (kg/s) per unit flux (kg/m^2/s)
+
+        def pressure(y: np.ndarray) -> np.ndarray:
+            # the controller holds the setpoint from below
+            return np.maximum(y[n_z + 1], chamber.p_setpoint)
+
+        def rhs(t: float, y: np.ndarray) -> np.ndarray:
+            p = max(y[n_z + 1], chamber.p_setpoint)
+            dT, dS, N_w = core(t, y[:n_z], y[n_z], p)
+            return np.concatenate([dT, [dS, chamber_pressure_rhs(p, load * N_w, chamber)]])
+
+        def jac(t: float, y: np.ndarray) -> csc_matrix:
+            p = max(y[n_z + 1], chamber.p_setpoint)
+            dp_dy = 1.0 if y[n_z + 1] >= chamber.p_setpoint else 0.0
+
+            def load_gain(N_w: float) -> float:
+                return load * chamber_pressure_gain(p, load * N_w, chamber)
+
+            return core_jac(t, y[:n_z], y[n_z], p, dp_dy=dp_dy, load_gain=load_gain)
+
+        y0 = np.concatenate([T0, [S0, chamber.p_setpoint]])
 
     done = EventSpec(lambda t, y: y[n_z] - S_stop, terminal=True, direction=1.0,
                      name="front_complete")
-    res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
-                             np.concatenate([T0, [S0]]), config,
+    res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
                              events=[done], jac=jac)
     t_end = res.first_event_time("front_complete")
     if t_end is None:
-        S_last = float(res.y[n_z, -1])
-        flux = sublimation_flux(float(res.y[0, -1]), S_last, dp)
+        y_last = res.y[:, -1]
+        S_last = float(y_last[n_z])
+        flux = sublimation_flux(float(y_last[0]), S_last, dp, float(pressure(y_last)))
         detail = ("sublimation driving force is nonpositive (front temperature too "
                   "cold for the chamber pressure)" if flux <= 0.0
                   else f"front still moving at {flux:.3e} kg/m^2/s")
@@ -345,29 +379,30 @@ def run_primary(initial_temperature: float | np.ndarray,
     # extrapolate removal of the last ice sliver at the terminal front speed
     y_end = res.sol(t_end)
     T_end = y_end[:n_z].copy()
-    dS_end = sublimation_flux(T_end[0], S_stop, dp) / (dp.rho_f - dp.rho_e)
+    p_end = float(pressure(y_end))
+    dS_end = sublimation_flux(T_end[0], S_stop, dp, p_end) / (dp.rho_f - dp.rho_e)
     t_complete = t_end + (H - S_stop) / dS_end if dS_end > 0.0 else t_end
 
     ts = np.linspace(t0, t_end, samples - 1)
     ys = res.sol(ts)
     T_hist = np.vstack([ys[:n_z, :].T, T_end])  # (n_time, n_z)
     S_hist = np.append(np.clip(ys[n_z, :], 0.0, H), H)
+    p_hist = np.append(pressure(ys), p_end)
     ts = np.append(ts, t_complete)
-    N_w = np.array([sublimation_flux(T_hist[i, 0], S_hist[i], dp)
+    N_w = np.array([sublimation_flux(T_hist[i, 0], S_hist[i], dp, p_hist[i])
                     for i in range(ts.shape[0] - 1)] + [0.0])
-    A_z = geom.A_z
     ice = (dp.rho_f - dp.rho_e) * A_z * (H - S_hist)
     traj = Trajectory(
         t=ts,
         stage=[STAGE_PRIMARY] * ts.shape[0],
         series={
-            "temperature_avg_K": _volume_average(T_hist),
+            "temperature_avg_K": T_hist @ trapezoid_weights(n_z),
             "temperature_bottom_K": T_hist[:, -1].copy(),
             "temperature_top_K": T_hist[:, 0].copy(),
             "ice_mass_kg": ice,
             "front_position_m": S_hist.copy(),
             "sublimation_flux_kg_per_m2s": N_w,
-            "chamber_water_pressure_Pa": np.full(ts.shape, dp.p_w_chamber),
+            "chamber_water_pressure_Pa": p_hist,
         },
         fields={"temperature_K": T_hist},
         events={"primary_drying_end_s": float(t_complete)},
@@ -375,13 +410,9 @@ def run_primary(initial_temperature: float | np.ndarray,
     traj.meta["final_state"] = PrimaryState(T=T_end, S=H, t=float(t_complete))
     traj.meta["sublimed_mass_kg"] = float((dp.rho_f - dp.rho_e) * A_z * H)
     traj.meta["duration_s"] = float(t_complete - t0)
+    if chamber is not None:
+        traj.meta["peak_pressure_Pa"] = float(np.max(p_hist))
+        traj.meta["peak_load_kg_per_s"] = float(np.max(load * N_w))
     traj.meta["n_z"] = n_z
     traj.meta["solver"] = res.counters()
     return traj
-
-
-def steady_profile_residual(state: PrimaryState, dp: DryingParams,
-                            rad: RadiationSpec, geom: VialGeometry) -> float:
-    """Max |dT/dt| of a candidate steady profile; diagnostic for tests."""
-    dT, _ = primary_rhs(state, dp, rad, geom)
-    return float(np.max(np.abs(dT)))

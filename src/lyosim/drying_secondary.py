@@ -20,7 +20,7 @@ from scipy.sparse import csc_matrix
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
 from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry
+from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry, trapezoid_weights
 from .trajectory import Trajectory
 
 __all__ = [
@@ -98,14 +98,6 @@ def desorption_rate(T, c_w, kin: DesorptionKinetics):
     return -kin.rate_constant(T) * (np.asarray(c_w, dtype=float) - kin.c_eq)
 
 
-def _volume_average(values: np.ndarray) -> np.ndarray:
-    n = values.shape[-1]
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return values @ w
-
-
 def secondary_rhs(state: SecondaryState, kin: DesorptionKinetics, rad: RadiationSpec,
                   cond: DryingConditions, geom: VialGeometry) -> tuple[np.ndarray, np.ndarray]:
     """(dT/dt, dc_w/dt) of the discretized cake equations."""
@@ -174,23 +166,23 @@ def run_secondary(initial_temperature: float | np.ndarray,
                   initial_bound_water: float | np.ndarray,
                   kin: DesorptionKinetics, rad: RadiationSpec,
                   cond: DryingConditions, geom: VialGeometry, *,
-                  c_target: float = 0.01,
+                  c_target: float | None = 0.01,
                   n_z: int = 51,
                   config: IntegratorConfig = IntegratorConfig(),
                   t0: float = 0.0,
                   time_limit_s: float = 1.0e6,
                   samples: int = 400,
-                  require_target: bool = True,
                   stage_label: str = STAGE_SECONDARY) -> Trajectory:
     """Integrate secondary drying until the volume-averaged bound water
     falls to ``c_target`` (kg/kg).
 
     Initial fields may be scalars (uniform) or length-``n_z`` arrays; the
-    chained start copies the primary-drying profile node by node.  With
-    ``require_target=False`` the run simply ends at the horizon when the
-    target is not reached (used for fixed-duration conduction holds);
-    otherwise that raises :class:`StageTimeoutError`.  ``stage_label``
-    renames the stage column and end event, e.g. for post-heating holds.
+    chained start copies the primary-drying profile node by node.  A
+    target not reached within ``time_limit_s`` raises
+    :class:`StageTimeoutError`.  With ``c_target=None`` the run has no
+    target and lasts exactly ``time_limit_s`` (a fixed-duration hold).
+    ``stage_label`` renames the stage column and end event, e.g. for
+    post-heating holds.
     """
     def as_profile(v, name: str) -> np.ndarray:
         a = np.asarray(v, dtype=float)
@@ -204,36 +196,37 @@ def run_secondary(initial_temperature: float | np.ndarray,
     c0 = as_profile(initial_bound_water, "initial bound water")
     if np.any(c0 < 0.0):
         raise ConfigurationError("bound water cannot be negative")
-    w = np.full(n_z, 1.0 / (n_z - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
+    if c_target is not None and c_target < 0.0:
+        raise ConfigurationError("bound-water target must be nonnegative")
+    w = trapezoid_weights(n_z)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         dT, dc = secondary_rhs(SecondaryState(T=y[:n_z], c_w=y[n_z:], t=t),
                                kin, rad, cond, geom)
         return np.concatenate([dT, dc])
 
-    if float(c0 @ w) <= c_target:
+    if c_target is not None and float(c0 @ w) <= c_target:
         # nothing to remove; the stage completes instantly
         traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, t0, stage_label)
         traj.meta["final_state"] = SecondaryState(T=T0, c_w=c0, t=t0)
         return traj
 
-    done = EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, terminal=True,
-                     direction=-1.0, name="dry_enough")
-    events = [done] if c_target >= 0.0 else []
+    events = [] if c_target is None else [
+        EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, terminal=True,
+                  direction=-1.0, name="dry_enough")]
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, c0]), config,
                              events=events, jac=_make_jac(kin, rad, cond, geom, n_z))
-    t_end = res.first_event_time("dry_enough") if events else None
-    if t_end is None:
-        if require_target:
+    if c_target is None:
+        t_end = float(res.t[-1])
+    else:
+        t_end = res.first_event_time("dry_enough")
+        if t_end is None:
             c_last = float(res.y[n_z:, -1] @ w)
             raise StageTimeoutError(
                 f"average bound water only fell to {c_last:.4g} kg/kg (target "
                 f"{c_target:.4g}) within the horizon", stage=STAGE_SECONDARY,
                 t=res.t[-1])
-        t_end = float(res.t[-1])
 
     ts = np.linspace(t0, t_end, samples)
     ys = res.sol(ts)

@@ -43,7 +43,6 @@ DEFAULT_SCENARIO: dict[str, Any] = {
         "atol": 1.0e-9,
         "method": "bdf",
         "max_step_s": None,
-        "event_tol_s": 1.0e-6,
     },
     "formulation": {
         "solute_mass_fraction": 0.05,
@@ -360,7 +359,6 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         atol=it["atol"],
         method=it["method"],
         max_step=float("inf") if max_step is None else max_step,
-        event_tol=it["event_tol_s"],
     )
 
     pl = scenario["pipeline"]

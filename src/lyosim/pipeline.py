@@ -20,6 +20,7 @@ from .drying_secondary import run_secondary
 from .errors import ConfigurationError
 from .freezing import VialState, run_freezing
 from .params import ParameterSet
+from .thermo import trapezoid_weights
 from .trajectory import CycleResult, Trajectory
 
 __all__ = ["run_full_cycle", "consistent_parameters"]
@@ -42,13 +43,6 @@ def consistent_parameters(params: ParameterSet, final_state: VialState) -> Param
     primary = replace(params.primary, rho_e=rho_e)
     c0 = final_state.m_w / params.mixture.m_s
     return replace(params, primary=primary, bound_water_initial=c0)
-
-
-def _trapezoid_weights(n: int) -> np.ndarray:
-    w = np.full(n, 1.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 def run_full_cycle(params: ParameterSet, *,
@@ -94,14 +88,14 @@ def run_full_cycle(params: ParameterSet, *,
         hold = run_secondary(end_state.T, end_state.c_w,
                              replace(params.secondary, f_a=0.0), params.radiation,
                              params.secondary_conditions, params.geometry,
-                             c_target=-1.0, n_z=params.n_z, config=params.integrator,
+                             c_target=None, n_z=params.n_z, config=params.integrator,
                              t0=end_state.t, time_limit_s=params.post_heat_duration_s,
                              samples=max(2, params.samples_per_stage // 3),
-                             require_target=False, stage_label="post_heating")
+                             stage_label="post_heating")
         parts.append(hold)
         end_state = hold.meta["final_state"]
 
-    w = _trapezoid_weights(params.n_z)
+    w = trapezoid_weights(params.n_z)
     m_w0 = params.mixture.m_w0
     m_s = params.mixture.m_s
     visf_loss = freeze.meta["visf_water_loss_kg"]

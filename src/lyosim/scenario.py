@@ -58,7 +58,6 @@ SCENARIO_SCHEMA: dict[str, Any] = _obj({
         "atol": _POS,
         "method": {"enum": ["bdf", "lsoda", "explicit", "rk45"]},
         "max_step_s": _nullable(_POS),
-        "event_tol_s": _POS,
     }),
     "formulation": _obj({
         "solute_mass_fraction": {"type": "number", "exclusiveMinimum": 0,
@@ -108,7 +107,7 @@ SCENARIO_SCHEMA: dict[str, Any] = _obj({
             "mode": {"enum": ["controlled", "stochastic"]},
             "temperature_K": _POS,
             "rate_prefactor_per_m3_s_K": _NONNEG,
-            "rate_exponent": _NONNEG,
+            "rate_exponent": _POS,
             "sampling_interval_s": _POS,
         }),
         "solidification_fraction": {"type": "number", "minimum": 0.85,
@@ -125,7 +124,7 @@ SCENARIO_SCHEMA: dict[str, Any] = _obj({
         "upper_temperature_K": _SCHEDULE,
         "bottom_htc_W_per_m2K": _POS,
         "chamber_water_pressure_Pa": _NONNEG,
-        "cake_resistance_R0_m_per_s": _NONNEG,
+        "cake_resistance_R0_m_per_s": _POS,
         "cake_resistance_R1_m_per_s": _NONNEG,
         "cake_resistance_R2_m": _POS,
         "sublimation_heat_J_per_kg": _POS,
@@ -156,7 +155,7 @@ SCENARIO_SCHEMA: dict[str, Any] = _obj({
     "chamber": _obj({
         "volume_m3": _POS,
         "condenser_capacity_kg_per_s": _NONNEG,
-        "vial_count": {"type": "integer", "minimum": 0},
+        "vial_count": {"type": "integer", "minimum": 1},
         "gas_temperature_K": _POS,
         "pressure_setpoint_Pa": _NONNEG,
     }),

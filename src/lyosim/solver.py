@@ -8,10 +8,9 @@ supply their exact Jacobians in closed form as sparse CSC matrices, whose
 fixed structure :class:`CscPattern` builds once per stage; without one the
 implicit methods fall back to scipy's finite-difference Jacobian.  An
 explicit Runge-Kutta method is kept available as a cross-check reference.
-
-Event localization on the dense output is exposed separately as
-:func:`locate_event` so stage drivers and tests can refine or audit event
-times against the interpolant.
+Terminal events (:class:`EventSpec`) are located by ``solve_ivp`` on the
+dense output, and the result reports the solver's step, RHS, Jacobian and
+LU counts.
 """
 
 from __future__ import annotations
@@ -21,13 +20,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 
-from .errors import ConfigurationError, DomainError, SolverError
+from .errors import ConfigurationError, SolverError
 
 __all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
-           "integrate_adaptive", "locate_event"]
+           "integrate_adaptive"]
 
 _METHODS = {"bdf": "BDF", "lsoda": "LSODA", "explicit": "RK45", "rk45": "RK45"}
 
@@ -37,8 +35,7 @@ class IntegratorConfig:
     """Tolerances and method selection for one integration.
 
     ``atol`` may be a scalar or a per-component array.  ``method`` is
-    "bdf" (default, stiff) or "explicit"/"rk45" (reference).  ``event_tol``
-    bounds the time error of event localization (s).
+    "bdf" (default, stiff), "lsoda", or "explicit"/"rk45" (reference).
     """
 
     rtol: float = 1.0e-6
@@ -46,7 +43,6 @@ class IntegratorConfig:
     method: str = "bdf"
     max_step: float = np.inf
     first_step: float | None = None
-    event_tol: float = 1.0e-6
 
     def __post_init__(self) -> None:
         if self.rtol <= 0.0:
@@ -58,8 +54,6 @@ class IntegratorConfig:
                 f"unknown method {self.method!r}; choose from {sorted(_METHODS)}")
         if self.max_step <= 0.0:
             raise ConfigurationError("max_step must be positive")
-        if self.event_tol <= 0.0:
-            raise ConfigurationError("event_tol must be positive")
 
     def scipy_method(self) -> str:
         return _METHODS[self.method.lower()]
@@ -216,34 +210,3 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
         message=res.message,
     )
 
-
-def locate_event(sol: Callable[[float], np.ndarray],
-                 event: EventSpec,
-                 t_lo: float,
-                 t_hi: float,
-                 time_tol: float = 1.0e-9) -> float:
-    """Refine the root of ``event.func`` on a dense solution segment.
-
-    Requires a sign change (or an exact zero at an endpoint, which is
-    returned without refinement) across ``[t_lo, t_hi]`` consistent with
-    ``event.direction``; raises :class:`DomainError` otherwise.
-    """
-    if t_hi <= t_lo:
-        raise DomainError("locate_event needs t_lo < t_hi")
-
-    def g(t: float) -> float:
-        return float(event.func(t, np.atleast_1d(sol(t))))
-
-    g_lo, g_hi = g(t_lo), g(t_hi)
-    if g_lo == 0.0:
-        return float(t_lo)
-    if g_hi == 0.0:
-        return float(t_hi)
-    if np.sign(g_lo) == np.sign(g_hi):
-        raise DomainError(
-            f"event {event.name!r} has no sign change on [{t_lo:.6g}, {t_hi:.6g}]")
-    if event.direction > 0 and not (g_lo < 0.0 < g_hi):
-        raise DomainError(f"event {event.name!r}: crossing is not rising on the segment")
-    if event.direction < 0 and not (g_lo > 0.0 > g_hi):
-        raise DomainError(f"event {event.name!r}: crossing is not falling on the segment")
-    return float(brentq(g, t_lo, t_hi, xtol=time_tol, rtol=8.881784197001252e-16))

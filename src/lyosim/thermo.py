@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -30,6 +32,7 @@ __all__ = [
     "linearized_radiation_htc",
     "overall_htc_slab",
     "overall_htc_cylinder",
+    "trapezoid_weights",
     "mixture_properties",
 ]
 
@@ -158,6 +161,16 @@ def overall_htc_cylinder(h: float, r_outer: float, r_inner: float, k: float) -> 
     if h == 0.0:
         return 0.0
     return 1.0 / (1.0 / h + r_outer * math.log(r_outer / r_inner) / k)
+
+
+def trapezoid_weights(n: int) -> np.ndarray:
+    """Trapezoidal weights of the uniform n-node grid over the product
+    height, normalized to sum to 1: ``values @ trapezoid_weights(n)`` is
+    the volume average of nodal values, also of (..., n) arrays."""
+    w = np.full(n, 1.0 / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ from typing import Any
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = ["Trajectory", "CycleResult", "CSV_COLUMNS", "write_trajectory_csv",
            "trajectory_json_dict"]
 
@@ -48,11 +50,12 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         n = self.t.shape[0]
-        assert len(self.stage) == n
-        for name, v in self.series.items():
-            assert v.shape == (n,), f"series {name!r} has shape {v.shape}, expected ({n},)"
-        for name, v in self.fields.items():
-            assert v.shape[0] == n, f"field {name!r} first axis {v.shape[0]} != {n}"
+        shapes = [("stage labels", (len(self.stage),))]
+        shapes += [(f"series {k!r}", v.shape) for k, v in self.series.items()]
+        shapes += [(f"field {k!r} leading axis", v.shape[:1]) for k, v in self.fields.items()]
+        for name, shape in shapes:
+            if shape != (n,):
+                raise ConfigurationError(f"{name} has shape {shape}, expected ({n},)")
 
     @property
     def t_end(self) -> float:

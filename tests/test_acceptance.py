@@ -30,7 +30,6 @@ import pytest
 from lyosim.analysis import (biot_number, cylinder_transient_theta,
                              effective_diffusivity, lumped_theta, time_scales,
                              PorousMedium)
-from lyosim.chamber import run_primary_with_condenser
 from lyosim.compare import ReferenceSeries, compare_with_reference
 from lyosim.drying_primary import run_primary, sublimation_flux
 from lyosim.drying_secondary import run_secondary
@@ -414,9 +413,8 @@ def test_criterion_7_nucleation_statistics():
 
 def test_criterion_8_condenser_failure(defaults, primary_base):
     d = defaults
-    failure = run_primary_with_condenser(d.primary_initial_T, d.primary,
-                                         d.radiation, d.geometry, d.chamber,
-                                         n_z=d.n_z, config=d.integrator)
+    failure = run_primary(d.primary_initial_T, d.primary, d.radiation, d.geometry,
+                          chamber=d.chamber, n_z=d.n_z, config=d.integrator)
     p = failure.series["chamber_water_pressure_Pa"]
     T_top = failure.series["temperature_top_K"]
     S = failure.series["front_position_m"]

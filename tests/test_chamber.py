@@ -10,12 +10,13 @@ from lyosim import (
     IntegratorConfig,
     RadiationSpec,
     Schedule,
+    StageTimeoutError,
     VialGeometry,
     run_primary,
-    run_primary_with_condenser,
 )
-from lyosim import chamber
-from lyosim.chamber import chamber_pressure_gain, chamber_pressure_rhs
+from lyosim import drying_primary
+from lyosim.chamber import chamber_pressure_gain, chamber_pressure_rhs, \
+    run_primary_with_condenser
 from lyosim.drying_primary import sublimation_flux
 
 
@@ -83,9 +84,9 @@ def test_pressure_gain_follows_the_clamp():
 
 
 def _chamber_system(driver_system, geom, n_z, ch):
-    """(rhs, jac) that run_primary_with_condenser hands to the integrator."""
-    rhs, jac, _ = driver_system(chamber, lambda: run_primary_with_condenser(
-        235.0, _default_dp(), RadiationSpec(), geom, ch, n_z=n_z))
+    """(rhs, jac) that run_primary under a chamber hands to the integrator."""
+    rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
+        235.0, _default_dp(), RadiationSpec(), geom, chamber=ch, n_z=n_z))
     return rhs, jac
 
 
@@ -118,8 +119,8 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
 def failure_run(geom):
     dp = _default_dp()
     ch = ChamberModel()
-    return run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch,
-                                      config=IntegratorConfig(), samples=300)
+    return run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch,
+                       config=IntegratorConfig(), samples=300)
 
 
 def test_pressure_rises_to_plateau(failure_run, geom):
@@ -169,8 +170,8 @@ def test_oversized_condenser_matches_fixed_pressure(geom):
     dp = _default_dp()
     ch = ChamberModel(j_w_max=1.0)
     tight = IntegratorConfig(rtol=1.0e-9, atol=1.0e-12)
-    coupled = run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch,
-                                         config=tight, samples=50)
+    coupled = run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch,
+                          config=tight, samples=50)
     plain = run_primary(235.0, dp, RadiationSpec(), geom, config=tight, samples=50)
     p = coupled.series["chamber_water_pressure_Pa"]
     assert np.all(np.abs(p - 3.0) < 1e-9)
@@ -183,9 +184,8 @@ def test_more_vials_push_pressure_higher(geom):
     cfg = IntegratorConfig()
     p_peaks = []
     for n in (150, 300):
-        traj = run_primary_with_condenser(235.0, dp, RadiationSpec(), geom,
-                                          ChamberModel(n_vial=n), config=cfg,
-                                          samples=50)
+        traj = run_primary(235.0, dp, RadiationSpec(), geom,
+                           chamber=ChamberModel(n_vial=n), config=cfg, samples=50)
         p_peaks.append(traj.series["chamber_water_pressure_Pa"].max())
     assert p_peaks[1] > p_peaks[0]
 
@@ -194,10 +194,42 @@ def test_run_validations(geom):
     dp = _default_dp()
     ch = ChamberModel()
     with pytest.raises(ConfigurationError):
-        run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch, samples=1)
+        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, samples=1)
     with pytest.raises(ConfigurationError):
-        run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch,
-                                   front_epsilon_rel=0.2)
+        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, front_epsilon_rel=0.2)
     with pytest.raises(ConfigurationError):
-        run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch,
-                                   S0=geom.H)
+        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, S0=geom.H)
+
+
+def test_final_state_and_sublimed_mass_under_chamber(failure_run, geom):
+    dp = _default_dp()
+    fs = failure_run.meta["final_state"]
+    assert fs.S == geom.H
+    assert fs.t == failure_run.events["primary_drying_end_s"]
+    assert np.array_equal(fs.T, failure_run.fields["temperature_K"][-1])
+    expected = (dp.rho_f - dp.rho_e) * geom.A_z * geom.H
+    assert failure_run.meta["sublimed_mass_kg"] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("p_setpoint, detail", [
+    (3.0, "front still moving"),
+    # above the ice saturation pressure at the shelf temperature: no flux
+    (1000.0, "driving force is nonpositive"),
+])
+def test_timeout_reports_stall_under_chamber(geom, p_setpoint, detail):
+    with pytest.raises(StageTimeoutError, match=detail):
+        run_primary(235.0, _default_dp(), RadiationSpec(), geom,
+                    chamber=ChamberModel(p_setpoint=p_setpoint), time_limit_s=60.0,
+                    config=IntegratorConfig(), samples=10)
+
+
+def test_condenser_name_forwards_to_run_primary(geom):
+    dp = _default_dp()
+    ch = ChamberModel()
+    old = run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch, samples=50)
+    new = run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, samples=50)
+    assert np.array_equal(old.t, new.t)
+    assert old.series.keys() == new.series.keys()
+    for name, values in new.series.items():
+        assert np.array_equal(old.series[name], values), name
+    assert old.events == new.events

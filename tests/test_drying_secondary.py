@@ -210,32 +210,28 @@ def test_already_dry_returns_immediately(geom):
     assert traj.events["secondary_drying_end_s"] == traj.t[0]
 
 
-def test_require_target_controls_timeout(geom):
+def test_no_target_holds_for_time_limit(geom):
+    # c_target=None is a fixed-duration hold: no event, no timeout
     kin = DesorptionKinetics()
-    cond = _conditions(295.0)
-    with pytest.raises(StageTimeoutError):
-        run_secondary(273.15, 0.088, kin, RadiationSpec(), cond, geom,
-                      time_limit_s=100.0, config=IntegratorConfig())
-    traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), cond, geom,
-                         time_limit_s=100.0, require_target=False,
+    traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0),
+                         geom, c_target=None, time_limit_s=500.0, stage_label="post_heat",
                          config=IntegratorConfig(), samples=20)
-    assert traj.t[-1] == pytest.approx(100.0)
+    assert traj.t[-1] == pytest.approx(500.0, rel=1e-12)
+    assert traj.events == {"post_heat_end_s": traj.t[-1]}
+    assert set(traj.stage) == {"post_heat"}
+    assert traj.meta["final_state"].t == traj.t[-1]
     assert traj.series["bound_water_avg_kg_per_kg"][-1] > 0.01
 
 
-def test_negative_target_disables_event(geom):
+def test_unreached_target_times_out(geom):
     kin = DesorptionKinetics()
-    traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0),
-                         geom, c_target=-1.0, time_limit_s=500.0,
-                         require_target=False, config=IntegratorConfig(), samples=20)
-    assert traj.t[-1] == pytest.approx(500.0)
+    with pytest.raises(StageTimeoutError, match="target 0.01"):
+        run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
+                      time_limit_s=100.0, config=IntegratorConfig())
 
 
-def test_stage_label_propagates(geom):
+def test_negative_target_rejected(geom):
     kin = DesorptionKinetics()
-    traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0),
-                         geom, stage_label="post_heat", time_limit_s=200.0,
-                         c_target=-1.0, require_target=False,
-                         config=IntegratorConfig(), samples=10)
-    assert "post_heat_end_s" in traj.events
-    assert set(traj.stage) == {"post_heat"}
+    with pytest.raises(ConfigurationError):
+        run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
+                      c_target=-1.0, config=IntegratorConfig())

@@ -1,5 +1,6 @@
 """Scenario schema validation, loading, and parameter assembly."""
 
+import copy
 import json
 
 import pytest
@@ -8,11 +9,13 @@ import yaml
 from lyosim import (
     Scenario,
     ScenarioError,
+    build_parameters,
     builtin_scenarios,
     load_scenario,
     validate_scenario,
 )
 from lyosim.params import DEFAULT_SCENARIO, deep_merge
+from lyosim.scenario import SCENARIO_SCHEMA
 
 
 def test_builtin_list_complete():
@@ -152,3 +155,70 @@ def test_transport_block_defaults():
     block = sc.transport()
     assert block["porosity"] == 0.815
     assert len(block["biot"]) == 2
+
+
+def _lower_bounds(schema, path=()):
+    """(path, keyword, bound) of every numeric minimum/exclusiveMinimum
+    leaf of ``schema``, through nullable forms, schedules and arrays.  An
+    integer in the path stands for an array of that many copies of one
+    item (the array's ``minItems``, at least 1)."""
+    for variant in [schema, *schema.get("oneOf", [])]:
+        for key, sub in variant.get("properties", {}).items():
+            yield from _lower_bounds(sub, path + (key,))
+        if "items" in variant:
+            yield from _lower_bounds(variant["items"], path + (variant.get("minItems", 1),))
+        for keyword in ("minimum", "exclusiveMinimum"):
+            if keyword in variant and variant.get("type") in ("number", "integer"):
+                yield path, keyword, variant[keyword]
+
+
+def _set(node, path, value):
+    """``node`` with the leaf at ``path`` replaced by ``value``; the dicts
+    and lists along the path are new, missing ones are created."""
+    if not path:
+        return value
+    key, rest = path[0], path[1:]
+    if isinstance(key, int):
+        item = node[0] if isinstance(node, list) and node else {}
+        return [_set(item, rest, value)] * key
+    node = dict(node) if isinstance(node, dict) else {}
+    node[key] = _set(node.get(key), rest, value)
+    return node
+
+
+def _at_bound(path, bound):
+    data = copy.deepcopy(DEFAULT_SCENARIO)
+    if path[:2] == ("freezing", "nucleation"):
+        # the nucleation rate keys are read only in stochastic mode, which
+        # excludes vacuum-induced surface freezing
+        data["freezing"]["nucleation"]["mode"] = "stochastic"
+        data["freezing"]["depressurization_start_s"] = None
+    if path[0] == "comparison":
+        data["comparison"] = {"reference_csv": "ref.csv", "observable": "temperature_avg_K"}
+    return _set(data, path, bound)
+
+
+_BOUNDS = list(_lower_bounds(SCENARIO_SCHEMA))
+
+
+def test_schema_bounds_walk_finds_the_known_leaves():
+    paths = {p for p, _, _ in _BOUNDS}
+    assert len(_BOUNDS) > 60
+    assert {("chamber", "vial_count"), ("freezing", "nucleation", "rate_exponent"),
+            ("primary", "cake_resistance_R0_m_per_s"),
+            ("secondary", "initial_bound_water_kg_per_kg", 2),
+            ("transport_analysis", "biot", 1, "htc_W_per_m2K")} <= paths
+
+
+@pytest.mark.parametrize("path, keyword, bound", _BOUNDS,
+                         ids=[".".join(map(str, p)) for p, _, _ in _BOUNDS])
+def test_schema_bounds_agree_with_parameter_checks(path, keyword, bound):
+    # a value the schema admits must build; the dataclass checks must not
+    # reject what the schema lets through
+    data = _at_bound(path, bound)
+    if keyword == "exclusiveMinimum":
+        with pytest.raises(ScenarioError):
+            validate_scenario(data)
+    else:
+        validate_scenario(data)
+        build_parameters(data)

@@ -1,4 +1,4 @@
-"""Stiff integrator wrapper and event localization."""
+"""Stiff integrator wrapper: tolerances, events, Jacobians and failures."""
 
 import math
 import warnings
@@ -9,13 +9,11 @@ from scipy.sparse import csc_matrix
 
 from lyosim import (
     ConfigurationError,
-    DomainError,
     EventSpec,
     IntegratorConfig,
     SolverError,
     integrate_adaptive,
 )
-from lyosim.solver import locate_event
 
 # stiff linear test system: y0' = -1000 y0, y1' = y0 - y1
 _A = np.array([[-1000.0, 0.0], [1.0, -1.0]])
@@ -40,7 +38,7 @@ def test_config_defaults_and_validation():
     assert IntegratorConfig(method="LSODA").scipy_method() == "LSODA"
     for bad in (dict(rtol=0.0), dict(rtol=-1.0), dict(atol=0.0),
                 dict(atol=np.array([1e-9, 0.0])), dict(method="euler"),
-                dict(max_step=0.0), dict(event_tol=0.0)):
+                dict(max_step=0.0)):
         with pytest.raises(ConfigurationError):
             IntegratorConfig(**bad)
 
@@ -194,18 +192,3 @@ def test_solver_failure_reports_last_state():
         integrate_adaptive(blows_up, (0.0, 2.0), np.array([1.0]),
                            IntegratorConfig(method="rk45"))
 
-
-def test_locate_event_refines_on_dense_output():
-    cfg = IntegratorConfig(rtol=1.0e-10, atol=1.0e-13)
-    res = integrate_adaptive(lambda t, y: -y, (0.0, 3.0), np.array([1.0]), cfg)
-    ev = EventSpec(lambda t, y: y[0] - 0.5, direction=-1.0, name="half")
-    t_hit = locate_event(res.sol, ev, 0.0, 3.0, time_tol=1.0e-12)
-    assert t_hit == pytest.approx(math.log(2.0), rel=1.0e-9)
-
-
-def test_locate_event_requires_sign_change():
-    res = integrate_adaptive(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
-                             IntegratorConfig())
-    ev = EventSpec(lambda t, y: y[0] + 5.0, name="nope")
-    with pytest.raises(DomainError):
-        locate_event(res.sol, ev, 0.0, 1.0)

@@ -15,7 +15,6 @@ from lyosim import (
     build_parameters,
     load_scenario,
     run_primary,
-    run_primary_with_condenser,
     run_secondary,
 )
 
@@ -29,8 +28,8 @@ def _durations(p, config):
         "primary": lambda: run_primary(
             p.primary_initial_T, p.primary, p.radiation, p.geometry,
             time_limit_s=p.primary_time_limit_s, **common),
-        "condenser": lambda: run_primary_with_condenser(
-            p.primary_initial_T, p.primary, p.radiation, p.geometry, p.chamber,
+        "condenser": lambda: run_primary(
+            p.primary_initial_T, p.primary, p.radiation, p.geometry, chamber=p.chamber,
             time_limit_s=p.primary_time_limit_s, **common),
         "secondary": lambda: run_secondary(
             p.secondary_initial_T, p.bound_water_profile(), p.secondary, p.radiation,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from lyosim import Trajectory, write_trajectory_csv
+from lyosim import ConfigurationError, Trajectory, write_trajectory_csv
 from lyosim.trajectory import CSV_COLUMNS, trajectory_json_dict
 
 
@@ -96,9 +96,13 @@ def test_concatenate_merges_series_and_events():
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(AssertionError):
+    # a typed error, not an assert that vanishes under python -O
+    with pytest.raises(ConfigurationError):
         Trajectory(t=np.array([0.0, 1.0]), stage=["a"],
                    series={})
-    with pytest.raises(AssertionError):
+    with pytest.raises(ConfigurationError):
         Trajectory(t=np.array([0.0, 1.0]), stage=["a", "a"],
                    series={"x": np.array([1.0])})
+    with pytest.raises(ConfigurationError):
+        Trajectory(t=np.array([0.0, 1.0]), stage=["a", "a"],
+                   fields={"T": np.zeros((3, 5))})
