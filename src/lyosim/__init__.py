@@ -57,7 +57,6 @@ from .freezing import (
     nucleate_controlled,
     nucleation_hazard,
     run_freezing,
-    sample_stochastic_nucleation,
 )
 from .params import DEFAULT_SCENARIO, ParameterSet, build_parameters, default_parameters
 from .pipeline import consistent_parameters, run_full_cycle

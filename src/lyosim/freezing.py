@@ -16,16 +16,18 @@ lateral glass surface and the chamber wall.  The stages are
    lateral ice annulus;
 5. final cooling: sensible cooldown of the fully frozen product.
 
-Nucleation may instead be stochastic: a Poisson process whose hazard rate
-grows as a power of supercooling, sampled on fixed intervals with a seeded
-generator, replacing stage 2 entirely.
+Nucleation may instead be stochastic, replacing stage 2 entirely: a
+Poisson process whose hazard rate lambda grows as a power of supercooling.
+Its first event is sampled exactly by the cumulative hazard: one draw
+E ~ Exp(1) from a seeded generator, and the cooldown integrates
+Lambda(t) = int lambda dt beside the temperature and stops where
+Lambda = E (time rescaling: Lambda at the first event is Exp(1)).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 from scipy.optimize import brentq
@@ -53,8 +55,7 @@ __all__ = [
     "VialState", "ControlledNucleation", "StochasticNucleation", "FreezingProtocol",
     "FreezingSystem",
     "preconditioning_rhs", "visf_rhs", "nucleate_controlled",
-    "nucleation_hazard", "nucleation_probability", "sample_stochastic_nucleation",
-    "first_nucleation_time", "solidification_rhs", "run_freezing",
+    "nucleation_hazard", "first_nucleation_time", "solidification_rhs", "run_freezing",
 ]
 
 STAGE_PRECONDITIONING = "preconditioning"
@@ -67,8 +68,6 @@ DH_FUSION = 3.34e5  # J/kg, heat of fusion of water
 # fraction of the fill-height scale below which a computed negative bottom
 # ice thickness is attributed to surface evaporation loss and clamped to 0
 _BOTTOM_ICE_SLACK = 5.0e-3
-# chunk length of the vectorized Bernoulli walk used for stochastic nucleation
-_WALK_CHUNK = 8192
 
 
 @dataclass
@@ -99,23 +98,20 @@ class StochasticNucleation:
     """Poisson nucleation: hazard k_n * (T_eq - T)^b_n * V_liquid.
 
     ``rate_prefactor`` (k_n) has units 1/(m^3 s K^b_n); ``rate_exponent``
-    (b_n) is dimensionless.  The Bernoulli approximation of the process is
-    sampled every ``sampling_interval_s`` with a generator seeded by
-    ``seed``; nucleation is assigned to the end of the successful interval.
+    (b_n) is dimensionless.  The first event is sampled exactly: a generator
+    seeded by ``seed`` draws E ~ Exp(1), and nucleation happens when the
+    cumulative hazard of the cooldown reaches E.
     """
 
     rate_prefactor: float = 1.0e-5
     rate_exponent: float = 10.0
     seed: int | None = None
-    sampling_interval_s: float = 0.1
 
     def __post_init__(self) -> None:
         if self.rate_prefactor < 0.0:
             raise ConfigurationError("nucleation rate prefactor must be nonnegative")
         if self.rate_exponent <= 0.0:
             raise ConfigurationError("nucleation rate exponent must be positive")
-        if self.sampling_interval_s <= 0.0:
-            raise ConfigurationError("sampling interval must be positive")
 
 
 @dataclass(frozen=True)
@@ -282,12 +278,9 @@ def nucleate_controlled(state: VialState, sys: FreezingSystem) -> tuple[float, f
     return T_eq, m_i_n
 
 
-def nucleation_hazard(T, m_w: float, sys: FreezingSystem):
-    """Poisson nucleation rate lambda (1/s); accepts scalar or array T.
-
-    lambda = k_n * max(T_eq - T, 0)^b_n * V_liquid, with the supercooling
-    measured from the depressed freezing point of the current solution.
-    """
+def _hazard_rate(m_w: float, sys: FreezingSystem) -> Callable[[Any], Any]:
+    """:func:`nucleation_hazard` as a function of T alone, at the fixed
+    liquid water mass ``m_w``, with its constants evaluated once."""
     nuc = sys.protocol.nucleation
     if not isinstance(nuc, StochasticNucleation):
         raise ConfigurationError("nucleation_hazard needs a stochastic nucleation spec")
@@ -295,49 +288,38 @@ def nucleation_hazard(T, m_w: float, sys: FreezingSystem):
     f = mx.formulation
     T_eq = freezing_point(mx.m_s, m_w, f)
     V_liq = mx.m_s / f.rho_s + m_w / f.rho_w
-    dT = np.clip(T_eq - np.asarray(T, dtype=float), 0.0, None)
-    lam = nuc.rate_prefactor * dT**nuc.rate_exponent * V_liq
-    return float(lam) if np.isscalar(T) or getattr(T, "ndim", 0) == 0 else lam
+    k_n, b_n = nuc.rate_prefactor, nuc.rate_exponent
+
+    def lam(T):
+        return k_n * np.maximum(T_eq - T, 0.0)**b_n * V_liq
+
+    return lam
 
 
-def nucleation_probability(lam: float, dt: float) -> float:
-    """P(nucleate within dt) = 1 - exp(-lambda dt) for a Poisson process."""
-    if lam < 0.0 or dt <= 0.0:
-        raise DomainError("need lambda >= 0 and dt > 0")
-    return -math.expm1(-lam * dt)
+def nucleation_hazard(T, m_w: float, sys: FreezingSystem):
+    """Poisson nucleation rate lambda (1/s); accepts scalar or array T.
 
-
-def sample_stochastic_nucleation(state: VialState, sys: FreezingSystem, dt: float,
-                                 rng: np.random.Generator) -> bool:
-    """One Bernoulli draw: did nucleation occur within the next ``dt`` seconds?"""
-    lam = nucleation_hazard(state.T, state.m_w, sys)
-    return bool(rng.random() < nucleation_probability(lam, dt))
+    lambda = k_n * max(T_eq - T, 0)^b_n * V_liquid, with the supercooling
+    measured from the depressed freezing point of the current solution.
+    """
+    lam = _hazard_rate(m_w, sys)(np.asarray(T, dtype=float))
+    return float(lam) if np.ndim(lam) == 0 else lam
 
 
 def first_nucleation_time(T: float, m_w: float, sys: FreezingSystem,
                           rng: np.random.Generator, *, t_max: float = 1.0e6) -> float | None:
     """First nucleation time (s) at a held temperature, or None within ``t_max``.
 
-    Walks the Bernoulli approximation of the process on the protocol's
-    sampling interval, assigning nucleation to the end of the successful
-    interval.  Draws one uniform per interval in chronological order, so a
-    seeded generator reproduces the same time exactly.
+    At a held temperature the hazard lambda is constant, so the waiting time
+    is exponential with mean 1/lambda: one draw E ~ Exp(1) from ``rng`` gives
+    the time E/lambda exactly.  Returns None when lambda = 0 or
+    E/lambda > ``t_max``.
     """
-    nuc = sys.protocol.nucleation
-    dt = nuc.sampling_interval_s
     lam = nucleation_hazard(T, m_w, sys)
-    if lam <= 0.0:
+    E = rng.standard_exponential()
+    if lam <= 0.0 or E / lam > t_max:
         return None
-    prob = nucleation_probability(lam, dt)
-    n_windows = int(math.floor(t_max / dt))
-    k = 0
-    while k < n_windows:
-        n = min(_WALK_CHUNK, n_windows - k)
-        hits = np.nonzero(rng.random(n) < prob)[0]
-        if hits.size:
-            return (k + int(hits[0]) + 1) * dt
-        k += n
-    return None
+    return E / lam
 
 
 def _ice_geometry(m_w: float, m_i: float, mx: MixtureProperties) -> tuple[float, float, float]:
@@ -418,11 +400,12 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     (``preconditioning_end_s``, ``visf_end_s``, ``nucleation_s``,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times.
     The final state for chaining into drying is stored under
-    ``meta["final_state"]``.  Raises :class:`StageTimeoutError` when a stage
-    fails to reach its completion event within the protocol's horizon.
-    ``stop_after="solidification"`` ends the run once the target ice
-    fraction is reached, for protocols that move the vial onward without
-    the final cooling hold.
+    ``meta["final_state"]`` and the summed solver counters of the stage's
+    integrations under ``meta["solver"]``.  Raises
+    :class:`StageTimeoutError` when a stage fails to reach its completion
+    event within the protocol's horizon.  ``stop_after="solidification"``
+    ends the run once the target ice fraction is reached, for protocols that
+    move the vial onward without the final cooling hold.
     """
     p, mx = sys.protocol, sys.mixture
     f = mx.formulation
@@ -437,7 +420,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     limit = p.stage_time_limit_s
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]] = []
     events: dict[str, float] = {}
-    meta: dict[str, Any] = {}
+    solver = dict.fromkeys(("steps", "nfev", "njev", "nlu"), 0)
+    meta: dict[str, Any] = {"solver": solver}
 
     def record(ts, Ts, mws, mis, label: str) -> None:
         n = ts.shape[0]
@@ -445,24 +429,48 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                       np.broadcast_to(np.asarray(mws, float), (n,)).copy(),
                       np.broadcast_to(np.asarray(mis, float), (n,)).copy(), label))
 
+    def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
+        res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch)
+        for key, count in res.counters().items():
+            solver[key] += count
+        return res
+
+    def advance(rhs, y0, done: EventSpec, stage: str, timeout: str, *,
+                cfg: IntegratorConfig = config,
+                guard: tuple[EventSpec, str] | None = None):
+        """Integrate from ``t`` to the terminal event ``done`` and resample
+        the stretch; returns ``(ts, ys)``.  A missing event raises
+        StageTimeoutError(``timeout``), formatted with the last temperature
+        ``T_last``; a ``guard`` (event, message) that fires raises
+        SimulationError(message) instead."""
+        res = integrate(rhs, y0, t + limit, cfg,
+                        [done] if guard is None else [done, guard[0]])
+        if guard is not None and (t_bad := res.first_event_time(guard[0].name)) is not None:
+            raise SimulationError(guard[1], stage=stage, t=t_bad)
+        t_done = res.first_event_time(done.name)
+        if t_done is None:
+            raise StageTimeoutError(timeout.format(T_last=res.y[0, -1]), stage=stage,
+                                    t=res.t[-1])
+        return _resample(res.sol, t, t_done, samples_per_stage)
+
     def precond_rhs(tt: float, y: np.ndarray):
         return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys),)
 
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
     if isinstance(nuc, ControlledNucleation):
         T_n = nuc.temperature_K
+        reach = EventSpec(lambda tt, y: y[0] - T_n, terminal=True,
+                          direction=-1.0, name="reach_nucleation_T")
         if p.visf_start_s is not None:
             t1 = t + p.visf_start_s
             if p.visf_start_s > 0.0:
-                res = integrate_adaptive(precond_rhs, (t, t1), [T], config)
+                res = integrate(precond_rhs, [T], t1)
                 ts, ys = _resample(res.sol, t, t1, samples_per_stage)
                 record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
                 T = float(ys[0, -1])
                 t = t1
             events["preconditioning_end_s"] = t
             if T > T_n:
-                reach = EventSpec(lambda tt, y: y[0] - T_n, terminal=True,
-                                  direction=-1.0, name="reach_nucleation_T")
                 floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, terminal=True,
                                   direction=-1.0, name="water_depleted")
 
@@ -470,67 +478,42 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                     s = VialState(T=y[0], m_w=max(y[1], 0.0), t=tt, stage=STAGE_VISF)
                     return visf_rhs(s, sys)
 
-                res = integrate_adaptive(rhs2, (t, t + limit), [T, m_w], config,
-                                         events=[reach, floor])
-                if res.first_event_time("water_depleted") is not None:
-                    raise SimulationError(
-                        "surface evaporation exhausted the liquid fill before the "
-                        "nucleation temperature was reached", stage=STAGE_VISF,
-                        t=res.first_event_time("water_depleted"))
-                t2 = res.first_event_time("reach_nucleation_T")
-                if t2 is None:
-                    raise StageTimeoutError(
-                        "depressurized cooling never reached the nucleation temperature",
-                        stage=STAGE_VISF, t=res.t[-1])
-                ts, ys = _resample(res.sol, t, t2, samples_per_stage)
+                ts, ys = advance(
+                    rhs2, [T, m_w], reach, STAGE_VISF,
+                    "depressurized cooling never reached the nucleation temperature",
+                    guard=(floor, "surface evaporation exhausted the liquid fill before "
+                                  "the nucleation temperature was reached"))
                 record(ts, ys[0], ys[1], 0.0, STAGE_VISF)
                 T, m_w = float(ys[0, -1]), float(ys[1, -1])
-                t = t2
+                t = float(ts[-1])
             events["visf_end_s"] = t
         else:
             if T > T_n:
-                reach = EventSpec(lambda tt, y: y[0] - T_n, terminal=True,
-                                  direction=-1.0, name="reach_nucleation_T")
-                res = integrate_adaptive(precond_rhs, (t, t + limit), [T], config,
-                                         events=[reach])
-                t1 = res.first_event_time("reach_nucleation_T")
-                if t1 is None:
-                    raise StageTimeoutError(
-                        "preconditioning never reached the nucleation temperature",
-                        stage=STAGE_PRECONDITIONING, t=res.t[-1])
-                ts, ys = _resample(res.sol, t, t1, samples_per_stage)
+                ts, ys = advance(precond_rhs, [T], reach, STAGE_PRECONDITIONING,
+                                 "preconditioning never reached the nucleation temperature")
                 record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
                 T = float(ys[0, -1])
-                t = t1
+                t = float(ts[-1])
             events["preconditioning_end_s"] = t
             events["visf_end_s"] = t
     else:
-        generator = rng if rng is not None else np.random.default_rng(nuc.seed)
-        res = integrate_adaptive(precond_rhs, (t, t + limit), [T], config)
-        dt = nuc.sampling_interval_s
-        n_windows = int(math.floor(limit / dt))
-        T_eq = freezing_point(mx.m_s, m_w, f)
-        V_liq = mx.m_s / f.rho_s + m_w / f.rho_w
-        t_nuc = None
-        k = 0
-        while k < n_windows:
-            n = min(_WALK_CHUNK, n_windows - k)
-            tw = t + (k + np.arange(n)) * dt
-            Tw = res.sol(tw)[0]
-            lam = nuc.rate_prefactor * np.clip(T_eq - Tw, 0.0, None)**nuc.rate_exponent * V_liq
-            hits = np.nonzero(generator.random(n) < -np.expm1(-lam * dt))[0]
-            if hits.size:
-                t_nuc = float(tw[int(hits[0])] + dt)
-                break
-            k += n
-        if t_nuc is None:
-            raise StageTimeoutError(
-                "no stochastic nucleation event within the stage horizon",
-                stage=STAGE_PRECONDITIONING, t=t + limit)
-        ts, ys = _resample(res.sol, t, t_nuc, samples_per_stage)
+        # exact first-event sampling: nucleate where the cumulative hazard
+        # Lambda, integrated beside T, reaches one Exp(1) draw E
+        E = (rng if rng is not None else np.random.default_rng(nuc.seed)).standard_exponential()
+        hazard = _hazard_rate(m_w, sys)
+
+        def rhs1(tt: float, y: np.ndarray):
+            return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys), hazard(y[0]))
+
+        hit = EventSpec(lambda tt, y: y[1] - E, terminal=True, direction=1.0,
+                        name="nucleation")
+        # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
+        ts, ys = advance(rhs1, [T, 0.0], hit, STAGE_PRECONDITIONING,
+                         "no stochastic nucleation event within the stage horizon",
+                         cfg=config.replace(atol=np.append(config.atol, config.rtol * E)))
         record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
         T = float(ys[0, -1])
-        t = t_nuc
+        t = float(ts[-1])
         events["preconditioning_end_s"] = t
         events["visf_end_s"] = t
 
@@ -565,17 +548,13 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
 
     done = EventSpec(lambda tt, y: y[0] - m_target, terminal=True, direction=1.0,
                      name="solidified")
-    res = integrate_adaptive(rhs4, (t, t + limit), [m_i_n], config, events=[done])
-    t4 = res.first_event_time("solidified")
-    if t4 is None:
-        raise StageTimeoutError("solidification did not reach the target ice fraction",
-                                stage=STAGE_SOLIDIFICATION, t=res.t[-1])
-    ts, ys = _resample(res.sol, t, t4, samples_per_stage)
+    ts, ys = advance(rhs4, [m_i_n], done, STAGE_SOLIDIFICATION,
+                     "solidification did not reach the target ice fraction")
     m_is = np.clip(ys[0], 0.0, m_w_nuc)
     m_ws = m_w_nuc - m_is
     Ts = T_FREEZE_WATER - D / m_ws
     record(ts, Ts, m_ws, m_is, STAGE_SOLIDIFICATION)
-    t = t4
+    t = float(ts[-1])
     m_i = float(m_is[-1])
     m_w = m_w_nuc - m_i
     T = T_FREEZE_WATER - D / m_w
@@ -594,17 +573,13 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
 
         band = EventSpec(lambda tt, y: abs(y[0] - target) - tol, terminal=True,
                          direction=-1.0, name="target_band")
-        res = integrate_adaptive(rhs5, (t, t + limit), [T], config, events=[band])
-        t5 = res.first_event_time("target_band")
-        if t5 is None:
-            raise StageTimeoutError(
-                f"final cooling never entered the {target} +/- {tol} K band "
-                f"({'cooling' if falling else 'heating'} stalled at {res.y[0, -1]:.2f} K)",
-                stage=STAGE_FINAL_COOLING, t=res.t[-1])
-        ts, ys = _resample(res.sol, t, t5, samples_per_stage)
+        ts, ys = advance(
+            rhs5, [T], band, STAGE_FINAL_COOLING,
+            f"final cooling never entered the {target} +/- {tol} K band "
+            f"({'cooling' if falling else 'heating'} stalled at {{T_last:.2f}} K)")
         record(ts, ys[0], m_w, m_i, STAGE_FINAL_COOLING)
         T = float(ys[0, -1])
-        t = t5
+        t = float(ts[-1])
     else:
         record(np.array([t]), T, m_w, m_i, STAGE_FINAL_COOLING)
     events["freezing_end_s"] = t

@@ -96,7 +96,6 @@ DEFAULT_SCENARIO: dict[str, Any] = {
             "temperature_K": 268.0,
             "rate_prefactor_per_m3_s_K": 1.0e-5,
             "rate_exponent": 10.0,
-            "sampling_interval_s": 0.1,
         },
         "solidification_fraction": 0.95,
         "final_temperature_K": 235.0,
@@ -240,7 +239,6 @@ def _nucleation_from(d: dict, seed: int | None):
             rate_prefactor=d["rate_prefactor_per_m3_s_K"],
             rate_exponent=d["rate_exponent"],
             seed=seed,
-            sampling_interval_s=d["sampling_interval_s"],
         )
     raise ScenarioError(f"unknown nucleation mode {mode!r}")
 

@@ -108,7 +108,6 @@ SCENARIO_SCHEMA: dict[str, Any] = _obj({
             "temperature_K": _POS,
             "rate_prefactor_per_m3_s_K": _NONNEG,
             "rate_exponent": _POS,
-            "sampling_interval_s": _POS,
         }),
         "solidification_fraction": {"type": "number", "minimum": 0.85,
                                     "maximum": 0.95},

@@ -53,23 +53,10 @@ class Schedule:
         """Linear ramp from (t0, v0) to (t1, v1), held constant outside."""
         return cls(((float(t0), float(v0)), (float(t1), float(v1))))
 
-    @property
-    def is_constant(self) -> bool:
-        return self._const is not None
-
     def __call__(self, t: float) -> float:
         if self._const is not None:
             return self._const
         return float(np.interp(t, self._t, self._v))
-
-    def shifted(self, dt: float) -> "Schedule":
-        """Same profile with all breakpoints moved by ``dt`` seconds."""
-        return Schedule(tuple((t + dt, v) for t, v in self.points))
-
-    def to_jsonable(self) -> float | list[list[float]]:
-        if self._const is not None:
-            return self._const
-        return [[float(t), float(v)] for t, v in self.points]
 
 
 def as_schedule(value: "Schedule | float | int | list | tuple") -> Schedule:

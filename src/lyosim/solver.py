@@ -93,10 +93,6 @@ class IntegrationResult:
     status: int = 0
     message: str = ""
 
-    @property
-    def terminated_by_event(self) -> bool:
-        return self.status == 1
-
     def counters(self) -> dict[str, int]:
         """Accepted steps (the mesh ``t`` when no ``t_eval`` was given) and
         the RHS, Jacobian and LU counts of the run."""

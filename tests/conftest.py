@@ -2,11 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lyosim import (
     IntegratorConfig,
     default_parameters,
 )
+
+# property tests draw the same examples on every run (and skip the example
+# database), so a failure reproduces and a pass is not luck of the draw
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

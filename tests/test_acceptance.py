@@ -370,9 +370,7 @@ def test_criterion_6_solver_accuracy(defaults, primary_base):
 
 
 def test_criterion_7_nucleation_statistics():
-    scn = load_scenario("stochastic_freezing")
-    scn.data["freezing"]["nucleation"]["sampling_interval_s"] = 0.05
-    params = scn.parameters()
+    params = load_scenario("stochastic_freezing").parameters()
     sysm = params.freezing_system()
     mx = params.mixture
     T_eq = freezing_point(mx.m_s, mx.m_w0, mx.formulation)

@@ -1,9 +1,10 @@
 """Five-stage freezing model: stage RHS oracles, events, and conservation."""
 
-import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from lyosim import (
     ConfigurationError,
@@ -15,8 +16,10 @@ from lyosim import (
     IntegratorConfig,
     RadiationSpec,
     Schedule,
+    StageTimeoutError,
     StochasticNucleation,
     VialState,
+    load_scenario,
     mixture_properties,
     run_freezing,
 )
@@ -24,9 +27,7 @@ from lyosim.freezing import (
     first_nucleation_time,
     nucleate_controlled,
     nucleation_hazard,
-    nucleation_probability,
     preconditioning_rhs,
-    sample_stochastic_nucleation,
     solidification_rhs,
     visf_rhs,
 )
@@ -80,8 +81,6 @@ def test_nucleation_spec_validation():
         StochasticNucleation(rate_prefactor=-1.0)
     with pytest.raises(ConfigurationError):
         StochasticNucleation(rate_exponent=0.0)
-    with pytest.raises(ConfigurationError):
-        StochasticNucleation(sampling_interval_s=0.0)
 
 
 # --- single-phase cooling ------------------------------------------------------
@@ -189,19 +188,8 @@ def test_hazard_requires_stochastic_spec(mix):
         nucleation_hazard(260.0, mix.m_w0, sys_)
 
 
-def test_nucleation_probability():
-    assert nucleation_probability(0.0, 1.0) == 0.0
-    assert nucleation_probability(0.5, 2.0) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-    # saturates, never exceeds 1
-    assert nucleation_probability(1.0e6, 1.0) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        nucleation_probability(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        nucleation_probability(1.0, 0.0)
-
-
 def test_first_nucleation_time_reproducible(mix, rng):
-    sys_ = _stochastic_system(mix, 250.0, sampling_interval_s=0.5)
+    sys_ = _stochastic_system(mix, 250.0)
     T_eq = freezing_point(mix.m_s, mix.m_w0, mix.formulation)
     T_held = T_eq - 9.0
     t1 = first_nucleation_time(T_held, mix.m_w0, sys_, np.random.default_rng(42))
@@ -209,32 +197,23 @@ def test_first_nucleation_time_reproducible(mix, rng):
     t3 = first_nucleation_time(T_held, mix.m_w0, sys_, np.random.default_rng(43))
     assert t1 == t2
     assert t1 != t3
-    # times land on interval ends
-    assert t1 is not None and t1 % 0.5 == 0.0 and t1 > 0.0
+    assert t1 is not None and t1 > 0.0
 
 
 def test_first_nucleation_time_none_without_hazard(mix, rng):
     sys_ = _stochastic_system(mix, 280.0)
     T_eq = freezing_point(mix.m_s, mix.m_w0, mix.formulation)
     assert first_nucleation_time(T_eq + 2.0, mix.m_w0, sys_, rng) is None
-    # bounded walk gives up at t_max
+    # the held-temperature wait is E / lambda for one Exp(1) draw E; a
+    # horizon just short of it gives up
     sys_slow = _stochastic_system(mix, 250.0)
-    assert first_nucleation_time(T_eq - 0.5, mix.m_w0, sys_slow, rng,
-                                 t_max=10.0) is None
-
-
-def test_sample_stochastic_nucleation_bernoulli(mix):
-    sys_ = _stochastic_system(mix, 250.0)
-    T_eq = freezing_point(mix.m_s, mix.m_w0, mix.formulation)
-    st = VialState(T=T_eq - 12.0, m_w=mix.m_w0)
-    lam = nucleation_hazard(st.T, st.m_w, sys_)
-    dt = 0.1
-    n = 4000
-    rng = np.random.default_rng(7)
-    hits = sum(sample_stochastic_nucleation(st, sys_, dt, rng) for _ in range(n))
-    p = nucleation_probability(lam, dt)
-    # binomial 4-sigma band
-    assert abs(hits / n - p) < 4.0 * math.sqrt(p * (1.0 - p) / n)
+    T_held = T_eq - 0.5
+    wait = (np.random.default_rng(5).standard_exponential()
+            / nucleation_hazard(T_held, mix.m_w0, sys_slow))
+    assert first_nucleation_time(T_held, mix.m_w0, sys_slow, np.random.default_rng(5),
+                                 t_max=wait) == wait
+    assert first_nucleation_time(T_held, mix.m_w0, sys_slow, np.random.default_rng(5),
+                                 t_max=0.999 * wait) is None
 
 
 # --- solidification ---------------------------------------------------------------
@@ -382,3 +361,51 @@ def test_stochastic_runs_reproducible(mix):
     for k in a.series:
         assert np.array_equal(a.series[k], b.series[k])
     assert c.events["nucleation_s"] != a.events["nucleation_s"]
+
+
+def test_solver_counters_in_meta(controlled_run, mix):
+    stochastic = run_freezing(VialState(T=285.0, m_w=mix.m_w0),
+                              _stochastic_system(mix, 230.0, seed=3), IntegratorConfig())
+    for traj in (controlled_run, stochastic):
+        counts = traj.meta["solver"]
+        assert set(counts) == {"steps", "nfev", "njev", "nlu"}
+        assert all(isinstance(v, int) for v in counts.values())
+        assert counts["steps"] > 0
+
+
+# --- exact stochastic nucleation ---------------------------------------------------
+
+def test_stochastic_nucleation_time_is_exact():
+    # a tight integration of (T, Lambda), apart from run_freezing, reaches
+    # the seed's Exp(1) draw at the time run_freezing nucleates
+    params = load_scenario("stochastic_freezing").parameters()
+    sys_ = params.freezing_system()
+    initial = params.initial_vial_state()
+
+    def rhs(t, y):
+        return [preconditioning_rhs(VialState(T=y[0], m_w=initial.m_w, t=t), sys_),
+                nucleation_hazard(y[0], initial.m_w, sys_)]
+
+    for seed in range(5):
+        E = np.random.default_rng(seed).standard_exponential()
+
+        def reach(t, y):
+            return y[1] - E
+
+        reach.terminal, reach.direction = True, 1.0
+        ref = solve_ivp(rhs, (initial.t, initial.t + 1.0e6), [initial.T, 0.0],
+                        method="DOP853", rtol=1.0e-10, atol=1.0e-12, events=reach)
+        t_ref = float(ref.t_events[0][0])
+        traj = run_freezing(initial, sys_, params.integrator, stop_after="solidification",
+                            rng=np.random.default_rng(seed))
+        assert traj.events["nucleation_s"] == pytest.approx(t_ref, rel=1.0e-4)
+
+
+def test_stochastic_timeout_without_supercooling(mix):
+    # the fill settles at 275 K, above its freezing point: the hazard stays
+    # zero and the stage gives up at its horizon without walking it
+    sys_ = _stochastic_system(mix, 275.0, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(StageTimeoutError):
+        run_freezing(VialState(T=285.0, m_w=mix.m_w0), sys_, IntegratorConfig())
+    assert time.perf_counter() - start < 0.1

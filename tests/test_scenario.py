@@ -72,6 +72,9 @@ def test_unknown_key_rejected():
         validate_scenario({"primary": {"shelf_temp_K": 270.0}})
     with pytest.raises(ScenarioError):
         validate_scenario({"primaryy": {}})
+    # removed with exact nucleation sampling, which has no sampling interval
+    with pytest.raises(ScenarioError):
+        validate_scenario({"freezing": {"nucleation": {"sampling_interval_s": 0.1}}})
 
 
 def test_bad_types_rejected():

@@ -9,7 +9,6 @@ from lyosim.schedules import as_schedule
 
 def test_constant():
     s = Schedule.constant(250.0)
-    assert s.is_constant
     assert s(0.0) == 250.0
     assert s(-10.0) == 250.0
     assert s(1.0e6) == 250.0
@@ -17,7 +16,6 @@ def test_constant():
 
 def test_ramp_and_hold():
     s = Schedule.ramp(0.0, 300.0, 100.0, 200.0)
-    assert not s.is_constant
     assert s(0.0) == 300.0
     assert s(50.0) == pytest.approx(250.0)
     assert s(100.0) == 200.0
@@ -44,37 +42,18 @@ def test_validation():
 
 def test_single_point_behaves_as_constant():
     s = Schedule(((42.0, 7.0),))
-    assert s.is_constant
     assert s(0.0) == 7.0
     assert s(100.0) == 7.0
 
 
 def test_equal_values_detected_as_constant():
     s = Schedule(((0.0, 5.0), (10.0, 5.0)))
-    assert s.is_constant
-
-
-def test_shifted():
-    s = Schedule.ramp(0.0, 0.0, 10.0, 1.0)
-    sh = s.shifted(100.0)
-    assert sh(100.0) == 0.0
-    assert sh(110.0) == 1.0
-    assert sh(105.0) == pytest.approx(s(5.0))
-    # original untouched (frozen)
-    assert s(5.0) == pytest.approx(0.5)
-
-
-def test_to_jsonable_round_trip():
-    assert Schedule.constant(3.0).to_jsonable() == 3.0
-    table = [[0.0, 1.0], [5.0, 2.0]]
-    s = Schedule(((0.0, 1.0), (5.0, 2.0)))
-    assert s.to_jsonable() == table
-    assert as_schedule(s.to_jsonable())(2.5) == pytest.approx(s(2.5))
+    assert s(-1.0) == s(3.7) == s(20.0) == 5.0
 
 
 def test_as_schedule_coercion():
     assert as_schedule(250).__call__(0.0) == 250.0
-    assert as_schedule(250.0).is_constant
+    assert as_schedule(250.0)(1.0e6) == 250.0
     s = as_schedule([[0.0, 1.0], [1.0, 2.0]])
     assert s(0.5) == pytest.approx(1.5)
     assert as_schedule(s) is s

@@ -131,7 +131,6 @@ def test_terminal_event_stops_at_known_time():
     cfg = IntegratorConfig(rtol=1.0e-10, atol=1.0e-12)
     res = integrate_adaptive(lambda t, y: -y, (0.0, 10.0), np.array([1.0]), cfg,
                              events=[ev])
-    assert res.terminated_by_event
     t_hit = res.first_event_time("half_life")
     assert t_hit == pytest.approx(math.log(2.0), rel=1.0e-8)
     assert res.t[-1] == pytest.approx(t_hit)
@@ -170,7 +169,6 @@ def test_non_terminal_event_recorded_without_stopping():
     ev = EventSpec(lambda t, y: y[0] - 0.5, terminal=False, name="marker")
     res = integrate_adaptive(lambda t, y: -y, (0.0, 3.0), np.array([1.0]),
                              IntegratorConfig(), events=[ev])
-    assert not res.terminated_by_event
     assert res.t[-1] == pytest.approx(3.0)
     assert res.first_event_time("marker") == pytest.approx(math.log(2.0), rel=1.0e-5)
 
