@@ -25,7 +25,6 @@ from .drying_primary import (
     DryingParams,
     PrimaryState,
     cake_resistance,
-    primary_rhs,
     run_primary,
     sublimation_flux,
 )
@@ -35,7 +34,6 @@ from .drying_secondary import (
     SecondaryState,
     desorption_rate,
     run_secondary,
-    secondary_rhs,
 )
 from .errors import (
     ComparisonError,

@@ -37,7 +37,7 @@ from .trajectory import Trajectory
 __all__ = [
     "STAGE_PRIMARY",
     "PrimaryState", "DryingParams",
-    "cake_resistance", "sublimation_flux", "primary_rhs", "run_primary",
+    "cake_resistance", "sublimation_flux", "run_primary",
 ]
 
 STAGE_PRIMARY = "primary_drying"
@@ -265,14 +265,6 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         return pattern.matrix(np.concatenate(cols))
 
     return core, jac
-
-
-def primary_rhs(state: PrimaryState, dp: DryingParams, rad: RadiationSpec,
-                geom: VialGeometry) -> tuple[np.ndarray, float]:
-    """(dT/dt per node, dS/dt) at a fixed chamber partial pressure."""
-    core, _ = _make_core(dp, rad, geom, state.T.shape[0])
-    dT, dS, _ = core(state.t, np.asarray(state.T, dtype=float), state.S, dp.p_w_chamber)
-    return dT, dS
 
 
 def run_primary(initial_temperature: float | np.ndarray,

@@ -26,7 +26,7 @@ from .trajectory import Trajectory
 __all__ = [
     "STAGE_SECONDARY",
     "SecondaryState", "DesorptionKinetics", "DryingConditions",
-    "desorption_rate", "secondary_rhs", "run_secondary",
+    "desorption_rate", "run_secondary",
 ]
 
 STAGE_SECONDARY = "secondary_drying"
@@ -98,46 +98,42 @@ def desorption_rate(T, c_w, kin: DesorptionKinetics):
     return -kin.rate_constant(T) * (np.asarray(c_w, dtype=float) - kin.c_eq)
 
 
-def secondary_rhs(state: SecondaryState, kin: DesorptionKinetics, rad: RadiationSpec,
-                  cond: DryingConditions, geom: VialGeometry) -> tuple[np.ndarray, np.ndarray]:
-    """(dT/dt, dc_w/dt) of the discretized cake equations."""
-    T = np.asarray(state.T, dtype=float)
-    c = np.asarray(state.c_w, dtype=float)
-    n_z = T.shape[0]
+def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditions,
+               geom: VialGeometry, n_z: int
+               ) -> tuple[Callable[[float, np.ndarray], np.ndarray],
+                          Callable[[float, np.ndarray], csc_matrix]]:
+    """Build the discretized cake equations on the state y = (T, c_w) and
+    their exact Jacobian.
+
+    Returns ``(rhs, jac)``: ``rhs(t, y)`` is (dT/dt, dc_w/dt) stacked, and
+    ``jac(t, y)`` its Jacobian as a CSC matrix: a tridiagonal T block,
+    diagonal T-c_w coupling both ways and a diagonal c_w block.  The
+    schedules enter the right-hand side additively, so the Jacobian does
+    not depend on time.
+    """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
-    dz = geom.H / (n_z - 1)
-    t = state.t
-    dc = desorption_rate(T, c, kin)
-    rho_cp = kin.rho_e * kin.Cp_e
-    T_b = cond.shelf_temperature(t)
-    T_u = cond.upper_temperature(t)
-    T_c = cond.wall_temperature(t)
-    Te = np.empty(n_z + 2)
-    Te[1:-1] = T
-    # ghost nodes carry the top radiative flux and the bottom film condition
-    Te[0] = T[1] + (2.0 * dz / kin.k_e) * rad.sigma * rad.F_top * (T_u**4 - T[0]**4)
-    Te[-1] = T[n_z - 2] - (2.0 * dz * cond.h_b / kin.k_e) * (T[n_z - 1] - T_b)
-    diff = (Te[2:] - 2.0 * T + Te[:-2]) * (kin.k_e / (rho_cp * dz**2))
-    sink = (kin.rho_d * kin.dH_des / rho_cp) * dc
-    # lateral radiation: A_side / V_cake = 4 / d regardless of fill height
-    q_rad = (rad.sigma * rad.F_side * 4.0 / (geom.d * rho_cp)) * (T_c**4 - T**4)
-    return diff + sink + q_rad, dc
-
-
-def _make_jac(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditions,
-              geom: VialGeometry, n_z: int) -> Callable[[float, np.ndarray], csc_matrix]:
-    """Exact Jacobian of :func:`secondary_rhs` on the state (T, c_w) as a
-    CSC matrix: a tridiagonal T block, diagonal T-c_w coupling both ways
-    and a diagonal c_w block.  The schedules enter the right-hand side
-    additively, so the Jacobian does not depend on time."""
     dz = geom.H / (n_z - 1)
     rho_cp = kin.rho_e * kin.Cp_e
     a = kin.k_e / (rho_cp * dz**2)
     sink = kin.rho_d * kin.dH_des / rho_cp
+    # lateral radiation: A_side / V_cake = 4 / d regardless of fill height
     side_rad = rad.sigma * rad.F_side * 4.0 / (geom.d * rho_cp)
+    # ghost nodes carry the top radiative flux and the bottom film condition
     top_gain = (2.0 * dz / kin.k_e) * rad.sigma * rad.F_top
     film_gain = 2.0 * dz * cond.h_b / kin.k_e
+
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        T = y[:n_z]
+        dc = desorption_rate(T, y[n_z:], kin)
+        Te = np.empty(n_z + 2)
+        Te[1:-1] = T
+        Te[0] = T[1] + top_gain * (cond.upper_temperature(t)**4 - T[0]**4)
+        Te[-1] = T[n_z - 2] - film_gain * (T[n_z - 1] - cond.shelf_temperature(t))
+        diff = (Te[2:] - 2.0 * T + Te[:-2]) * a
+        q_rad = side_rad * (cond.wall_temperature(t)**4 - T**4)
+        return np.concatenate([diff + sink * dc + q_rad, dc])
+
     nodes = np.arange(n_z)
     # values in the order: T diagonal, T super- and subdiagonal, dT/dc_w,
     # dc_w/dT, c_w diagonal
@@ -159,7 +155,7 @@ def _make_jac(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingCondition
         diag[-1] -= a * film_gain
         return pattern.matrix(np.concatenate([diag, upper, lower, -sink * k_d, dc_dT, -k_d]))
 
-    return jac
+    return rhs, jac
 
 
 def run_secondary(initial_temperature: float | np.ndarray,
@@ -200,11 +196,6 @@ def run_secondary(initial_temperature: float | np.ndarray,
         raise ConfigurationError("bound-water target must be nonnegative")
     w = trapezoid_weights(n_z)
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        dT, dc = secondary_rhs(SecondaryState(T=y[:n_z], c_w=y[n_z:], t=t),
-                               kin, rad, cond, geom)
-        return np.concatenate([dT, dc])
-
     if c_target is not None and float(c0 @ w) <= c_target:
         # nothing to remove; the stage completes instantly
         traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, t0, stage_label)
@@ -214,9 +205,9 @@ def run_secondary(initial_temperature: float | np.ndarray,
     events = [] if c_target is None else [
         EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, terminal=True,
                   direction=-1.0, name="dry_enough")]
+    rhs, jac = _make_core(kin, rad, cond, geom, n_z)
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
-                             np.concatenate([T0, c0]), config,
-                             events=events, jac=_make_jac(kin, rad, cond, geom, n_z))
+                             np.concatenate([T0, c0]), config, events=events, jac=jac)
     if c_target is None:
         t_end = float(res.t[-1])
     else:

@@ -26,7 +26,7 @@ Lambda = E (time rescaling: Lambda at the first event is Exp(1)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -510,7 +510,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
         ts, ys = advance(rhs1, [T, 0.0], hit, STAGE_PRECONDITIONING,
                          "no stochastic nucleation event within the stage horizon",
-                         cfg=config.replace(atol=np.append(config.atol, config.rtol * E)))
+                         cfg=replace(config, atol=np.append(config.atol, config.rtol * E)))
         record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
         T = float(ys[0, -1])
         t = float(ts[-1])

@@ -1,10 +1,14 @@
-"""Default operating parameters and assembly into typed model objects.
+"""The scenario format, its defaults, and assembly into typed model objects.
 
-``DEFAULT_SCENARIO`` is the complete baseline description of one cycle:
-formulation, vial, radiation factors, and per-stage operating conditions.
-Scenario files override any subset of it; :func:`build_parameters` turns
-the merged dictionary into the dataclasses the stage drivers consume.
-Scenario keys carry their units in the name.
+This module owns the scenario format.  ``_TABLE`` declares every scenario
+key once: a section is a dict, and a leaf is a ``(default, schema)`` pair
+whose schema is the JSON-schema fragment the key's value must satisfy.
+``DEFAULT_SCENARIO`` (the complete baseline description of one cycle) and
+``SCENARIO_SCHEMA`` (which rejects unknown keys, so typos fail loudly) are
+both split off that one table.  Scenario files override any subset of the
+defaults; :mod:`lyosim.scenario` loads and validates them, and
+:func:`build_parameters` turns the merged dictionary into the dataclasses
+the stage drivers consume.  Scenario keys carry their units in the name.
 """
 
 from __future__ import annotations
@@ -30,145 +34,203 @@ from .schedules import as_schedule
 from .solver import IntegratorConfig
 from .thermo import Formulation, MixtureProperties, RadiationSpec, VialGeometry, mixture_properties
 
-__all__ = ["DEFAULT_SCENARIO", "ParameterSet", "build_parameters",
+__all__ = ["DEFAULT_SCENARIO", "SCENARIO_SCHEMA", "ParameterSet", "build_parameters",
            "default_parameters", "deep_merge"]
 
+_POS = {"type": "number", "exclusiveMinimum": 0}
+_NONNEG = {"type": "number", "minimum": 0}
+_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
+_OPEN_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
+_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
+_STRING = {"type": "string"}
+# a schedule is either a constant or a list of [time_s, value] breakpoints
+_SCHEDULE = {"oneOf": [
+    {"type": "number"},
+    {"type": "array", "minItems": 1,
+     "items": {"type": "array", "items": {"type": "number"},
+               "minItems": 2, "maxItems": 2}},
+]}
 
-DEFAULT_SCENARIO: dict[str, Any] = {
-    "name": "defaults",
-    "seed": 20260815,
-    "grid": {"n_nodes": 51},
+
+def _nullable(schema: dict) -> dict:
+    return {"oneOf": [schema, {"type": "null"}]}
+
+
+def _obj(properties: dict, required: list[str] | None = None) -> dict:
+    out: dict[str, Any] = {"type": "object", "additionalProperties": False,
+                           "properties": properties}
+    if required:
+        out["required"] = required
+    return out
+
+
+_TABLE: dict[str, Any] = {
+    "name": ("defaults", _STRING),
+    "seed": (20260815, _nullable({"type": "integer", "minimum": 0})),
+    "grid": {"n_nodes": (51, {"type": "integer", "minimum": 3})},
     "integrator": {
-        "rtol": 1.0e-6,
-        "atol": 1.0e-9,
-        "method": "bdf",
-        "max_step_s": None,
+        "rtol": (1.0e-6, _POS),
+        "atol": (1.0e-9, _POS),
+        "method": ("bdf", {"enum": ["bdf", "lsoda", "explicit", "rk45"]}),
+        "max_step_s": (None, _nullable(_POS)),
     },
     "formulation": {
-        "solute_mass_fraction": 0.05,
-        "fill_volume_m3": 3.0e-6,
-        "solute_density_kg_per_m3": 1587.9,
-        "water_density_kg_per_m3": 1000.0,
-        "ice_density_kg_per_m3": 917.0,
-        "solute_heat_capacity_J_per_kgK": 1204.0,
-        "water_heat_capacity_J_per_kgK": 4187.0,
-        "ice_heat_capacity_J_per_kgK": 2108.0,
-        "solute_conductivity_W_per_mK": 0.126,
-        "water_conductivity_W_per_mK": 0.598,
-        "ice_conductivity_W_per_mK": 2.25,
-        "solute_molar_mass_kg_per_mol": 0.3423,
-        "water_molar_mass_kg_per_mol": 0.018,
-        "inert_molar_mass_kg_per_mol": 0.028,
-        "cryoscopic_constant_kgK_per_mol": 1.86,
+        "solute_mass_fraction": (0.05, _OPEN_FRACTION),
+        "fill_volume_m3": (3.0e-6, _POS),
+        "solute_density_kg_per_m3": (1587.9, _POS),
+        "water_density_kg_per_m3": (1000.0, _POS),
+        "ice_density_kg_per_m3": (917.0, _POS),
+        "solute_heat_capacity_J_per_kgK": (1204.0, _POS),
+        "water_heat_capacity_J_per_kgK": (4187.0, _POS),
+        "ice_heat_capacity_J_per_kgK": (2108.0, _POS),
+        "solute_conductivity_W_per_mK": (0.126, _POS),
+        "water_conductivity_W_per_mK": (0.598, _POS),
+        "ice_conductivity_W_per_mK": (2.25, _POS),
+        "solute_molar_mass_kg_per_mol": (0.3423, _POS),
+        "water_molar_mass_kg_per_mol": (0.018, _POS),
+        "inert_molar_mass_kg_per_mol": (0.028, _POS),
+        "cryoscopic_constant_kgK_per_mol": (1.86, _POS),
     },
     "vial": {
-        "diameter_m": 0.024,
+        "diameter_m": (0.024, _POS),
         # null derives the height from the fill volume and frozen density
-        "product_height_m": None,
+        "product_height_m": (None, _nullable(_POS)),
     },
     "radiation": {
-        "glass_emissivity": 0.8,
-        "transfer_factor_top": 0.8,
-        "transfer_factor_side": 0.624,
+        "glass_emissivity": (0.8, _FRACTION),
+        "transfer_factor_top": (0.8, _UNIT),
+        "transfer_factor_side": (0.624, _UNIT),
     },
     "frozen_matrix": {
         # measured values; null falls back to the mixing rules
-        "density_kg_per_m3": None,
-        "heat_capacity_J_per_kgK": 2163.0,
-        "conductivity_W_per_mK": 2.07,
+        "density_kg_per_m3": (None, _nullable(_POS)),
+        "heat_capacity_J_per_kgK": (2163.0, _nullable(_POS)),
+        "conductivity_W_per_mK": (2.07, _nullable(_POS)),
     },
     "freezing": {
-        "initial_temperature_K": 298.15,
+        "initial_temperature_K": (298.15, _POS),
         # the vial moves to the depressurized chamber at 3600 s; conditions
         # transition linearly over the 30 s pressure ramp
-        "gas_temperature_K": [[3600.0, 268.0], [3630.0, 230.0]],
-        "wall_temperature_K": [[3600.0, 273.0], [3630.0, 240.0]],
-        "upper_temperature_K": [[3600.0, 273.0], [3630.0, 240.0]],
-        "total_pressure_Pa": [[3600.0, 1.0e5], [3630.0, 1.0e4]],
-        "chamber_water_pressure_Pa": 0.0,
-        "top_htc_W_per_m2K": 5.0,
-        "bottom_htc_W_per_m2K": 10.0,
-        "side_htc_W_per_m2K": 8.0,
-        "evaporation_coefficient_kg_per_m2s": 6.34e-3,
-        "depressurization_start_s": 3600.0,
+        "gas_temperature_K": ([[3600.0, 268.0], [3630.0, 230.0]], _SCHEDULE),
+        "wall_temperature_K": ([[3600.0, 273.0], [3630.0, 240.0]], _SCHEDULE),
+        "upper_temperature_K": ([[3600.0, 273.0], [3630.0, 240.0]], _SCHEDULE),
+        "total_pressure_Pa": ([[3600.0, 1.0e5], [3630.0, 1.0e4]], _SCHEDULE),
+        "chamber_water_pressure_Pa": (0.0, _NONNEG),
+        "top_htc_W_per_m2K": (5.0, _NONNEG),
+        "bottom_htc_W_per_m2K": (10.0, _NONNEG),
+        "side_htc_W_per_m2K": (8.0, _NONNEG),
+        "evaporation_coefficient_kg_per_m2s": (6.34e-3, _NONNEG),
+        "depressurization_start_s": (3600.0, _nullable(_NONNEG)),
         "nucleation": {
-            "mode": "controlled",
-            "temperature_K": 268.0,
-            "rate_prefactor_per_m3_s_K": 1.0e-5,
-            "rate_exponent": 10.0,
+            "mode": ("controlled", {"enum": ["controlled", "stochastic"]}),
+            "temperature_K": (268.0, _POS),
+            "rate_prefactor_per_m3_s_K": (1.0e-5, _NONNEG),
+            "rate_exponent": (10.0, _POS),
         },
-        "solidification_fraction": 0.95,
-        "final_temperature_K": 235.0,
-        "final_tolerance_K": 0.5,
-        "heat_of_fusion_J_per_kg": 3.34e5,
-        "stage_time_limit_s": 1.0e6,
+        "solidification_fraction": (0.95, {"type": "number", "minimum": 0.85,
+                                           "maximum": 0.95}),
+        "final_temperature_K": (235.0, _POS),
+        "final_tolerance_K": (0.5, _POS),
+        "heat_of_fusion_J_per_kg": (3.34e5, _POS),
+        "stage_time_limit_s": (1.0e6, _POS),
     },
     "primary": {
-        "initial_temperature_K": 235.0,
-        "shelf_temperature_K": 270.0,
-        "wall_temperature_K": 265.0,
-        "upper_temperature_K": 265.0,
-        "bottom_htc_W_per_m2K": 15.0,
-        "chamber_water_pressure_Pa": 3.0,
-        "cake_resistance_R0_m_per_s": 1.5e4,
-        "cake_resistance_R1_m_per_s": 3.0e7,
-        "cake_resistance_R2_m": 10.0,
-        "sublimation_heat_J_per_kg": 2.84e6,
-        "dried_density_kg_per_m3": 215.0,
-        "time_limit_s": 1.0e6,
+        "initial_temperature_K": (235.0, _POS),
+        "shelf_temperature_K": (270.0, _SCHEDULE),
+        "wall_temperature_K": (265.0, _SCHEDULE),
+        "upper_temperature_K": (265.0, _SCHEDULE),
+        "bottom_htc_W_per_m2K": (15.0, _POS),
+        "chamber_water_pressure_Pa": (3.0, _NONNEG),
+        "cake_resistance_R0_m_per_s": (1.5e4, _POS),
+        "cake_resistance_R1_m_per_s": (3.0e7, _NONNEG),
+        "cake_resistance_R2_m": (10.0, _POS),
+        "sublimation_heat_J_per_kg": (2.84e6, _POS),
+        "dried_density_kg_per_m3": (215.0, _POS),
+        "time_limit_s": (1.0e6, _POS),
     },
     "secondary": {
-        "initial_temperature_K": 273.15,
-        "initial_bound_water_kg_per_kg": 0.088,
-        "target_bound_water_kg_per_kg": 0.01,
-        "equilibrium_bound_water_kg_per_kg": 0.0,
-        "shelf_temperature_K": 295.0,
-        "wall_temperature_K": 290.0,
-        "upper_temperature_K": 290.0,
-        "bottom_htc_W_per_m2K": 15.0,
-        "desorption_prefactor_per_s": 1.5e-3,
-        "desorption_activation_energy_J_per_mol": 6500.0,
-        "desorption_heat_J_per_kg": 2.68e6,
-        "desorption_density_kg_per_m3": 212.21,
-        "cake_conductivity_W_per_mK": 0.217,
-        "cake_density_kg_per_m3": 215.0,
-        "cake_heat_capacity_J_per_kgK": 2590.0,
-        "time_limit_s": 1.0e6,
+        "initial_temperature_K": (273.15, _POS),
+        "initial_bound_water_kg_per_kg": (0.088, {"oneOf": [
+            _NONNEG,
+            {"type": "array", "items": _NONNEG, "minItems": 2, "maxItems": 2},
+        ]}),
+        "target_bound_water_kg_per_kg": (0.01, _NONNEG),
+        "equilibrium_bound_water_kg_per_kg": (0.0, _NONNEG),
+        "shelf_temperature_K": (295.0, _SCHEDULE),
+        "wall_temperature_K": (290.0, _SCHEDULE),
+        "upper_temperature_K": (290.0, _SCHEDULE),
+        "bottom_htc_W_per_m2K": (15.0, _POS),
+        "desorption_prefactor_per_s": (1.5e-3, _NONNEG),
+        "desorption_activation_energy_J_per_mol": (6500.0, _NONNEG),
+        "desorption_heat_J_per_kg": (2.68e6, _POS),
+        "desorption_density_kg_per_m3": (212.21, _POS),
+        "cake_conductivity_W_per_mK": (0.217, _POS),
+        "cake_density_kg_per_m3": (215.0, _POS),
+        "cake_heat_capacity_J_per_kgK": (2590.0, _POS),
+        "time_limit_s": (1.0e6, _POS),
     },
     "chamber": {
-        "volume_m3": 0.118,
-        "condenser_capacity_kg_per_s": 1.8e-5,
-        "vial_count": 200,
-        "gas_temperature_K": 260.0,
-        "pressure_setpoint_Pa": 3.0,
+        "volume_m3": (0.118, _POS),
+        "condenser_capacity_kg_per_s": (1.8e-5, _NONNEG),
+        "vial_count": (200, {"type": "integer", "minimum": 1}),
+        "gas_temperature_K": (260.0, _POS),
+        "pressure_setpoint_Pa": (3.0, _NONNEG),
     },
     "pipeline": {
-        "primary_start": "final_cooling_end",
-        "post_heat_duration_s": 0.0,
-        "samples_per_stage": 300,
+        "primary_start": ("final_cooling_end",
+                          {"enum": ["final_cooling_end", "solidification_end"]}),
+        "post_heat_duration_s": (0.0, _NONNEG),
+        "samples_per_stage": (300, {"type": "integer", "minimum": 2}),
         # re-derive dried density and initial bound water from the actual
         # end-of-freezing state so all three stages share one water inventory
-        "consistent_water": False,
+        "consistent_water": (False, {"type": "boolean"}),
     },
     "transport_analysis": {
-        "porosity": 0.815,
-        "tortuosity": 1.2,
-        "pore_radius_m": 5.0e-6,
-        "gas_diffusivity_m2_per_s": 1.97e-5,
-        "temperature_K": 256.0,
-        "molar_mass_g_per_mol": 18.0,
-        "length_scale_m": 0.01,
-        "desorption_rate_per_s": 7.8e-5,
-        "biot": [
+        "porosity": (0.815, _OPEN_FRACTION),
+        "tortuosity": (1.2, {"type": "number", "minimum": 1}),
+        "pore_radius_m": (5.0e-6, _POS),
+        "gas_diffusivity_m2_per_s": (1.97e-5, _POS),
+        "temperature_K": (256.0, _POS),
+        "molar_mass_g_per_mol": (18.0, _POS),
+        "length_scale_m": (0.01, _POS),
+        "desorption_rate_per_s": (7.8e-5, _POS),
+        "biot": ([
             {"label": "gas_film", "htc_W_per_m2K": 8.0, "length_m": 0.012,
              "conductivity_W_per_mK": 2.25},
             {"label": "shelf_contact", "htc_W_per_m2K": 65.0, "length_m": 0.012,
              "conductivity_W_per_mK": 2.25},
-        ],
+        ], {"type": "array", "items": _obj({
+            "label": _STRING,
+            "htc_W_per_m2K": _POS,
+            "length_m": _POS,
+            "conductivity_W_per_mK": _POS,
+        }, required=["label", "htc_W_per_m2K", "length_m", "conductivity_W_per_mK"])}),
     },
-    "comparison": None,
-    "output": {"directory": None},
+    "comparison": (None, _nullable(_obj({
+        "reference_csv": _STRING,
+        "observable": _STRING,
+        "time_column": _STRING,
+        "value_column": _STRING,
+        "thresholds": _obj({
+            "rmse": _NONNEG,
+            "max_abs": _NONNEG,
+            "terminal_time_rel": _NONNEG,
+        }),
+    }, required=["reference_csv", "observable"]))),
+    "output": {"directory": (None, _nullable(_STRING))},
 }
+
+
+def _split(node) -> tuple[Any, dict[str, Any]]:
+    """(defaults, schema) of a table leaf or section."""
+    if isinstance(node, tuple):
+        return node
+    pairs = {key: _split(sub) for key, sub in node.items()}
+    return ({key: d for key, (d, _) in pairs.items()},
+            _obj({key: s for key, (_, s) in pairs.items()}))
+
+
+DEFAULT_SCENARIO, SCENARIO_SCHEMA = _split(_TABLE)
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -207,12 +269,12 @@ class ParameterSet:
     secondary_time_limit_s: float
     chamber: ChamberModel
     integrator: IntegratorConfig
-    n_z: int = 51
-    seed: int | None = None
-    primary_start: str = "final_cooling_end"
-    post_heat_duration_s: float = 0.0
-    samples_per_stage: int = 300
-    consistent_water: bool = False
+    n_z: int
+    seed: int | None
+    primary_start: str
+    post_heat_duration_s: float
+    samples_per_stage: int
+    consistent_water: bool
 
     def freezing_system(self) -> FreezingSystem:
         return FreezingSystem(mixture=self.mixture, radiation=self.radiation,

@@ -15,8 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .drying_primary import run_primary
-from .drying_secondary import run_secondary
+from .drying_primary import STAGE_PRIMARY, run_primary
+from .drying_secondary import STAGE_SECONDARY, run_secondary
 from .errors import ConfigurationError
 from .freezing import VialState, run_freezing
 from .params import ParameterSet
@@ -79,7 +79,7 @@ def run_full_cycle(params: ParameterSet, *,
                               config=params.integrator, t0=ps.t,
                               time_limit_s=params.secondary_time_limit_s,
                               samples=params.samples_per_stage)
-    parts: list[Trajectory] = [freeze, primary, secondary]
+    parts = {"freezing": freeze, STAGE_PRIMARY: primary, STAGE_SECONDARY: secondary}
     end_state = secondary.meta["final_state"]
 
     if params.post_heat_duration_s > 0.0:
@@ -92,7 +92,7 @@ def run_full_cycle(params: ParameterSet, *,
                              t0=end_state.t, time_limit_s=params.post_heat_duration_s,
                              samples=max(2, params.samples_per_stage // 3),
                              stage_label="post_heating")
-        parts.append(hold)
+        parts["post_heating"] = hold
         end_state = hold.meta["final_state"]
 
     w = trapezoid_weights(params.n_z)

@@ -1,9 +1,11 @@
-"""Scenario files: schema, validation, loading, and built-in lookup.
+"""Scenario files: validation, loading, and built-in lookup.
 
 A scenario is a YAML or JSON document overriding any subset of the
-baseline parameter dictionary.  Keys carry their units in the name; the
-schema rejects unknown keys so typos fail loudly instead of silently
-running the defaults.
+baseline parameter dictionary.  The format itself, every key with its
+default and its schema, is declared once in :mod:`lyosim.params`; this
+module checks documents against that schema (which rejects unknown keys,
+so typos fail loudly instead of silently running the defaults) and merges
+them over the defaults.
 """
 
 from __future__ import annotations
@@ -18,181 +20,10 @@ import jsonschema
 import yaml
 
 from .errors import ScenarioError
-from .params import DEFAULT_SCENARIO, ParameterSet, build_parameters, deep_merge
+from .params import (DEFAULT_SCENARIO, SCENARIO_SCHEMA, ParameterSet, build_parameters,
+                     deep_merge)
 
-__all__ = ["SCENARIO_SCHEMA", "Scenario", "load_scenario", "builtin_scenarios",
-           "validate_scenario"]
-
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-_STRING = {"type": "string"}
-# a schedule is either a constant or a list of [time_s, value] breakpoints
-_SCHEDULE = {"oneOf": [
-    {"type": "number"},
-    {"type": "array", "minItems": 1,
-     "items": {"type": "array", "items": {"type": "number"},
-               "minItems": 2, "maxItems": 2}},
-]}
-
-
-def _nullable(schema: dict) -> dict:
-    return {"oneOf": [schema, {"type": "null"}]}
-
-
-def _obj(properties: dict, required: list[str] | None = None) -> dict:
-    out: dict[str, Any] = {"type": "object", "additionalProperties": False,
-                           "properties": properties}
-    if required:
-        out["required"] = required
-    return out
-
-
-SCENARIO_SCHEMA: dict[str, Any] = _obj({
-    "name": _STRING,
-    "seed": _nullable({"type": "integer", "minimum": 0}),
-    "grid": _obj({"n_nodes": {"type": "integer", "minimum": 3}}),
-    "integrator": _obj({
-        "rtol": _POS,
-        "atol": _POS,
-        "method": {"enum": ["bdf", "lsoda", "explicit", "rk45"]},
-        "max_step_s": _nullable(_POS),
-    }),
-    "formulation": _obj({
-        "solute_mass_fraction": {"type": "number", "exclusiveMinimum": 0,
-                                 "exclusiveMaximum": 1},
-        "fill_volume_m3": _POS,
-        "solute_density_kg_per_m3": _POS,
-        "water_density_kg_per_m3": _POS,
-        "ice_density_kg_per_m3": _POS,
-        "solute_heat_capacity_J_per_kgK": _POS,
-        "water_heat_capacity_J_per_kgK": _POS,
-        "ice_heat_capacity_J_per_kgK": _POS,
-        "solute_conductivity_W_per_mK": _POS,
-        "water_conductivity_W_per_mK": _POS,
-        "ice_conductivity_W_per_mK": _POS,
-        "solute_molar_mass_kg_per_mol": _POS,
-        "water_molar_mass_kg_per_mol": _POS,
-        "inert_molar_mass_kg_per_mol": _POS,
-        "cryoscopic_constant_kgK_per_mol": _POS,
-    }),
-    "vial": _obj({
-        "diameter_m": _POS,
-        "product_height_m": _nullable(_POS),
-    }),
-    "radiation": _obj({
-        "glass_emissivity": _FRACTION,
-        "transfer_factor_top": {"type": "number", "minimum": 0, "maximum": 1},
-        "transfer_factor_side": {"type": "number", "minimum": 0, "maximum": 1},
-    }),
-    "frozen_matrix": _obj({
-        "density_kg_per_m3": _nullable(_POS),
-        "heat_capacity_J_per_kgK": _nullable(_POS),
-        "conductivity_W_per_mK": _nullable(_POS),
-    }),
-    "freezing": _obj({
-        "initial_temperature_K": _POS,
-        "gas_temperature_K": _SCHEDULE,
-        "wall_temperature_K": _SCHEDULE,
-        "upper_temperature_K": _SCHEDULE,
-        "total_pressure_Pa": _SCHEDULE,
-        "chamber_water_pressure_Pa": _NONNEG,
-        "top_htc_W_per_m2K": _NONNEG,
-        "bottom_htc_W_per_m2K": _NONNEG,
-        "side_htc_W_per_m2K": _NONNEG,
-        "evaporation_coefficient_kg_per_m2s": _NONNEG,
-        "depressurization_start_s": _nullable(_NONNEG),
-        "nucleation": _obj({
-            "mode": {"enum": ["controlled", "stochastic"]},
-            "temperature_K": _POS,
-            "rate_prefactor_per_m3_s_K": _NONNEG,
-            "rate_exponent": _POS,
-        }),
-        "solidification_fraction": {"type": "number", "minimum": 0.85,
-                                    "maximum": 0.95},
-        "final_temperature_K": _POS,
-        "final_tolerance_K": _POS,
-        "heat_of_fusion_J_per_kg": _POS,
-        "stage_time_limit_s": _POS,
-    }),
-    "primary": _obj({
-        "initial_temperature_K": _POS,
-        "shelf_temperature_K": _SCHEDULE,
-        "wall_temperature_K": _SCHEDULE,
-        "upper_temperature_K": _SCHEDULE,
-        "bottom_htc_W_per_m2K": _POS,
-        "chamber_water_pressure_Pa": _NONNEG,
-        "cake_resistance_R0_m_per_s": _POS,
-        "cake_resistance_R1_m_per_s": _NONNEG,
-        "cake_resistance_R2_m": _POS,
-        "sublimation_heat_J_per_kg": _POS,
-        "dried_density_kg_per_m3": _POS,
-        "time_limit_s": _POS,
-    }),
-    "secondary": _obj({
-        "initial_temperature_K": _POS,
-        "initial_bound_water_kg_per_kg": {"oneOf": [
-            _NONNEG,
-            {"type": "array", "items": _NONNEG, "minItems": 2, "maxItems": 2},
-        ]},
-        "target_bound_water_kg_per_kg": _NONNEG,
-        "equilibrium_bound_water_kg_per_kg": _NONNEG,
-        "shelf_temperature_K": _SCHEDULE,
-        "wall_temperature_K": _SCHEDULE,
-        "upper_temperature_K": _SCHEDULE,
-        "bottom_htc_W_per_m2K": _POS,
-        "desorption_prefactor_per_s": _NONNEG,
-        "desorption_activation_energy_J_per_mol": _NONNEG,
-        "desorption_heat_J_per_kg": _POS,
-        "desorption_density_kg_per_m3": _POS,
-        "cake_conductivity_W_per_mK": _POS,
-        "cake_density_kg_per_m3": _POS,
-        "cake_heat_capacity_J_per_kgK": _POS,
-        "time_limit_s": _POS,
-    }),
-    "chamber": _obj({
-        "volume_m3": _POS,
-        "condenser_capacity_kg_per_s": _NONNEG,
-        "vial_count": {"type": "integer", "minimum": 1},
-        "gas_temperature_K": _POS,
-        "pressure_setpoint_Pa": _NONNEG,
-    }),
-    "pipeline": _obj({
-        "primary_start": {"enum": ["final_cooling_end", "solidification_end"]},
-        "post_heat_duration_s": _NONNEG,
-        "samples_per_stage": {"type": "integer", "minimum": 2},
-        "consistent_water": {"type": "boolean"},
-    }),
-    "transport_analysis": _obj({
-        "porosity": _FRACTION,
-        "tortuosity": {"type": "number", "minimum": 1},
-        "pore_radius_m": _POS,
-        "gas_diffusivity_m2_per_s": _POS,
-        "temperature_K": _POS,
-        "molar_mass_g_per_mol": _POS,
-        "length_scale_m": _POS,
-        "desorption_rate_per_s": _POS,
-        "biot": {"type": "array", "items": _obj({
-            "label": _STRING,
-            "htc_W_per_m2K": _POS,
-            "length_m": _POS,
-            "conductivity_W_per_mK": _POS,
-        }, required=["label", "htc_W_per_m2K", "length_m", "conductivity_W_per_mK"])},
-    }),
-    "comparison": _nullable(_obj({
-        "reference_csv": _STRING,
-        "observable": _STRING,
-        "time_column": _STRING,
-        "value_column": _STRING,
-        "thresholds": _obj({
-            "rmse": _NONNEG,
-            "max_abs": _NONNEG,
-            "terminal_time_rel": _NONNEG,
-        }),
-    }, required=["reference_csv", "observable"])),
-    "output": _obj({"directory": _nullable(_STRING)}),
-})
+__all__ = ["Scenario", "load_scenario", "builtin_scenarios", "validate_scenario"]
 
 
 def validate_scenario(data: dict[str, Any], *, where: str = "scenario") -> None:
@@ -221,10 +52,6 @@ class Scenario:
     @property
     def name(self) -> str:
         return self.data["name"]
-
-    @property
-    def seed(self):
-        return self.data.get("seed")
 
     def parameters(self) -> ParameterSet:
         return build_parameters(self.data)

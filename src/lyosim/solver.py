@@ -42,7 +42,6 @@ class IntegratorConfig:
     atol: float | np.ndarray = 1.0e-9
     method: str = "bdf"
     max_step: float = np.inf
-    first_step: float | None = None
 
     def __post_init__(self) -> None:
         if self.rtol <= 0.0:
@@ -57,10 +56,6 @@ class IntegratorConfig:
 
     def scipy_method(self) -> str:
         return _METHODS[self.method.lower()]
-
-    def replace(self, **kw) -> "IntegratorConfig":
-        from dataclasses import replace as _replace
-        return _replace(self, **kw)
 
 
 @dataclass
@@ -165,8 +160,6 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     kwargs = {}
     if jac is not None and method in ("BDF", "Radau"):
         kwargs["jac"] = jac
-    if config.first_step is not None:
-        kwargs["first_step"] = config.first_step
     res = solve_ivp(
         rhs,
         t_span,

@@ -78,13 +78,16 @@ class Trajectory:
             yield row
 
     @staticmethod
-    def concatenate(parts: list["Trajectory"]) -> "Trajectory":
-        """Join stage trajectories into one table on a common time axis.
+    def concatenate(stages: dict[str, "Trajectory"]) -> "Trajectory":
+        """Join stage trajectories, keyed by stage name in time order, into
+        one table on a common time axis.
 
-        Series missing from a part are nan-padded; events and meta are
-        merged (later parts win on key collisions).  Spatial fields are not
-        merged because grids differ between stages.
+        Series missing from a part are nan-padded; events are merged, and
+        each part's meta is kept whole under its stage name, so stages do
+        not overwrite each other's solver counters or durations.  Spatial
+        fields are not merged because grids differ between stages.
         """
+        parts = list(stages.values())
         t = np.concatenate([p.t for p in parts])
         stage: list[str] = []
         for p in parts:
@@ -100,10 +103,9 @@ class Trajectory:
                 p.series.get(name, np.full(p.t.shape, np.nan)) for p in parts
             ])
         events: dict[str, float] = {}
-        meta: dict[str, Any] = {}
         for p in parts:
             events.update(p.events)
-            meta.update(p.meta)
+        meta = {name: p.meta for name, p in stages.items()}
         return Trajectory(t=t, stage=stage, series=series, events=events, meta=meta)
 
 

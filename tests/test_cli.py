@@ -5,12 +5,15 @@ code) and inspects the files written to a temporary output directory.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lyosim
 from lyosim.cli import main
 from lyosim.trajectory import CSV_COLUMNS
 
@@ -231,8 +234,13 @@ def test_out_flag_overrides_env_var(tmp_path, monkeypatch):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same lyosim as the tests, also when pytest put
+    # src/ on sys.path itself rather than through PYTHONPATH
+    src = str(Path(lyosim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "lyosim", "analyze", "--out", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "defaults_analyze.json").is_file()

@@ -17,12 +17,7 @@ from lyosim import (
     run_primary,
 )
 from lyosim import drying_primary
-from lyosim.drying_primary import (
-    PrimaryState,
-    cake_resistance,
-    primary_rhs,
-    sublimation_flux,
-)
+from lyosim.drying_primary import cake_resistance, sublimation_flux
 
 
 def _default_dp(**kw):
@@ -102,11 +97,18 @@ def test_flux_increases_with_front_temperature():
 
 # --- instantaneous RHS ------------------------------------------------------------
 
+def _rhs(dp, rad, geom, T, S, t=0.0):
+    """(dT/dt, dS/dt) of the discretized equations at the fixed chamber
+    partial pressure ``dp.p_w_chamber``."""
+    core, _ = drying_primary._make_core(dp, rad, geom, T.shape[0])
+    dT, dS, _ = core(t, T, S, dp.p_w_chamber)
+    return dT, dS
+
+
 def test_rhs_shapes_and_front_speed(geom):
     dp = _default_dp()
     n_z = 51
-    state = PrimaryState(T=np.full(n_z, 250.0), S=0.0)
-    dT, dS = primary_rhs(state, dp, RadiationSpec(), geom)
+    dT, dS = _rhs(dp, RadiationSpec(), geom, np.full(n_z, 250.0), 0.0)
     assert dT.shape == (n_z,)
     assert dS == pytest.approx(6.746620008148693e-6, rel=1e-12)
     # hot shelf feeds the bottom node
@@ -120,8 +122,7 @@ def test_rhs_front_cooling_from_sublimation(geom):
                      wall_temperature=Schedule.constant(250.0),
                      upper_temperature=Schedule.constant(250.0))
     rad = RadiationSpec(F_top=0.0, F_side=0.0)
-    state = PrimaryState(T=np.full(51, 250.0), S=1.0e-3)
-    dT, dS = primary_rhs(state, dp, rad, geom)
+    dT, dS = _rhs(dp, rad, geom, np.full(51, 250.0), 1.0e-3)
     assert dS > 0.0
     assert dT[0] < 0.0  # front chills
     assert abs(dT[-1]) < abs(dT[0])  # bottom is insulated from the sink
@@ -334,10 +335,9 @@ def test_steady_residual_small_mid_drying(baseline, geom):
     # nearly balances the boundary fluxes
     dp = _default_dp()
     i = len(baseline.t) // 2
-    state = PrimaryState(T=baseline.fields["temperature_K"][i],
-                         S=float(baseline.series["front_position_m"][i]),
-                         t=float(baseline.t[i]))
-    state0 = PrimaryState(T=np.full_like(state.T, 235.0), S=0.0, t=0.0)
-    r_mid, r_init = (float(np.max(np.abs(primary_rhs(s, dp, RadiationSpec(), geom)[0])))
-                     for s in (state, state0))
+    T = baseline.fields["temperature_K"][i]
+    mid = (T, float(baseline.series["front_position_m"][i]), float(baseline.t[i]))
+    start = (np.full_like(T, 235.0), 0.0, 0.0)
+    r_mid, r_init = (float(np.max(np.abs(_rhs(dp, RadiationSpec(), geom, *s)[0])))
+                     for s in (mid, start))
     assert r_mid < 0.1 * r_init

@@ -17,7 +17,7 @@ from lyosim import (
     run_secondary,
 )
 from lyosim import drying_secondary
-from lyosim.drying_secondary import SecondaryState, desorption_rate, secondary_rhs
+from lyosim.drying_secondary import desorption_rate
 
 
 def _conditions(T=295.0, **kw):
@@ -78,10 +78,17 @@ def test_kinetics_validation():
 
 # --- instantaneous RHS ------------------------------------------------------------
 
+def _rhs(kin, rad, cond, geom, T, c_w, t=0.0):
+    """(dT/dt, dc_w/dt) of the discretized cake equations."""
+    rhs, _ = drying_secondary._make_core(kin, rad, cond, geom, T.shape[0])
+    f = rhs(t, np.concatenate([T, c_w]))
+    return f[:T.shape[0]], f[T.shape[0]:]
+
+
 def test_rhs_heats_toward_shelf(geom):
     kin = DesorptionKinetics()
-    state = SecondaryState(T=np.full(21, 273.15), c_w=np.full(21, 0.088))
-    dT, dc = secondary_rhs(state, kin, RadiationSpec(), _conditions(295.0), geom)
+    dT, dc = _rhs(kin, RadiationSpec(), _conditions(295.0), geom,
+                  np.full(21, 273.15), np.full(21, 0.088))
     assert dT.shape == (21,) and dc.shape == (21,)
     assert dT[-1] > 0.0  # bottom film sees the hot shelf
     assert np.all(dc < 0.0)
@@ -92,8 +99,7 @@ def test_rhs_desorption_sink_cools(geom):
     kin = DesorptionKinetics()
     cond = _conditions(273.15, h_b=1.0e-12)
     rad = RadiationSpec(F_top=0.0, F_side=0.0)
-    state = SecondaryState(T=np.full(21, 273.15), c_w=np.full(21, 0.088))
-    dT, dc = secondary_rhs(state, kin, rad, cond, geom)
+    dT, dc = _rhs(kin, rad, cond, geom, np.full(21, 273.15), np.full(21, 0.088))
     assert np.all(dT < 0.0)
     assert np.all(dc < 0.0)
 

@@ -95,6 +95,19 @@ def test_post_heat_stage_appended():
     tail = np.array(cycle.combined.stage) == "post_heating"
     assert np.nanmax(np.abs(c[tail] - 0.01)) < 1e-9
     assert cycle.stage_times["cycle_end_s"] == cycle.stage_times["post_heating_end_s"]
+    assert cycle.combined.meta["post_heating"]["duration_s"] == pytest.approx(1800.0,
+                                                                             rel=1e-6)
+
+
+def test_combined_meta_namespaced_per_stage(cycle):
+    # concatenation keeps every stage's solver counters, not just the last
+    meta = cycle.combined.meta
+    assert list(meta) == ["freezing", "primary_drying", "secondary_drying"]
+    for stage, traj in (("freezing", cycle.freezing), ("primary_drying", cycle.primary),
+                        ("secondary_drying", cycle.secondary)):
+        assert meta[stage]["solver"] == traj.meta["solver"]
+        assert meta[stage]["solver"]["steps"] > 0
+    assert meta["freezing"]["solver"] != meta["secondary_drying"]["solver"]
 
 
 def test_runtime_recorded(cycle):

@@ -1,21 +1,29 @@
 """Scenario schema validation, loading, and parameter assembly."""
 
 import copy
+import dataclasses
 import json
 
 import pytest
 import yaml
 
 from lyosim import (
+    ChamberModel,
+    ControlledNucleation,
+    DesorptionKinetics,
+    Formulation,
+    IntegratorConfig,
+    RadiationSpec,
     Scenario,
     ScenarioError,
+    VialGeometry,
     build_parameters,
     builtin_scenarios,
     load_scenario,
     validate_scenario,
 )
-from lyosim.params import DEFAULT_SCENARIO, deep_merge
-from lyosim.scenario import SCENARIO_SCHEMA
+from lyosim.cli import _transport_report
+from lyosim.params import DEFAULT_SCENARIO, SCENARIO_SCHEMA, deep_merge
 
 
 def test_builtin_list_complete():
@@ -160,17 +168,40 @@ def test_transport_block_defaults():
     assert len(block["biot"]) == 2
 
 
-def _lower_bounds(schema, path=()):
-    """(path, keyword, bound) of every numeric minimum/exclusiveMinimum
-    leaf of ``schema``, through nullable forms, schedules and arrays.  An
-    integer in the path stands for an array of that many copies of one
-    item (the array's ``minItems``, at least 1)."""
+def test_dataclass_defaults_agree_with_the_table():
+    # the dataclass defaults are the last copy of each default outside the
+    # scenario table; they must not drift from it
+    p = build_parameters(DEFAULT_SCENARIO)
+    assert p.formulation == Formulation()
+    assert p.radiation == RadiationSpec()
+    assert p.chamber == ChamberModel()
+    assert p.secondary == DesorptionKinetics()
+    assert p.freezing.nucleation == ControlledNucleation()
+    assert p.integrator == IntegratorConfig()  # max_step_s null is max_step inf
+    assert p.geometry.d == VialGeometry().d  # the height H is derived
+    for built in (p.primary, p.freezing, p.secondary_conditions):
+        for f in dataclasses.fields(built):
+            if f.name == "rho_f" or not isinstance(f.default, (int, float)):
+                continue  # derived from the fill, or not a defaulted scalar
+            assert getattr(built, f.name) == f.default, f"{type(built).__name__}.{f.name}"
+
+
+_LOWER = ("minimum", "exclusiveMinimum")
+_UPPER = ("maximum", "exclusiveMaximum")
+
+
+def _bounds(schema, keywords, path=()):
+    """(path, keyword, bound) of every numeric leaf bound of ``schema``
+    under one of ``keywords``, through nullable forms, schedules and
+    arrays.  An integer in the path stands for an array of that many copies
+    of one item (the array's ``minItems``, at least 1)."""
     for variant in [schema, *schema.get("oneOf", [])]:
         for key, sub in variant.get("properties", {}).items():
-            yield from _lower_bounds(sub, path + (key,))
+            yield from _bounds(sub, keywords, path + (key,))
         if "items" in variant:
-            yield from _lower_bounds(variant["items"], path + (variant.get("minItems", 1),))
-        for keyword in ("minimum", "exclusiveMinimum"):
+            yield from _bounds(variant["items"], keywords,
+                               path + (variant.get("minItems", 1),))
+        for keyword in keywords:
             if keyword in variant and variant.get("type") in ("number", "integer"):
                 yield path, keyword, variant[keyword]
 
@@ -198,10 +229,28 @@ def _at_bound(path, bound):
         data["freezing"]["depressurization_start_s"] = None
     if path[0] == "comparison":
         data["comparison"] = {"reference_csv": "ref.csv", "observable": "temperature_avg_K"}
+    if path[0] == "radiation" and bound == 1:
+        # a transfer factor of 1 needs fully emissive glass (F_top <= eps_glass)
+        data["radiation"]["glass_emissivity"] = 1
     return _set(data, path, bound)
 
 
-_BOUNDS = list(_lower_bounds(SCENARIO_SCHEMA))
+def _check_bound(path, keyword, bound):
+    # a value the schema admits must build, also the transport block the
+    # way `lyosim analyze` builds it; the dataclass checks must not reject
+    # what the schema lets through
+    data = _at_bound(path, bound)
+    if keyword.startswith("exclusive"):
+        with pytest.raises(ScenarioError):
+            validate_scenario(data)
+    else:
+        validate_scenario(data)
+        build_parameters(data)
+        _transport_report(data["transport_analysis"])
+
+
+_BOUNDS = list(_bounds(SCENARIO_SCHEMA, _LOWER))
+_UPPER_BOUNDS = list(_bounds(SCENARIO_SCHEMA, _UPPER))
 
 
 def test_schema_bounds_walk_finds_the_known_leaves():
@@ -211,17 +260,19 @@ def test_schema_bounds_walk_finds_the_known_leaves():
             ("primary", "cake_resistance_R0_m_per_s"),
             ("secondary", "initial_bound_water_kg_per_kg", 2),
             ("transport_analysis", "biot", 1, "htc_W_per_m2K")} <= paths
+    assert {p for p, _, _ in _UPPER_BOUNDS} == {
+        ("formulation", "solute_mass_fraction"), ("radiation", "glass_emissivity"),
+        ("radiation", "transfer_factor_top"), ("radiation", "transfer_factor_side"),
+        ("freezing", "solidification_fraction"), ("transport_analysis", "porosity")}
 
 
 @pytest.mark.parametrize("path, keyword, bound", _BOUNDS,
                          ids=[".".join(map(str, p)) for p, _, _ in _BOUNDS])
 def test_schema_bounds_agree_with_parameter_checks(path, keyword, bound):
-    # a value the schema admits must build; the dataclass checks must not
-    # reject what the schema lets through
-    data = _at_bound(path, bound)
-    if keyword == "exclusiveMinimum":
-        with pytest.raises(ScenarioError):
-            validate_scenario(data)
-    else:
-        validate_scenario(data)
-        build_parameters(data)
+    _check_bound(path, keyword, bound)
+
+
+@pytest.mark.parametrize("path, keyword, bound", _UPPER_BOUNDS,
+                         ids=[".".join(map(str, p)) for p, _, _ in _UPPER_BOUNDS])
+def test_schema_upper_bounds_agree_with_parameter_checks(path, keyword, bound):
+    _check_bound(path, keyword, bound)

@@ -43,14 +43,6 @@ def test_config_defaults_and_validation():
             IntegratorConfig(**bad)
 
 
-def test_config_replace():
-    c = IntegratorConfig()
-    c2 = c.replace(rtol=1.0e-8)
-    assert c2.rtol == 1.0e-8
-    assert c.rtol == 1.0e-6
-    assert c2.method == c.method
-
-
 @pytest.mark.parametrize("method, factor", [("bdf", 10.0), ("lsoda", 20.0)])
 def test_stiff_linear_system_matches_closed_form(method, factor):
     # 10*rtol for the default stiff method; the LSODA cross-check uses a

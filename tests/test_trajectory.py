@@ -81,7 +81,7 @@ def test_json_dict_nan_to_null():
 def test_concatenate_merges_series_and_events():
     a = _make(stage="freezing", water_mass_kg=[1.0, 2.0, 3.0, 4.0])
     b = _make(t0=3.0, stage="primary_drying", front_position_m=[0.0, 1.0, 2.0, 3.0])
-    joined = Trajectory.concatenate([a, b])
+    joined = Trajectory.concatenate({"freezing": a, "primary_drying": b})
     assert joined.t.shape == (8,)
     assert joined.stage[:4] == ["freezing"] * 4
     assert joined.stage[4:] == ["primary_drying"] * 4
@@ -91,8 +91,9 @@ def test_concatenate_merges_series_and_events():
     f = joined.series["front_position_m"]
     assert np.all(np.isnan(f[:4])) and np.all(np.isfinite(f[4:]))
     assert set(joined.events) == {"freezing_end_s", "primary_drying_end_s"}
-    # later parts win meta collisions
-    assert joined.meta["origin"] == "primary_drying"
+    # each part's meta stays whole under its stage name
+    assert joined.meta == {"freezing": {"origin": "freezing"},
+                           "primary_drying": {"origin": "primary_drying"}}
 
 
 def test_shape_mismatch_rejected():
