@@ -79,12 +79,12 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _scalar_meta(meta: dict[str, Any]) -> dict[str, Any]:
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            continue
-        out[k] = float(v)
+def _stage_meta(meta: dict[str, Any]) -> dict[str, Any]:
+    """A stage's numeric meta entries, as they are, and its solver counters."""
+    out = {k: v for k, v in meta.items()
+           if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    if "solver" in meta:
+        out["solver"] = dict(meta["solver"])
     return out
 
 
@@ -96,7 +96,7 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                             params.integrator,
                             samples_per_stage=params.samples_per_stage)
         summary: dict[str, Any] = {"events": dict(traj.events)}
-        summary.update(_scalar_meta(traj.meta))
+        summary.update(_stage_meta(traj.meta))
         if "nucleation" in traj.meta:
             summary["nucleation"] = traj.meta["nucleation"]
         fs = traj.meta["final_state"]
@@ -113,7 +113,7 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                            time_limit_s=params.primary_time_limit_s,
                            samples=params.samples_per_stage)
         summary = {"events": dict(traj.events)}
-        summary.update(_scalar_meta(traj.meta))
+        summary.update(_stage_meta(traj.meta))
         summary["end_time_s"] = traj.t_end
     elif command == "secondary":
         traj = run_secondary(params.secondary_initial_T, params.bound_water_profile(),
@@ -124,7 +124,7 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                              time_limit_s=params.secondary_time_limit_s,
                              samples=params.samples_per_stage)
         summary = {"events": dict(traj.events)}
-        summary.update(_scalar_meta(traj.meta))
+        summary.update(_stage_meta(traj.meta))
         summary["end_time_s"] = traj.t_end
     elif command == "cycle":
         result = run_full_cycle(params, scenario=scenario.data)
@@ -139,6 +139,8 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                                     - t["primary_drying_end_s"],
             },
             "water_balance": result.water_balance,
+            "solver": {stage: dict(meta["solver"]) for stage, meta in traj.meta.items()
+                       if "solver" in meta},
             "runtime_s": result.runtime_s,
             "end_time_s": t["cycle_end_s"],
         }

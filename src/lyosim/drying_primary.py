@@ -82,7 +82,8 @@ class DryingParams:
 
     def __post_init__(self) -> None:
         if not self.rho_f > self.rho_e > 0.0:
-            raise ConfigurationError("need rho_f > rho_e > 0")
+            raise ConfigurationError(
+                f"rho_e = {self.rho_e:g} must lie in (0, rho_f = {self.rho_f:g})")
         for name in ("Cp_f", "k_f", "h_b", "Rp0", "Rp2", "dH_sub"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"DryingParams.{name} must be positive")

@@ -22,6 +22,12 @@ Its first event is sampled exactly by the cumulative hazard: one draw
 E ~ Exp(1) from a seeded generator, and the cooldown integrates
 Lambda(t) = int lambda dt beside the temperature and stops where
 Lambda = E (time rescaling: Lambda at the first event is Exp(1)).
+
+Each stage has one or two states and time constants of 1e2-1e3 s against
+stage lengths of about 1e3 s, so the stages are not stiff: they are
+integrated with LSODA (compiled Adams steps that switch to BDF by
+themselves if a stage turns stiff) at the configured tolerances, whatever
+method the configuration names for the drying stages.
 """
 
 from __future__ import annotations
@@ -68,6 +74,12 @@ DH_FUSION = 3.34e5  # J/kg, heat of fusion of water
 # fraction of the fill-height scale below which a computed negative bottom
 # ice thickness is attributed to surface evaporation loss and clamped to 0
 _BOTTOM_ICE_SLACK = 5.0e-3
+
+# lower clip of the VISF temperature at which the evaporation model is
+# evaluated: trial states of the integrator may stray far below the range of
+# the Antoine correlation, while accepted states end at the nucleation
+# temperature well above it
+_VISF_T_FLOOR = 150.0
 
 
 @dataclass
@@ -401,7 +413,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times.
     The final state for chaining into drying is stored under
     ``meta["final_state"]`` and the summed solver counters of the stage's
-    integrations under ``meta["solver"]``.  Raises
+    integrations under ``meta["solver"]``.  Every integration uses LSODA
+    with the tolerances and ``max_step`` of ``config``.  Raises
     :class:`StageTimeoutError` when a stage fails to reach its completion
     event within the protocol's horizon.  ``stop_after="solidification"``
     ends the run once the target ice fraction is reached, for protocols that
@@ -430,7 +443,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                       np.broadcast_to(np.asarray(mis, float), (n,)).copy(), label))
 
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
-        res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch)
+        # LSODA whatever cfg.method says (see the module docstring)
+        res = integrate_adaptive(rhs, (t, t_end), y0, replace(cfg, method="lsoda"),
+                                 events=watch)
         for key, count in res.counters().items():
             solver[key] += count
         return res
@@ -475,7 +490,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                                   direction=-1.0, name="water_depleted")
 
                 def rhs2(tt: float, y: np.ndarray):
-                    s = VialState(T=y[0], m_w=max(y[1], 0.0), t=tt, stage=STAGE_VISF)
+                    s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt,
+                                  stage=STAGE_VISF)
                     return visf_rhs(s, sys)
 
                 ts, ys = advance(
@@ -571,8 +587,10 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             s = VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt, stage=STAGE_FINAL_COOLING)
             return (_final_cooling_rhs(s, sys),)
 
-        band = EventSpec(lambda tt, y: abs(y[0] - target) - tol, terminal=True,
-                         direction=-1.0, name="target_band")
+        # the crossing of the near band edge: one step may jump the whole band
+        edge = target + tol if falling else target - tol
+        band = EventSpec(lambda tt, y: y[0] - edge, terminal=True,
+                         direction=-1.0 if falling else 1.0, name="target_band")
         ts, ys = advance(
             rhs5, [T], band, STAGE_FINAL_COOLING,
             f"final cooling never entered the {target} +/- {tol} K band "

@@ -14,6 +14,8 @@ the stage drivers consume.  Scenario keys carry their units in the name.
 from __future__ import annotations
 
 import copy
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any
 
@@ -22,7 +24,7 @@ import numpy as np
 from .chamber import ChamberModel
 from .drying_primary import DryingParams
 from .drying_secondary import DesorptionKinetics, DryingConditions
-from .errors import ScenarioError
+from .errors import ConfigurationError, ScenarioError
 from .freezing import (
     ControlledNucleation,
     FreezingProtocol,
@@ -71,6 +73,7 @@ _TABLE: dict[str, Any] = {
     "integrator": {
         "rtol": (1.0e-6, _POS),
         "atol": (1.0e-9, _POS),
+        # method of the distributed drying stages; freezing runs on LSODA
         "method": ("bdf", {"enum": ["bdf", "lsoda", "explicit", "rk45"]}),
         "max_step_s": (None, _nullable(_POS)),
     },
@@ -305,6 +308,19 @@ def _nucleation_from(d: dict, seed: int | None):
     raise ScenarioError(f"unknown nucleation mode {mode!r}")
 
 
+@contextmanager
+def _scenario_keys(keys: dict[str, str]):
+    """Re-raise a dataclass :class:`ConfigurationError` raised inside with
+    the field names of its message (the keys of ``keys``) replaced by the
+    scenario keys they are read from.  The schema checks each key alone, so
+    what reaches here are the cross-field rules of the dataclasses."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        fields = re.compile(r"\b(" + "|".join(map(re.escape, keys)) + r")\b")
+        raise ConfigurationError(fields.sub(lambda m: keys[m[1]], str(exc))) from exc
+
+
 def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     """Assemble a :class:`ParameterSet` from a fully merged scenario dict."""
     fd = scenario["formulation"]
@@ -335,48 +351,55 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     geometry = VialGeometry(d=scenario["vial"]["diameter_m"],
                             H=height if height is not None else mixture.H)
     rd = scenario["radiation"]
-    radiation = RadiationSpec(F_top=rd["transfer_factor_top"],
-                              F_side=rd["transfer_factor_side"],
-                              eps_glass=rd["glass_emissivity"])
+    with _scenario_keys({"F_top": "radiation.transfer_factor_top",
+                         "F_side": "radiation.transfer_factor_side",
+                         "eps_glass": "radiation.glass_emissivity"}):
+        radiation = RadiationSpec(F_top=rd["transfer_factor_top"],
+                                  F_side=rd["transfer_factor_side"],
+                                  eps_glass=rd["glass_emissivity"])
     seed = scenario.get("seed")
 
     fz = scenario["freezing"]
-    freezing = FreezingProtocol(
-        gas_temperature=as_schedule(fz["gas_temperature_K"]),
-        wall_temperature=as_schedule(fz["wall_temperature_K"]),
-        upper_temperature=as_schedule(fz["upper_temperature_K"]),
-        total_pressure=as_schedule(fz["total_pressure_Pa"]),
-        h_top=fz["top_htc_W_per_m2K"],
-        h_bottom=fz["bottom_htc_W_per_m2K"],
-        h_side=fz["side_htc_W_per_m2K"],
-        h_mass=fz["evaporation_coefficient_kg_per_m2s"],
-        p_w_chamber=fz["chamber_water_pressure_Pa"],
-        nucleation=_nucleation_from(fz["nucleation"], seed),
-        visf_start_s=fz["depressurization_start_s"],
-        solidification_fraction=fz["solidification_fraction"],
-        final_temperature_K=fz["final_temperature_K"],
-        final_tolerance_K=fz["final_tolerance_K"],
-        dH_fus=fz["heat_of_fusion_J_per_kg"],
-        stage_time_limit_s=fz["stage_time_limit_s"],
-    )
+    with _scenario_keys({"visf_start_s": "freezing.depressurization_start_s"}):
+        freezing = FreezingProtocol(
+            gas_temperature=as_schedule(fz["gas_temperature_K"]),
+            wall_temperature=as_schedule(fz["wall_temperature_K"]),
+            upper_temperature=as_schedule(fz["upper_temperature_K"]),
+            total_pressure=as_schedule(fz["total_pressure_Pa"]),
+            h_top=fz["top_htc_W_per_m2K"],
+            h_bottom=fz["bottom_htc_W_per_m2K"],
+            h_side=fz["side_htc_W_per_m2K"],
+            h_mass=fz["evaporation_coefficient_kg_per_m2s"],
+            p_w_chamber=fz["chamber_water_pressure_Pa"],
+            nucleation=_nucleation_from(fz["nucleation"], seed),
+            visf_start_s=fz["depressurization_start_s"],
+            solidification_fraction=fz["solidification_fraction"],
+            final_temperature_K=fz["final_temperature_K"],
+            final_tolerance_K=fz["final_tolerance_K"],
+            dH_fus=fz["heat_of_fusion_J_per_kg"],
+            stage_time_limit_s=fz["stage_time_limit_s"],
+        )
 
     pr = scenario["primary"]
     rho_f = matrix["density_kg_per_m3"]
-    primary = DryingParams(
-        shelf_temperature=as_schedule(pr["shelf_temperature_K"]),
-        wall_temperature=as_schedule(pr["wall_temperature_K"]),
-        upper_temperature=as_schedule(pr["upper_temperature_K"]),
-        rho_f=rho_f if rho_f is not None else mixture.rho_f,
-        Cp_f=mixture.Cp_f,
-        k_f=mixture.k_f,
-        rho_e=pr["dried_density_kg_per_m3"],
-        h_b=pr["bottom_htc_W_per_m2K"],
-        Rp0=pr["cake_resistance_R0_m_per_s"],
-        Rp1=pr["cake_resistance_R1_m_per_s"],
-        Rp2=pr["cake_resistance_R2_m"],
-        dH_sub=pr["sublimation_heat_J_per_kg"],
-        p_w_chamber=pr["chamber_water_pressure_Pa"],
-    )
+    frozen_density = ("frozen_matrix.density_kg_per_m3" if rho_f is not None
+                      else "the frozen density from the formulation")
+    with _scenario_keys({"rho_f": frozen_density, "rho_e": "primary.dried_density_kg_per_m3"}):
+        primary = DryingParams(
+            shelf_temperature=as_schedule(pr["shelf_temperature_K"]),
+            wall_temperature=as_schedule(pr["wall_temperature_K"]),
+            upper_temperature=as_schedule(pr["upper_temperature_K"]),
+            rho_f=rho_f if rho_f is not None else mixture.rho_f,
+            Cp_f=mixture.Cp_f,
+            k_f=mixture.k_f,
+            rho_e=pr["dried_density_kg_per_m3"],
+            h_b=pr["bottom_htc_W_per_m2K"],
+            Rp0=pr["cake_resistance_R0_m_per_s"],
+            Rp1=pr["cake_resistance_R1_m_per_s"],
+            Rp2=pr["cake_resistance_R2_m"],
+            dH_sub=pr["sublimation_heat_J_per_kg"],
+            p_w_chamber=pr["chamber_water_pressure_Pa"],
+        )
 
     sd = scenario["secondary"]
     secondary = DesorptionKinetics(

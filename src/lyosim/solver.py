@@ -1,13 +1,16 @@
-"""Adaptive stiff integration with event detection.
+"""Adaptive integration with event detection.
 
-Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  The stage models
-are stiff (thermal relaxation times from seconds to hours in one system, and
-a moving-front transform that becomes singular near completion), so the
-default method is the variable-order BDF family.  The distributed stages
+Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  The distributed
+drying stages are stiff (thermal relaxation times from seconds to hours in
+one system, and a moving-front transform that becomes singular near
+completion), so the default method is the variable-order BDF family.  They
 supply their exact Jacobians in closed form as sparse CSC matrices, whose
 fixed structure :class:`CscPattern` builds once per stage; without one the
-implicit methods fall back to scipy's finite-difference Jacobian.  An
-explicit Runge-Kutta method is kept available as a cross-check reference.
+implicit methods fall back to scipy's finite-difference Jacobian.  The
+lumped freezing stages are not stiff and always run on LSODA, whose
+compiled Adams steps switch to BDF by themselves where a problem turns
+stiff.  An explicit Runge-Kutta method is kept available as a cross-check
+reference.
 Terminal events (:class:`EventSpec`) are located by ``solve_ivp`` on the
 dense output, and the result reports the solver's step, RHS, Jacobian and
 LU counts.
@@ -35,7 +38,10 @@ class IntegratorConfig:
     """Tolerances and method selection for one integration.
 
     ``atol`` may be a scalar or a per-component array.  ``method`` is
-    "bdf" (default, stiff), "lsoda", or "explicit"/"rk45" (reference).
+    "bdf" (default, stiff), "lsoda", or "explicit"/"rk45" (reference); it
+    selects the method of the distributed drying stages, while
+    :func:`lyosim.freezing.run_freezing` keeps the tolerances and always
+    integrates with LSODA.
     """
 
     rtol: float = 1.0e-6

@@ -251,10 +251,10 @@ class RadiationSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.eps_glass <= 1.0:
             raise ConfigurationError("glass emissivity must lie in [0, 1]")
-        if not 0.0 <= self.F_top <= self.eps_glass:
-            raise ConfigurationError("top transfer factor must lie in [0, eps_glass]")
-        if not 0.0 <= self.F_side <= self.eps_glass:
-            raise ConfigurationError("side transfer factor must lie in [0, eps_glass]")
+        for name in ("F_top", "F_side"):
+            if not 0.0 <= getattr(self, name) <= self.eps_glass:
+                raise ConfigurationError(f"{name} = {getattr(self, name):g} must lie in "
+                                         f"[0, eps_glass = {self.eps_glass:g}]")
         if self.sigma <= 0.0:
             raise ConfigurationError("Stefan-Boltzmann constant must be positive")
 

@@ -109,24 +109,21 @@ class Trajectory:
         return Trajectory(t=t, stage=stage, series=series, events=events, meta=meta)
 
 
-def _cell(value: Any) -> str:
-    if isinstance(value, str):
-        return value
-    # repr of a python float is the shortest round-tripping decimal
-    return repr(float(value))
-
-
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the trajectory table in the fixed column order.
 
     Floats use their shortest round-tripping representation, so identical
     runs produce byte-identical files.
     """
+    # each column is converted to Python floats once; repr of a Python
+    # float is the shortest round-tripping decimal
+    cols = [traj.stage if c == "stage" else
+            list(map(repr, np.asarray(traj.column(c), dtype=float).tolist()))
+            for c in CSV_COLUMNS]
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for row in traj.rows():
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(zip(*cols))
 
 
 def trajectory_json_dict(traj: Trajectory) -> dict[str, Any]:

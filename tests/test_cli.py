@@ -83,6 +83,51 @@ def test_cycle_summary_contents(tmp_path):
     assert 0.0 < summary["runtime_s"] < 60.0
 
 
+COUNTERS = {"steps", "nfev", "njev", "nlu"}
+
+
+@pytest.mark.parametrize("command", ["freeze", "primary", "secondary", "failure", "cycle"])
+def test_summaries_carry_solver_counters(tmp_path, command):
+    assert main([command, "--out", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / f"defaults_{command}_summary.json")
+    if command == "cycle":
+        per_stage = summary["solver"]
+        assert set(per_stage) == {"freezing", "primary_drying", "secondary_drying"}
+    else:
+        per_stage = {command: summary["solver"]}
+    for counters in per_stage.values():
+        assert set(counters) == COUNTERS
+        assert all(type(v) is int for v in counters.values())
+        assert counters["steps"] > 0
+    if command in ("primary", "secondary", "failure"):
+        assert type(summary["n_z"]) is int and summary["n_z"] == 51
+
+
+@pytest.mark.parametrize("override, keys", [
+    ({"radiation": {"transfer_factor_top": 0.9}},
+     ["radiation.transfer_factor_top = 0.9", "radiation.glass_emissivity = 0.8"]),
+    ({"radiation": {"transfer_factor_side": 0.9}},
+     ["radiation.transfer_factor_side = 0.9", "radiation.glass_emissivity = 0.8"]),
+    ({"primary": {"dried_density_kg_per_m3": 2000.0}},
+     ["primary.dried_density_kg_per_m3 = 2000", "frozen density from the formulation"]),
+    ({"primary": {"dried_density_kg_per_m3": 2000.0},
+      "frozen_matrix": {"density_kg_per_m3": 1000.0}},
+     ["primary.dried_density_kg_per_m3 = 2000", "frozen_matrix.density_kg_per_m3 = 1000"]),
+    ({"freezing": {"nucleation": {"mode": "stochastic"}}},
+     ["freezing.depressurization_start_s"]),
+], ids=["top-factor", "side-factor", "dried-density", "matrix-density", "stochastic-visf"])
+def test_cross_field_errors_name_scenario_keys(tmp_path, capsys, override, keys):
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(override))
+    assert main(["primary", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    for key in keys:
+        assert key in err
+    # no dataclass field names
+    for field in ("F_top", "F_side", "eps_glass", "rho_f", "rho_e", "visf_start_s"):
+        assert field not in err
+
+
 def test_analyze_report(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path)])
     assert code == 0

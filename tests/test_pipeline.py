@@ -64,8 +64,12 @@ def test_water_balance_audit_self_consistent(cycle):
 def test_consistent_water_mode_closes_exactly():
     params = default_parameters({"pipeline": {"consistent_water": True}})
     cycle = run_full_cycle(params)
-    assert cycle.water_balance["closure_residual_kg"] == 0.0
-    assert cycle.water_balance["closure_relative"] == 0.0
+    wb = cycle.water_balance
+    # closed up to the rounding of the rho_e round trip in
+    # consistent_parameters: a few ulps of the initial water mass
+    ulps = 4.0 * np.spacing(wb["initial_water_kg"])
+    assert abs(wb["closure_residual_kg"]) <= ulps
+    assert abs(wb["closure_relative"]) <= ulps / wb["initial_water_kg"]
 
 
 def test_consistent_parameters_rederivation():

@@ -66,6 +66,26 @@ def test_csv_deterministic_bytes(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_csv_cells_are_float_reprs_of_the_source(tmp_path):
+    # awkward doubles, nan/inf, a subnormal, and float32/int series
+    a = _make(n=5, water_mass_kg=[0.1 + 0.2, 1.0 / 3.0, -0.0, np.nan, np.inf],
+              ice_mass_kg=[5e-324, 1e300, -2.5e-7, 1e16, 123456789.0])
+    a.series["front_position_m"] = np.array([0.1, 0.2, 0.3, 0.4, 0.5], dtype=np.float32)
+    b = _make(t0=3.0, n=3, stage="primary_drying")
+    b.series["bound_water_avg_kg_per_kg"] = np.array([1, 2, 3])
+    traj = Trajectory.concatenate({"freezing": a, "primary_drying": b})
+    path = tmp_path / "out.csv"
+    write_trajectory_csv(traj, path)
+    with path.open(newline="") as fh:
+        written = list(csv.reader(fh))
+    assert written[0] == list(CSV_COLUMNS)
+    expected = [[v if isinstance(v, str) else repr(float(v)) for v in row]
+                for row in traj.rows()]
+    assert written[1:] == expected
+    assert {r[1] for r in written[1:]} == {"freezing", "primary_drying"}
+    assert "nan" in written[-1] and "inf" in written[5]
+
+
 def test_json_dict_nan_to_null():
     traj = _make()
     d = trajectory_json_dict(traj)
