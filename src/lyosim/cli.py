@@ -34,8 +34,6 @@ from .pipeline import run_full_cycle
 from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
 from .trajectory import Trajectory, trajectory_json_dict, write_trajectory_csv
 
-SIMULATION_COMMANDS = ("freeze", "primary", "secondary", "cycle", "failure")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -57,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scenario file path or built-in name "
                             f"(built-ins: {', '.join(builtin_scenarios())})")
         p.add_argument("--out", default=None,
-                       help="output directory (default: $LYOSIM_OUTPUT_DIR or cwd)")
+                       help="output directory (default: the scenario's "
+                            "output.directory, else $LYOSIM_OUTPUT_DIR, else cwd)")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario random seed")
         p.add_argument("--format", choices=("csv", "json"), default="csv",
@@ -72,9 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(args) -> Path:
-    out = args.out or os.environ.get("LYOSIM_OUTPUT_DIR") or "."
-    path = Path(out)
+def _output_dir(args, scenario: Scenario) -> Path:
+    """Create and return the output directory: ``--out``, else the
+    scenario's ``output.directory``, else ``$LYOSIM_OUTPUT_DIR``, else the
+    current directory."""
+    path = Path(args.out or scenario.output_directory()
+                or os.environ.get("LYOSIM_OUTPUT_DIR") or ".")
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -261,11 +263,7 @@ def _dispatch(args) -> int:
     if args.seed is not None:
         scenario.data["seed"] = args.seed
         validate_scenario(scenario.data, where=f"--seed {args.seed}")
-    out_dir = _output_dir(args) if args.out else None
-    if out_dir is None:
-        env_dir = scenario.output_directory() or os.environ.get("LYOSIM_OUTPUT_DIR") or "."
-        out_dir = Path(env_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(args, scenario)
     prefix = f"{scenario.name}_{args.command}"
 
     if args.command == "analyze":

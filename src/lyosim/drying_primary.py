@@ -353,8 +353,7 @@ def run_primary(initial_temperature: float | np.ndarray,
 
         y0 = np.concatenate([T0, [S0, chamber.p_setpoint]])
 
-    done = EventSpec(lambda t, y: y[n_z] - S_stop, terminal=True, direction=1.0,
-                     name="front_complete")
+    done = EventSpec(lambda t, y: y[n_z] - S_stop, direction=1.0, name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
                              events=[done], jac=jac)
     t_end = res.first_event_time("front_complete")

@@ -202,9 +202,9 @@ def run_secondary(initial_temperature: float | np.ndarray,
         traj.meta["final_state"] = SecondaryState(T=T0, c_w=c0, t=t0)
         return traj
 
-    events = [] if c_target is None else [
-        EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, terminal=True,
-                  direction=-1.0, name="dry_enough")]
+    events = None if c_target is None else [
+        EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, direction=-1.0,
+                  name="dry_enough")]
     rhs, jac = _make_core(kin, rad, cond, geom, n_z)
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, c0]), config, events=events, jac=jac)

@@ -24,10 +24,9 @@ Lambda(t) = int lambda dt beside the temperature and stops where
 Lambda = E (time rescaling: Lambda at the first event is Exp(1)).
 
 Each stage has one or two states and time constants of 1e2-1e3 s against
-stage lengths of about 1e3 s, so the stages are not stiff: they are
+stage lengths of about 1e3 s, so the stages are not stiff: every stage is
 integrated with LSODA (compiled Adams steps that switch to BDF by
-themselves if a stage turns stiff) at the configured tolerances, whatever
-method the configuration names for the drying stages.
+themselves if a stage turns stiff) at the configured tolerances.
 """
 
 from __future__ import annotations
@@ -443,9 +442,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                       np.broadcast_to(np.asarray(mis, float), (n,)).copy(), label))
 
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
-        # LSODA whatever cfg.method says (see the module docstring)
-        res = integrate_adaptive(rhs, (t, t_end), y0, replace(cfg, method="lsoda"),
-                                 events=watch)
+        res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
         for key, count in res.counters().items():
             solver[key] += count
         return res
@@ -474,8 +471,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
     if isinstance(nuc, ControlledNucleation):
         T_n = nuc.temperature_K
-        reach = EventSpec(lambda tt, y: y[0] - T_n, terminal=True,
-                          direction=-1.0, name="reach_nucleation_T")
+        reach = EventSpec(lambda tt, y: y[0] - T_n, direction=-1.0,
+                          name="reach_nucleation_T")
         if p.visf_start_s is not None:
             t1 = t + p.visf_start_s
             if p.visf_start_s > 0.0:
@@ -486,8 +483,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                 t = t1
             events["preconditioning_end_s"] = t
             if T > T_n:
-                floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, terminal=True,
-                                  direction=-1.0, name="water_depleted")
+                floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
+                                  name="water_depleted")
 
                 def rhs2(tt: float, y: np.ndarray):
                     s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt,
@@ -521,8 +518,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         def rhs1(tt: float, y: np.ndarray):
             return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys), hazard(y[0]))
 
-        hit = EventSpec(lambda tt, y: y[1] - E, terminal=True, direction=1.0,
-                        name="nucleation")
+        hit = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
         ts, ys = advance(rhs1, [T, 0.0], hit, STAGE_PRECONDITIONING,
                          "no stochastic nucleation event within the stage horizon",
@@ -562,8 +558,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                       stage=STAGE_SOLIDIFICATION)
         return (solidification_rhs(s, sys, h_rad_side=h_rad)[0],)
 
-    done = EventSpec(lambda tt, y: y[0] - m_target, terminal=True, direction=1.0,
-                     name="solidified")
+    done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
     ts, ys = advance(rhs4, [m_i_n], done, STAGE_SOLIDIFICATION,
                      "solidification did not reach the target ice fraction")
     m_is = np.clip(ys[0], 0.0, m_w_nuc)
@@ -589,8 +584,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
 
         # the crossing of the near band edge: one step may jump the whole band
         edge = target + tol if falling else target - tol
-        band = EventSpec(lambda tt, y: y[0] - edge, terminal=True,
-                         direction=-1.0 if falling else 1.0, name="target_band")
+        band = EventSpec(lambda tt, y: y[0] - edge, direction=-1.0 if falling else 1.0,
+                         name="target_band")
         ts, ys = advance(
             rhs5, [T], band, STAGE_FINAL_COOLING,
             f"final cooling never entered the {target} +/- {tol} K band "

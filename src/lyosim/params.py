@@ -32,7 +32,7 @@ from .freezing import (
     StochasticNucleation,
     VialState,
 )
-from .schedules import as_schedule
+from .schedules import Schedule, as_schedule
 from .solver import IntegratorConfig
 from .thermo import Formulation, MixtureProperties, RadiationSpec, VialGeometry, mixture_properties
 
@@ -73,8 +73,6 @@ _TABLE: dict[str, Any] = {
     "integrator": {
         "rtol": (1.0e-6, _POS),
         "atol": (1.0e-9, _POS),
-        # method of the distributed drying stages; freezing runs on LSODA
-        "method": ("bdf", {"enum": ["bdf", "lsoda", "explicit", "rk45"]}),
         "max_step_s": (None, _nullable(_POS)),
     },
     "formulation": {
@@ -321,6 +319,16 @@ def _scenario_keys(keys: dict[str, str]):
         raise ConfigurationError(fields.sub(lambda m: keys[m[1]], str(exc))) from exc
 
 
+def _schedule(scenario: dict[str, Any], key: str) -> Schedule:
+    """The schedule at the dotted scenario ``key``; a table that is no
+    valid schedule raises a :class:`ConfigurationError` naming the key."""
+    section, name = key.split(".")
+    try:
+        return as_schedule(scenario[section][name])
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from exc
+
+
 def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     """Assemble a :class:`ParameterSet` from a fully merged scenario dict."""
     fd = scenario["formulation"]
@@ -362,10 +370,10 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     fz = scenario["freezing"]
     with _scenario_keys({"visf_start_s": "freezing.depressurization_start_s"}):
         freezing = FreezingProtocol(
-            gas_temperature=as_schedule(fz["gas_temperature_K"]),
-            wall_temperature=as_schedule(fz["wall_temperature_K"]),
-            upper_temperature=as_schedule(fz["upper_temperature_K"]),
-            total_pressure=as_schedule(fz["total_pressure_Pa"]),
+            gas_temperature=_schedule(scenario, "freezing.gas_temperature_K"),
+            wall_temperature=_schedule(scenario, "freezing.wall_temperature_K"),
+            upper_temperature=_schedule(scenario, "freezing.upper_temperature_K"),
+            total_pressure=_schedule(scenario, "freezing.total_pressure_Pa"),
             h_top=fz["top_htc_W_per_m2K"],
             h_bottom=fz["bottom_htc_W_per_m2K"],
             h_side=fz["side_htc_W_per_m2K"],
@@ -386,9 +394,9 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
                       else "the frozen density from the formulation")
     with _scenario_keys({"rho_f": frozen_density, "rho_e": "primary.dried_density_kg_per_m3"}):
         primary = DryingParams(
-            shelf_temperature=as_schedule(pr["shelf_temperature_K"]),
-            wall_temperature=as_schedule(pr["wall_temperature_K"]),
-            upper_temperature=as_schedule(pr["upper_temperature_K"]),
+            shelf_temperature=_schedule(scenario, "primary.shelf_temperature_K"),
+            wall_temperature=_schedule(scenario, "primary.wall_temperature_K"),
+            upper_temperature=_schedule(scenario, "primary.upper_temperature_K"),
             rho_f=rho_f if rho_f is not None else mixture.rho_f,
             Cp_f=mixture.Cp_f,
             k_f=mixture.k_f,
@@ -413,9 +421,9 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         Cp_e=sd["cake_heat_capacity_J_per_kgK"],
     )
     secondary_conditions = DryingConditions(
-        shelf_temperature=as_schedule(sd["shelf_temperature_K"]),
-        wall_temperature=as_schedule(sd["wall_temperature_K"]),
-        upper_temperature=as_schedule(sd["upper_temperature_K"]),
+        shelf_temperature=_schedule(scenario, "secondary.shelf_temperature_K"),
+        wall_temperature=_schedule(scenario, "secondary.wall_temperature_K"),
+        upper_temperature=_schedule(scenario, "secondary.upper_temperature_K"),
         h_b=sd["bottom_htc_W_per_m2K"],
     )
     c0 = sd["initial_bound_water_kg_per_kg"]
@@ -440,7 +448,6 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     integrator = IntegratorConfig(
         rtol=it["rtol"],
         atol=it["atol"],
-        method=it["method"],
         max_step=float("inf") if max_step is None else max_step,
     )
 

@@ -48,11 +48,6 @@ class Schedule:
     def constant(cls, value: float) -> "Schedule":
         return cls(((0.0, float(value)),))
 
-    @classmethod
-    def ramp(cls, t0: float, v0: float, t1: float, v1: float) -> "Schedule":
-        """Linear ramp from (t0, v0) to (t1, v1), held constant outside."""
-        return cls(((float(t0), float(v0)), (float(t1), float(v1))))
-
     def __call__(self, t: float) -> float:
         if self._const is not None:
             return self._const

@@ -1,16 +1,14 @@
 """Adaptive integration with event detection.
 
-Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  The distributed
-drying stages are stiff (thermal relaxation times from seconds to hours in
-one system, and a moving-front transform that becomes singular near
-completion), so the default method is the variable-order BDF family.  They
-supply their exact Jacobians in closed form as sparse CSC matrices, whose
-fixed structure :class:`CscPattern` builds once per stage; without one the
-implicit methods fall back to scipy's finite-difference Jacobian.  The
-lumped freezing stages are not stiff and always run on LSODA, whose
-compiled Adams steps switch to BDF by themselves where a problem turns
-stiff.  An explicit Runge-Kutta method is kept available as a cross-check
-reference.
+Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  Each stage driver
+names its own method.  The distributed drying stages are stiff (thermal
+relaxation times from seconds to hours in one system, and a moving-front
+transform that becomes singular near completion), so they run on the
+default variable-order BDF family with their exact Jacobians, built in
+closed form as sparse CSC matrices whose fixed structure
+:class:`CscPattern` builds once per stage.  The lumped freezing stages are
+not stiff and run on LSODA, whose compiled Adams steps switch to BDF by
+themselves where a problem turns stiff.
 Terminal events (:class:`EventSpec`) are located by ``solve_ivp`` on the
 dense output, and the result reports the solver's step, RHS, Jacobian and
 LU counts.
@@ -30,23 +28,19 @@ from .errors import ConfigurationError, SolverError
 __all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
            "integrate_adaptive"]
 
-_METHODS = {"bdf": "BDF", "lsoda": "LSODA", "explicit": "RK45", "rk45": "RK45"}
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and method selection for one integration.
+    """Tolerances and step bound of one integration.
 
-    ``atol`` may be a scalar or a per-component array.  ``method`` is
-    "bdf" (default, stiff), "lsoda", or "explicit"/"rk45" (reference); it
-    selects the method of the distributed drying stages, while
-    :func:`lyosim.freezing.run_freezing` keeps the tolerances and always
-    integrates with LSODA.
+    ``atol`` may be a scalar or a per-component array; ``max_step`` (s)
+    bounds every step, for schedules with ramps shorter than the steps the
+    tolerances would allow.  The method is not configured: each stage
+    driver passes its own to :func:`integrate_adaptive`.
     """
 
     rtol: float = 1.0e-6
     atol: float | np.ndarray = 1.0e-9
-    method: str = "bdf"
     max_step: float = np.inf
 
     def __post_init__(self) -> None:
@@ -54,29 +48,28 @@ class IntegratorConfig:
             raise ConfigurationError("rtol must be positive")
         if np.any(np.asarray(self.atol) <= 0.0):
             raise ConfigurationError("atol must be positive")
-        if self.method.lower() not in _METHODS:
-            raise ConfigurationError(
-                f"unknown method {self.method!r}; choose from {sorted(_METHODS)}")
         if self.max_step <= 0.0:
             raise ConfigurationError("max_step must be positive")
-
-    def scipy_method(self) -> str:
-        return _METHODS[self.method.lower()]
 
 
 @dataclass
 class EventSpec:
-    """Scalar event g(t, y) = 0 watched during integration.
+    """Terminal scalar event g(t, y) = 0: the integration stops at its
+    first zero crossing.
 
     ``direction`` > 0 triggers only on rising zero crossings, < 0 only on
-    falling ones, 0 on any.  ``terminal`` stops the integration at the
-    event.  ``name`` labels the event in results and errors.
+    falling ones, 0 on any.  ``name`` labels the event in results and
+    errors.  ``solve_ivp`` calls the spec itself and reads its
+    ``terminal`` and ``direction`` attributes.
     """
 
     func: Callable[[float, np.ndarray], float]
-    terminal: bool = True
     direction: float = 0.0
     name: str = "event"
+    terminal = True
+
+    def __call__(self, t: float, y: np.ndarray) -> float:
+        return self.func(t, y)
 
 
 @dataclass
@@ -87,16 +80,13 @@ class IntegrationResult:
     y: np.ndarray  # shape (n_state, n_time)
     sol: Callable[[float | np.ndarray], np.ndarray]
     t_events: dict[str, np.ndarray] = field(default_factory=dict)
-    y_events: dict[str, np.ndarray] = field(default_factory=dict)
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
-    status: int = 0
-    message: str = ""
 
     def counters(self) -> dict[str, int]:
-        """Accepted steps (the mesh ``t`` when no ``t_eval`` was given) and
-        the RHS, Jacobian and LU counts of the run."""
+        """Accepted steps (the mesh ``t``) and the RHS, Jacobian and LU
+        counts of the run."""
         return {"steps": int(self.t.shape[0] - 1), "nfev": int(self.nfev),
                 "njev": int(self.njev), "nlu": int(self.nlu)}
 
@@ -131,41 +121,24 @@ class CscPattern:
                           shape=self.shape)
 
 
-def _wrap_events(events: Sequence[EventSpec] | None):
-    if not events:
-        return None
-    wrapped = []
-    for ev in events:
-        # scipy reads .terminal/.direction attributes off the callable
-        def g(t, y, _f=ev.func):
-            return _f(t, y)
-
-        g.terminal = ev.terminal
-        g.direction = ev.direction
-        wrapped.append(g)
-    return wrapped
-
-
 def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        t_span: tuple[float, float],
                        y0: np.ndarray,
-                       config: IntegratorConfig = IntegratorConfig(),
+                       config: IntegratorConfig = IntegratorConfig(), *,
                        events: Sequence[EventSpec] | None = None,
-                       jac: Callable[[float, np.ndarray], object] | None = None,
-                       t_eval: np.ndarray | None = None) -> IntegrationResult:
+                       method: str = "BDF",
+                       jac: Callable[[float, np.ndarray], object] | None = None
+                       ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
-    Returns an :class:`IntegrationResult`; raises :class:`SolverError` when
-    the integrator fails (the error reports the last reached time and
-    state).  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense or sparse;
-    it is forwarded to the implicit methods (BDF, Radau) only, and the
-    other methods ignore it.
+    ``method`` is a ``solve_ivp`` method name, BDF unless the caller names
+    another.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense or
+    sparse, for a method that uses one.  Returns an
+    :class:`IntegrationResult`; raises :class:`SolverError` when the
+    integrator fails (the error reports the last reached time and state).
     """
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
-    method = config.scipy_method()
-    kwargs = {}
-    if jac is not None and method in ("BDF", "Radau"):
-        kwargs["jac"] = jac
+    kwargs = {} if jac is None else {"jac": jac}
     res = solve_ivp(
         rhs,
         t_span,
@@ -175,8 +148,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
         atol=config.atol,
         max_step=config.max_step,
         dense_output=True,
-        events=_wrap_events(events),
-        t_eval=t_eval,
+        events=events,
         **kwargs,
     )
     if res.status == -1:
@@ -187,21 +159,15 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
             t=t_last,
         )
     t_events: dict[str, np.ndarray] = {}
-    y_events: dict[str, np.ndarray] = {}
     if events:
-        for ev, te, ye in zip(events, res.t_events, res.y_events):
+        for ev, te in zip(events, res.t_events):
             t_events[ev.name] = te
-            y_events[ev.name] = ye
     return IntegrationResult(
         t=res.t,
         y=res.y,
         sol=res.sol,
         t_events=t_events,
-        y_events=y_events,
         nfev=res.nfev,
         njev=res.njev,
         nlu=res.nlu,
-        status=res.status,
-        message=res.message,
     )
-

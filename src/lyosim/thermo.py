@@ -224,16 +224,6 @@ class VialGeometry:
         """Axial cross-sectional area (m^2)."""
         return math.pi * self.d**2 / 4.0
 
-    @property
-    def r_o(self) -> float:
-        """Inner radius (m)."""
-        return self.d / 2.0
-
-    @property
-    def A_side(self) -> float:
-        """Lateral product surface pi*d*H (m^2) at full height."""
-        return math.pi * self.d * self.H
-
 
 @dataclass(frozen=True)
 class RadiationSpec:
@@ -289,9 +279,6 @@ class MixtureProperties:
         f = self.formulation
         v_tot = self.m_s / f.rho_s + m_w / f.rho_w + m_i / f.rho_i
         return 4.0 * v_tot / self.d
-
-    def geometry(self) -> VialGeometry:
-        return VialGeometry(d=self.d, H=self.H)
 
 
 def mixture_properties(f: Formulation, d: float = 0.024, *,

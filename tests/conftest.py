@@ -45,7 +45,7 @@ def driver_system(monkeypatch):
     def capture(module, run):
         seen = {}
 
-        def fake(rhs, t_span, y0, config, events=None, jac=None, t_eval=None):
+        def fake(rhs, t_span, y0, config, *, events=None, method="BDF", jac=None):
             seen.update(rhs=rhs, jac=jac, y0=np.asarray(y0, dtype=float))
             raise _Captured
 

@@ -310,7 +310,7 @@ def test_criterion_5_mass_and_energy_closure(cycle_default, defaults):
 
 def test_criterion_6_solver_accuracy(defaults, primary_base):
     rtol = 1.0e-6
-    config = IntegratorConfig(rtol=rtol, atol=1.0e-12, method="bdf")
+    config = IntegratorConfig(rtol=rtol, atol=1.0e-12)
 
     # stiff linear pair: track the slow component past the initial layer
     A = np.array([[-1000.0, 0.0], [1.0, -1.0]])
@@ -346,8 +346,7 @@ def test_criterion_6_solver_accuracy(defaults, primary_base):
     grid_ok = g1 < 0.01 and g2 < 0.01
 
     # halving rtol moves the located stage-end events by less than 0.1 %
-    tight = IntegratorConfig(rtol=d.integrator.rtol / 2.0, atol=d.integrator.atol,
-                             method=d.integrator.method)
+    tight = IntegratorConfig(rtol=d.integrator.rtol / 2.0, atol=d.integrator.atol)
     t_d1_tight = run_primary(d.primary_initial_T, d.primary, d.radiation,
                              d.geometry, n_z=d.n_z,
                              config=tight).meta["duration_s"]

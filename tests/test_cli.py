@@ -128,6 +128,20 @@ def test_cross_field_errors_name_scenario_keys(tmp_path, capsys, override, keys)
         assert field not in err
 
 
+@pytest.mark.parametrize("key, table", [
+    ("freezing.gas_temperature_K", [[0.0, 250.0], [0.0, 240.0]]),
+    ("primary.shelf_temperature_K", [[10.0, 250.0], [5.0, 240.0]]),
+    ("secondary.upper_temperature_K", [[100.0, 290.0], [50.0, 295.0]]),
+], ids=["freezing", "primary", "secondary"])
+def test_schedule_errors_name_scenario_keys(tmp_path, capsys, key, table):
+    section, name = key.split(".")
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps({section: {name: table}}))
+    assert main(["primary", "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key}: schedule times must be strictly increasing" in err
+
+
 def test_analyze_report(tmp_path, capsys):
     code = main(["analyze", "--out", str(tmp_path)])
     assert code == 0
@@ -275,6 +289,20 @@ def test_out_flag_overrides_env_var(tmp_path, monkeypatch):
     code = main(["analyze", "--out", str(explicit)])
     assert code == 0
     assert (explicit / "defaults_analyze.json").is_file()
+    assert not (tmp_path / "envout").exists()
+
+
+def test_scenario_output_directory_beats_env_var_and_loses_to_out_flag(tmp_path,
+                                                                       monkeypatch):
+    monkeypatch.setenv("LYOSIM_OUTPUT_DIR", str(tmp_path / "envout"))
+    scn = tmp_path / "dirs.json"
+    scn.write_text(json.dumps({"name": "dirs",
+                               "output": {"directory": str(tmp_path / "scenario")}}))
+    assert main(["analyze", "--scenario", str(scn)]) == 0
+    assert (tmp_path / "scenario" / "dirs_analyze.json").is_file()
+    explicit = tmp_path / "explicit"
+    assert main(["analyze", "--scenario", str(scn), "--out", str(explicit)]) == 0
+    assert (explicit / "dirs_analyze.json").is_file()
     assert not (tmp_path / "envout").exists()
 
 

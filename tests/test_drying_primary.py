@@ -1,7 +1,5 @@
 """Moving-front primary drying: flux oracles, invariants, convergence."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -177,26 +175,6 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
     assert jacobian_error(rhs, jac, 1000.0, y, steps) < 1.0e-5
     if case == "cold_front":
         assert np.all(jac(1000.0, y).toarray()[n_z] == 0.0)
-
-
-@pytest.mark.parametrize("method", ["lsoda", "rk45"])
-def test_non_implicit_methods_run_without_the_jacobian(geom, method):
-    # jac goes to BDF/Radau only: scipy would warn that it has no effect on
-    # RK45, and LSODA would reject a sparse one
-    dp = _default_dp()
-    cfg = IntegratorConfig(method=method)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        if method == "rk45":
-            # explicit steps are bounded by the n_z = 3 diffusion time
-            with pytest.raises(StageTimeoutError):
-                run_primary(235.0, dp, RadiationSpec(), geom, n_z=3, config=cfg,
-                            time_limit_s=600.0, samples=10)
-            return
-        traj = run_primary(235.0, dp, RadiationSpec(), geom, n_z=5, config=cfg,
-                           samples=10)
-    ref = run_primary(235.0, dp, RadiationSpec(), geom, n_z=5, samples=10)
-    assert traj.meta["duration_s"] == pytest.approx(ref.meta["duration_s"], rel=1.0e-3)
 
 
 # --- full stage ----------------------------------------------------------------------

@@ -83,13 +83,14 @@ def test_unknown_key_rejected():
     # removed with exact nucleation sampling, which has no sampling interval
     with pytest.raises(ScenarioError):
         validate_scenario({"freezing": {"nucleation": {"sampling_interval_s": 0.1}}})
+    # removed: each stage driver fixes its own integration method
+    with pytest.raises(ScenarioError):
+        validate_scenario({"integrator": {"method": "bdf"}})
 
 
 def test_bad_types_rejected():
     with pytest.raises(ScenarioError):
         validate_scenario({"grid": {"n_nodes": 2}})
-    with pytest.raises(ScenarioError):
-        validate_scenario({"integrator": {"method": "euler"}})
     with pytest.raises(ScenarioError):
         validate_scenario({"formulation": {"solute_mass_fraction": 1.5}})
     with pytest.raises(ScenarioError):

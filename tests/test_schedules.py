@@ -15,7 +15,7 @@ def test_constant():
 
 
 def test_ramp_and_hold():
-    s = Schedule.ramp(0.0, 300.0, 100.0, 200.0)
+    s = Schedule(((0.0, 300.0), (100.0, 200.0)))
     assert s(0.0) == 300.0
     assert s(50.0) == pytest.approx(250.0)
     assert s(100.0) == 200.0
@@ -63,5 +63,5 @@ def test_as_schedule_coercion():
 
 @given(t=st.floats(-100.0, 1000.0))
 def test_ramp_value_always_within_range(t):
-    s = Schedule.ramp(0.0, 200.0, 60.0, 260.0)
+    s = Schedule(((0.0, 200.0), (60.0, 260.0)))
     assert 200.0 <= s(t) <= 260.0

@@ -10,9 +10,7 @@ within 1e-3 relative.
 """
 
 import copy
-from dataclasses import replace
 
-import numpy as np
 import pytest
 
 from lyosim import (
@@ -98,14 +96,6 @@ def test_freezing_durations_match_tight_reference(name):
     reference = _freezing_durations(p, FREEZING_TIGHT)
     for stage in FREEZING_STAGES:
         assert scenario_tol[stage] == pytest.approx(reference[stage], rel=1.0e-3), stage
-
-
-def test_freezing_ignores_the_configured_method():
-    p = load_scenario("visf_study").parameters()
-    runs = [_freeze(p, replace(p.integrator, method=m)) for m in ("bdf", "rk45")]
-    assert runs[0].events == runs[1].events
-    for key, series in runs[0].series.items():
-        np.testing.assert_array_equal(series, runs[1].series[key])
 
 
 def test_strong_side_film_ends_on_the_band_edge():

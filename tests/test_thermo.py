@@ -245,8 +245,6 @@ def test_mixture_density_between_components(x_s):
 def test_vial_geometry():
     g = VialGeometry(d=0.024, H=7.2e-3)
     assert g.A_z == pytest.approx(math.pi * 0.024**2 / 4.0, rel=1e-14)
-    assert g.r_o == 0.012
-    assert g.A_side == pytest.approx(math.pi * 0.024 * 7.2e-3, rel=1e-14)
     with pytest.raises(ConfigurationError):
         VialGeometry(d=0.0)
     with pytest.raises(ConfigurationError):
