@@ -81,13 +81,42 @@ def _output_dir(args, scenario: Scenario) -> Path:
     return path
 
 
+# a cycle water balance open by more than this fraction of the fill is flagged
+WATER_CLOSURE_LIMIT = 0.01
+
+
+def _solver_counters(meta: dict[str, Any]) -> dict[str, Any]:
+    """A stage's solver counters without their wall time, so that repeated
+    runs write identical summaries."""
+    return {k: v for k, v in meta["solver"].items() if k != "wall_s"}
+
+
 def _stage_meta(meta: dict[str, Any]) -> dict[str, Any]:
     """A stage's numeric meta entries, as they are, and its solver counters."""
     out = {k: v for k, v in meta.items()
            if isinstance(v, (int, float)) and not isinstance(v, bool)}
     if "solver" in meta:
-        out["solver"] = dict(meta["solver"])
+        out["solver"] = _solver_counters(meta)
     return out
+
+
+def _cycle_diagnostics(water_balance: dict[str, float],
+                       consistent_water: bool) -> dict[str, Any]:
+    """Flags for cycle bookkeeping that does not close: a water balance
+    open by more than :data:`WATER_CLOSURE_LIMIT`, with its cause when it
+    is known."""
+    closure = water_balance["closure_relative"]
+    flags = []
+    if abs(closure) > WATER_CLOSURE_LIMIT:
+        flags.append({
+            "check": "water_balance.closure_relative",
+            "value": closure,
+            "limit": WATER_CLOSURE_LIMIT,
+            # without it the drying stages start from the scenario's
+            # dried-layer density and bound water, not from the frozen vial
+            "cause": None if consistent_water else "pipeline.consistent_water: false",
+        })
+    return {"flags": flags}
 
 
 def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, Any]]:
@@ -141,7 +170,9 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
                                     - t["primary_drying_end_s"],
             },
             "water_balance": result.water_balance,
-            "solver": {stage: dict(meta["solver"]) for stage, meta in traj.meta.items()
+            "diagnostics": _cycle_diagnostics(result.water_balance,
+                                              params.consistent_water),
+            "solver": {stage: _solver_counters(meta) for stage, meta in traj.meta.items()
                        if "solver" in meta},
             "runtime_s": result.runtime_s,
             "end_time_s": t["cycle_end_s"],

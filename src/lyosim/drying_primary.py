@@ -20,6 +20,7 @@ state of the chamber water balance (:mod:`lyosim.chamber`).
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -41,6 +42,8 @@ __all__ = [
 ]
 
 STAGE_PRIMARY = "primary_drying"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -314,6 +317,7 @@ def run_primary(initial_temperature: float | np.ndarray,
         T0 = np.full(n_z, float(T0))
     elif T0.shape != (n_z,):
         raise ConfigurationError(f"initial profile must have shape ({n_z},)")
+    log.info("%s: start at t = %.6g s", STAGE_PRIMARY, t0)
     core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel,
                                 pressure_state=chamber is not None)
     A_z = geom.A_z
@@ -358,7 +362,7 @@ def run_primary(initial_temperature: float | np.ndarray,
                              events=[done], jac=jac)
     t_end = res.first_event_time("front_complete")
     if t_end is None:
-        y_last = res.y[:, -1]
+        y_last = res.y_last
         S_last = float(y_last[n_z])
         flux = sublimation_flux(float(y_last[0]), S_last, dp, float(pressure(y_last)))
         detail = ("sublimation driving force is nonpositive (front temperature too "
@@ -407,4 +411,6 @@ def run_primary(initial_temperature: float | np.ndarray,
         traj.meta["peak_load_kg_per_s"] = float(np.max(load * N_w))
     traj.meta["n_z"] = n_z
     traj.meta["solver"] = res.counters()
+    log.info("%s: end at t = %.6g s, solver %s", STAGE_PRIMARY, t_complete,
+             traj.meta["solver"])
     return traj

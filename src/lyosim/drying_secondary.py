@@ -11,6 +11,7 @@ and distributed radiation from the chamber wall through the glass.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 STAGE_SECONDARY = "secondary_drying"
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -195,11 +198,13 @@ def run_secondary(initial_temperature: float | np.ndarray,
     if c_target is not None and c_target < 0.0:
         raise ConfigurationError("bound-water target must be nonnegative")
     w = trapezoid_weights(n_z)
+    log.info("%s: start at t = %.6g s", stage_label, t0)
 
     if c_target is not None and float(c0 @ w) <= c_target:
         # nothing to remove; the stage completes instantly
         traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, t0, stage_label)
         traj.meta["final_state"] = SecondaryState(T=T0, c_w=c0, t=t0)
+        log.info("%s: end at t = %.6g s, bound water already at target", stage_label, t0)
         return traj
 
     events = None if c_target is None else [
@@ -213,7 +218,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
     else:
         t_end = res.first_event_time("dry_enough")
         if t_end is None:
-            c_last = float(res.y[n_z:, -1] @ w)
+            c_last = float(res.y_last[n_z:] @ w)
             raise StageTimeoutError(
                 f"average bound water only fell to {c_last:.4g} kg/kg (target "
                 f"{c_target:.4g}) within the horizon", stage=STAGE_SECONDARY,
@@ -227,6 +232,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
     traj.meta["final_state"] = SecondaryState(T=T_hist[-1].copy(), c_w=c_hist[-1].copy(),
                                               t=float(t_end))
     traj.meta["solver"] = res.counters()
+    log.info("%s: end at t = %.6g s, solver %s", stage_label, t_end, traj.meta["solver"])
     return traj
 
 

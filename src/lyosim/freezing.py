@@ -31,6 +31,8 @@ themselves if a stage turns stiff) at the configured tolerances.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass, replace
 from typing import Any, Callable
 
@@ -79,6 +81,8 @@ _BOTTOM_ICE_SLACK = 5.0e-3
 # the Antoine correlation, while accepted states end at the nucleation
 # temperature well above it
 _VISF_T_FLOOR = 150.0
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -411,8 +415,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     (``preconditioning_end_s``, ``visf_end_s``, ``nucleation_s``,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times.
     The final state for chaining into drying is stored under
-    ``meta["final_state"]`` and the summed solver counters of the stage's
-    integrations under ``meta["solver"]``.  Every integration uses LSODA
+    ``meta["final_state"]`` and the solver counters of the stage's
+    integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
+    the smallest step of any of them).  Every integration uses LSODA
     with the tolerances and ``max_step`` of ``config``.  Raises
     :class:`StageTimeoutError` when a stage fails to reach its completion
     event within the protocol's horizon.  ``stop_after="solidification"``
@@ -432,8 +437,10 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     limit = p.stage_time_limit_s
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]] = []
     events: dict[str, float] = {}
-    solver = dict.fromkeys(("steps", "nfev", "njev", "nlu"), 0)
+    solver: dict[str, int | float] = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0,
+                                      "min_step_s": math.inf, "wall_s": 0.0}
     meta: dict[str, Any] = {"solver": solver}
+    log.info("freezing: start at t = %.6g s", t)
 
     def record(ts, Ts, mws, mis, label: str) -> None:
         n = ts.shape[0]
@@ -444,7 +451,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
         res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
         for key, count in res.counters().items():
-            solver[key] += count
+            solver[key] = min(solver[key], count) if key == "min_step_s" else solver[key] + count
         return res
 
     def advance(rhs, y0, done: EventSpec, stage: str, timeout: str, *,
@@ -461,7 +468,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             raise SimulationError(guard[1], stage=stage, t=t_bad)
         t_done = res.first_event_time(done.name)
         if t_done is None:
-            raise StageTimeoutError(timeout.format(T_last=res.y[0, -1]), stage=stage,
+            raise StageTimeoutError(timeout.format(T_last=res.y_last[0]), stage=stage,
                                     t=res.t[-1])
         return _resample(res.sol, t, t_done, samples_per_stage)
 
@@ -606,6 +613,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     for pt in parts:
         stage_all.extend([pt[4]] * pt[0].shape[0])
     meta["final_state"] = VialState(T=T, m_w=m_w, m_i=m_i, t=t, stage=parts[-1][4])
+    log.info("freezing: end at t = %.6g s, solver %s", t, solver)
     return Trajectory(
         t=t_all,
         stage=stage_all,

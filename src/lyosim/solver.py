@@ -1,32 +1,55 @@
 """Adaptive integration with event detection.
 
-Thin, typed wrapper around ``scipy.integrate.solve_ivp``.  Each stage driver
-names its own method.  The distributed drying stages are stiff (thermal
-relaxation times from seconds to hours in one system, and a moving-front
-transform that becomes singular near completion), so they run on the
-default variable-order BDF family with their exact Jacobians, built in
-closed form as sparse CSC matrices whose fixed structure
-:class:`CscPattern` builds once per stage.  The lumped freezing stages are
-not stiff and run on LSODA, whose compiled Adams steps switch to BDF by
-themselves where a problem turns stiff.
-Terminal events (:class:`EventSpec`) are located by ``solve_ivp`` on the
-dense output, and the result reports the solver's step, RHS, Jacobian and
-LU counts.
+:func:`integrate_adaptive` runs its own step loop over one of scipy's
+``OdeSolver`` classes, named by the calling stage driver.  The distributed
+drying stages are stiff (thermal relaxation times from seconds to hours in
+one system, and a moving-front transform that becomes singular near
+completion), so they run on the default variable-order BDF family with
+their exact Jacobians, built in closed form as sparse CSC matrices whose
+fixed structure :class:`CscPattern` builds once per stage.  The lumped
+freezing stages are not stiff and run on LSODA, whose compiled Adams steps
+switch to BDF by themselves where a problem turns stiff.
+
+After each accepted step the loop keeps the step's dense output and checks
+the terminal events (:class:`EventSpec`) for a zero crossing in their
+direction; the earliest crossing, located on the dense output, ends the
+integration.  Steps, root search, mesh and interpolant are those of
+``scipy.integrate.solve_ivp`` with ``dense_output=True`` and terminal
+events, so wherever ``solve_ivp`` completes the results agree with it to
+the last bit.  Two cases where it does not complete end here instead: a
+crossing that the step's end states show but the interpolant misses by
+rounding (LSODA's interpolant at the step start) is taken at the nearer
+end, and LSODA's zero-length steps past a blow-up raise
+:class:`SolverError`.  The loop keeps the last state only, not a mesh of
+every state.  The result reports the solver's step, RHS, Jacobian and LU
+counts, its smallest step and its wall time.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import BDF, LSODA, RK45, OdeSolution
+from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, SolverError
 
 __all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
            "integrate_adaptive"]
+
+log = logging.getLogger(__name__)
+
+_METHODS = {cls.__name__: cls for cls in (BDF, LSODA, RK45)}
+# methods whose OdeSolution picks the later segment at a mesh point, as
+# solve_ivp builds them
+_ALT_SEGMENT = ("BDF", "LSODA")
+# the root-search tolerance of solve_ivp
+_ROOT_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -58,37 +81,49 @@ class EventSpec:
     first zero crossing.
 
     ``direction`` > 0 triggers only on rising zero crossings, < 0 only on
-    falling ones, 0 on any.  ``name`` labels the event in results and
-    errors.  ``solve_ivp`` calls the spec itself and reads its
-    ``terminal`` and ``direction`` attributes.
+    falling ones, 0 on any.  ``name`` labels the event in results, logs
+    and errors.
     """
 
     func: Callable[[float, np.ndarray], float]
     direction: float = 0.0
     name: str = "event"
-    terminal = True
 
-    def __call__(self, t: float, y: np.ndarray) -> float:
-        return self.func(t, y)
+    def crossed(self, g: float, g_new: float) -> bool:
+        """Whether the values g at the start and g_new at the end of a step
+        bracket a zero crossing this event watches (a value at zero counts
+        as either side)."""
+        up = g <= 0.0 <= g_new
+        down = g >= 0.0 >= g_new
+        if self.direction > 0:
+            return up
+        if self.direction < 0:
+            return down
+        return up or down
 
 
 @dataclass
 class IntegrationResult:
-    """Integration outcome: accepted-step mesh, dense interpolant, events."""
+    """Integration outcome: accepted-step mesh, last state, dense
+    interpolant, event times and the solver's counters."""
 
     t: np.ndarray
-    y: np.ndarray  # shape (n_state, n_time)
-    sol: Callable[[float | np.ndarray], np.ndarray]
+    y_last: np.ndarray  # state at t[-1]
+    sol: OdeSolution
     t_events: dict[str, np.ndarray] = field(default_factory=dict)
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
+    min_step_s: float = 0.0
+    wall_s: float = 0.0
 
-    def counters(self) -> dict[str, int]:
-        """Accepted steps (the mesh ``t``) and the RHS, Jacobian and LU
-        counts of the run."""
+    def counters(self) -> dict[str, int | float]:
+        """Accepted steps (the mesh ``t``), the RHS, Jacobian and LU
+        counts, the smallest step the solver took and the wall time of the
+        integration."""
         return {"steps": int(self.t.shape[0] - 1), "nfev": int(self.nfev),
-                "njev": int(self.njev), "nlu": int(self.nlu)}
+                "njev": int(self.njev), "nlu": int(self.nlu),
+                "min_step_s": float(self.min_step_s), "wall_s": float(self.wall_s)}
 
     def first_event_time(self, name: str) -> float | None:
         te = self.t_events.get(name)
@@ -131,43 +166,86 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
-    ``method`` is a ``solve_ivp`` method name, BDF unless the caller names
-    another.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense or
-    sparse, for a method that uses one.  Returns an
+    ``method`` names a scipy ``OdeSolver`` class: ``BDF`` (the default),
+    ``LSODA`` or ``RK45``.  ``jac(t, y)`` is
+    the exact Jacobian d rhs / dy, dense or sparse, for a method that uses
+    one.  The integration stops at the earliest zero crossing of any of
+    ``events`` or at the end of ``t_span``.  Returns an
     :class:`IntegrationResult`; raises :class:`SolverError` when the
     integrator fails (the error reports the last reached time and state).
     """
+    wall0 = perf_counter()
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    t0, tf = map(float, t_span)
     kwargs = {} if jac is None else {"jac": jac}
-    res = solve_ivp(
-        rhs,
-        t_span,
-        y0,
-        method=method,
-        rtol=config.rtol,
-        atol=config.atol,
-        max_step=config.max_step,
-        dense_output=True,
-        events=events,
-        **kwargs,
-    )
-    if res.status == -1:
-        t_last = float(res.t[-1]) if res.t.size else float(t_span[0])
-        y_last = res.y[:, -1] if res.t.size else y0
-        raise SolverError(
-            f"integration failed: {res.message}; last state {np.array2string(y_last, precision=6)}",
-            t=t_last,
-        )
-    t_events: dict[str, np.ndarray] = {}
-    if events:
-        for ev, te in zip(events, res.t_events):
-            t_events[ev.name] = te
+    solver = _METHODS[method](rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
+                              max_step=config.max_step, **kwargs)
+    events = list(events or ())
+    g = [ev.func(t0, y0) for ev in events]
+    ts = [t0]
+    y_last = y0
+    interpolants = []
+    min_step = np.inf
+    hit: EventSpec | None = None
+    while hit is None and solver.status == "running":
+        message = solver.step()
+        t_old, t, y = solver.t_old, solver.t, solver.y
+        # past a blow-up LSODA returns zero-length steps without failing
+        stalled = t == t_old and solver.status == "running"
+        if solver.status == "failed" or stalled:
+            raise SolverError(f"integration failed: {message or 'zero-length step'}; "
+                              f"last state {np.array2string(y_last, precision=6)}", t=ts[-1])
+        min_step = min(min_step, t - t_old)
+        sol = solver.dense_output()
+        interpolants.append(sol)
+        if events:
+            g_new = [ev.func(t, y) for ev in events]
+            # every bracketed root, the earliest ends the integration (ties
+            # go to the first listed event)
+            roots = [(_root(ev.func, sol, t_old, t), i) for i, ev in enumerate(events)
+                     if ev.crossed(g[i], g_new[i])]
+            if roots:
+                t_hit, i = min(roots)
+                hit = events[i]
+                t, y = t_hit, sol(t_hit)
+            g = g_new
+        if len(ts) > 1 and t == ts[-1]:
+            # a root at the previous mesh point adds no zero-length segment
+            interpolants.pop()
+        else:
+            ts.append(t)
+            y_last = y
+    ts_arr = np.array(ts)
+    t_events = {ev.name: np.array([t_hit] if ev is hit else [], dtype=float)
+                for ev in events}
+    log.info("%s integration over [%.6g, %.6g] s ended at t = %.6g s by %s",
+             method, t0, tf, ts_arr[-1], "horizon" if hit is None else hit.name)
     return IntegrationResult(
-        t=res.t,
-        y=res.y,
-        sol=res.sol,
+        t=ts_arr,
+        y_last=y_last,
+        sol=OdeSolution(ts_arr, interpolants, alt_segment=method in _ALT_SEGMENT),
         t_events=t_events,
-        nfev=res.nfev,
-        njev=res.njev,
-        nlu=res.nlu,
+        nfev=solver.nfev,
+        njev=solver.njev,
+        nlu=solver.nlu,
+        min_step_s=min_step,
+        wall_s=perf_counter() - wall0,
     )
+
+
+def _root(func: Callable[[float, np.ndarray], float], sol: Callable[[float], np.ndarray],
+          t_old: float, t: float) -> float:
+    """Zero of ``func(t, sol(t))`` in one step [t_old, t] whose end states
+    bracket it."""
+    def f(s: float) -> float:
+        return func(s, sol(s))
+
+    try:
+        return brentq(f, t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+    except ValueError:
+        f_old, f_new = f(t_old), f(t)
+        if f_old * f_new <= 0.0:  # not the bracket: the event's own error
+            raise
+        # the end states touch zero where the interpolant misses it by
+        # rounding (LSODA's at t_old): the root is the end nearer zero
+        return t_old if abs(f_old) <= abs(f_new) else t

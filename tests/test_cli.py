@@ -83,7 +83,8 @@ def test_cycle_summary_contents(tmp_path):
     assert 0.0 < summary["runtime_s"] < 60.0
 
 
-COUNTERS = {"steps", "nfev", "njev", "nlu"}
+# the counters without wall_s, which differs run to run
+COUNTERS = {"steps", "nfev", "njev", "nlu", "min_step_s"}
 
 
 @pytest.mark.parametrize("command", ["freeze", "primary", "secondary", "failure", "cycle"])
@@ -97,10 +98,30 @@ def test_summaries_carry_solver_counters(tmp_path, command):
         per_stage = {command: summary["solver"]}
     for counters in per_stage.values():
         assert set(counters) == COUNTERS
-        assert all(type(v) is int for v in counters.values())
+        assert all(type(counters[k]) is int for k in ("steps", "nfev", "njev", "nlu"))
         assert counters["steps"] > 0
+        assert type(counters["min_step_s"]) is float and counters["min_step_s"] > 0.0
     if command in ("primary", "secondary", "failure"):
         assert type(summary["n_z"]) is int and summary["n_z"] == 51
+
+
+def test_cycle_diagnostics_flag_open_water_balance(tmp_path):
+    # defaults drive drying from the scenario's own dried density and bound
+    # water: the balance is 18 % open and the summary names why
+    assert main(["cycle", "--out", str(tmp_path / "open")]) == 0
+    summary = _read_json(tmp_path / "open" / "defaults_cycle_summary.json")
+    closure = summary["water_balance"]["closure_relative"]
+    assert closure == pytest.approx(0.183, abs=1.0e-3)
+    assert summary["diagnostics"]["flags"] == [{
+        "check": "water_balance.closure_relative", "value": closure, "limit": 0.01,
+        "cause": "pipeline.consistent_water: false"}]
+    # tied to the frozen state the balance closes and nothing is flagged
+    scn = tmp_path / "consistent.json"
+    scn.write_text(json.dumps({"pipeline": {"consistent_water": True}}))
+    assert main(["cycle", "--scenario", str(scn), "--out", str(tmp_path / "closed")]) == 0
+    summary = _read_json(tmp_path / "closed" / "consistent_cycle_summary.json")
+    assert abs(summary["water_balance"]["closure_relative"]) < 0.01
+    assert summary["diagnostics"] == {"flags": []}
 
 
 @pytest.mark.parametrize("override, keys", [

@@ -19,10 +19,12 @@ from lyosim import (
     StageTimeoutError,
     StochasticNucleation,
     VialState,
+    integrate_adaptive,
     load_scenario,
     mixture_properties,
     run_freezing,
 )
+from lyosim import freezing
 from lyosim.freezing import (
     first_nucleation_time,
     nucleate_controlled,
@@ -368,9 +370,30 @@ def test_solver_counters_in_meta(controlled_run, mix):
                               _stochastic_system(mix, 230.0, seed=3), IntegratorConfig())
     for traj in (controlled_run, stochastic):
         counts = traj.meta["solver"]
-        assert set(counts) == {"steps", "nfev", "njev", "nlu"}
-        assert all(isinstance(v, int) for v in counts.values())
+        assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+        assert all(isinstance(counts[k], int) for k in ("steps", "nfev", "njev", "nlu"))
         assert counts["steps"] > 0
+        assert 0.0 < counts["min_step_s"] < traj.t_end - traj.t[0]
+        assert counts["wall_s"] > 0.0
+
+
+def test_solver_counters_merge_over_integrations(monkeypatch, mix):
+    # counts and wall times add up over the stage's integrations; the
+    # smallest step is the smallest of any of them
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(freezing, "integrate_adaptive", recording)
+    traj = run_freezing(VialState(T=285.0, m_w=mix.m_w0),
+                        _stochastic_system(mix, 230.0, seed=3), IntegratorConfig())
+    counts = traj.meta["solver"]
+    assert len(results) == 3  # cooldown to nucleation, solidification, final cooling
+    for key in ("steps", "nfev", "njev", "nlu", "wall_s"):
+        assert counts[key] == sum(r.counters()[key] for r in results)
+    assert counts["min_step_s"] == min(r.min_step_s for r in results)
 
 
 # --- exact stochastic nucleation ---------------------------------------------------

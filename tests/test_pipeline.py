@@ -1,5 +1,8 @@
 """Full-cycle chaining and water bookkeeping."""
 
+import logging
+import re
+
 import numpy as np
 import pytest
 
@@ -144,3 +147,20 @@ def test_stochastic_cycle_seed_reproducible():
     assert np.array_equal(a.combined.t, b.combined.t)
     c = run_full_cycle(sc.parameters(), rng=np.random.default_rng(999))
     assert c.stage_times["nucleation_s"] != a.stage_times["nucleation_s"]
+
+
+def test_cycle_logs_stages_and_terminal_events(caplog):
+    with caplog.at_level(logging.INFO, logger="lyosim"):
+        result = run_full_cycle(default_parameters())
+    lines = [r.getMessage() for r in caplog.records
+             if r.name.startswith("lyosim") and r.levelno == logging.INFO]
+    stages = [m.split(":")[0] for m in lines if re.match(r"\w+: (start|end) ", m)]
+    assert stages == ["freezing", "freezing", "primary_drying", "primary_drying",
+                      "secondary_drying", "secondary_drying"]
+    ends = [m.rsplit(" by ", 1)[1] for m in lines if " integration over " in m]
+    # VISF starts at a fixed time (the horizon ends preconditioning), then
+    # each later integration ends at its stage's terminal event
+    assert ends == ["horizon", "reach_nucleation_T", "solidified", "target_band",
+                    "front_complete", "dry_enough"]
+    end_line = next(m for m in lines if m.startswith("primary_drying: end"))
+    assert f"t = {result.stage_times['primary_drying_end_s']:.6g} s" in end_line

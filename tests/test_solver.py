@@ -111,7 +111,7 @@ def test_terminal_event_stops_at_known_time():
     t_hit = res.first_event_time("half_life")
     assert t_hit == pytest.approx(math.log(2.0), rel=1.0e-8)
     assert res.t[-1] == pytest.approx(t_hit)
-    assert res.y[0, -1] == pytest.approx(0.5, abs=1.0e-9)
+    assert res.y_last[0] == pytest.approx(0.5, abs=1.0e-9)
 
 
 def test_event_localization_converges_with_rtol():
@@ -153,21 +153,40 @@ def test_solver_failure_reports_last_state():
     def blows_up(t, y):
         return np.array([y[0] ** 2])
 
-    # finite-time blow-up at t = 1 for y0 = 1
-    with pytest.raises(SolverError):
-        integrate_adaptive(blows_up, (0.0, 2.0), np.array([1.0]), IntegratorConfig(),
-                           method="RK45")
+    def failure(method):
+        with np.errstate(over="ignore"), pytest.raises(SolverError) as info:
+            integrate_adaptive(blows_up, (0.0, 2.0), np.array([1.0]), IntegratorConfig(),
+                               method=method)
+        err = info.value
+        return err, float(str(err).split("last state [")[1].split("]")[0])
+
+    # finite-time blow-up at t = 1 for y0 = 1: BDF gives up just short of it
+    # at the last mesh point of solve_ivp's failed run, and the message
+    # carries that state
+    err, y_last = failure("BDF")
+    ref = solve_ivp(blows_up, (0.0, 2.0), [1.0], method="BDF", rtol=1.0e-6, atol=1.0e-9)
+    assert ref.status == -1
+    assert 0.9 < err.t < 1.0 and err.t == ref.t[-1]
+    assert y_last == pytest.approx(ref.y[0, -1], rel=1.0e-6)
+    # LSODA never fails there: it takes zero-length steps, which end the run
+    err, y_last = failure("LSODA")
+    assert 0.9 < err.t < 1.0
+    assert "zero-length step" in str(err) and y_last > 1.0e6
 
 
 def test_each_stage_driver_fixes_its_method(monkeypatch):
     # freezing runs on LSODA without a Jacobian; drying on BDF with its exact one
     calls = []
 
-    def recording(*args, **kwargs):
-        calls.append((kwargs["method"], "jac" in kwargs))
-        return solve_ivp(*args, **kwargs)
+    def recording(cls):
+        class Recorded(cls):
+            def __init__(self, *args, **kwargs):
+                calls.append((cls.__name__, kwargs.get("jac") is not None))
+                super().__init__(*args, **kwargs)
+        return Recorded
 
-    monkeypatch.setattr(solver, "solve_ivp", recording)
+    monkeypatch.setattr(solver, "_METHODS",
+                        {name: recording(cls) for name, cls in solver._METHODS.items()})
 
     def methods(run, *args, **kwargs):
         calls.clear()
@@ -187,3 +206,139 @@ def test_each_stage_driver_fixes_its_method(monkeypatch):
     assert methods(run_secondary, p.secondary_initial_T, np.full(11, 0.088), p.secondary,
                    p.radiation, p.secondary_conditions, p.geometry, n_z=11,
                    config=p.integrator) == {("BDF", True)}
+
+
+# --- the step loop against solve_ivp -------------------------------------------
+
+# damped oscillator x'' = -x - 0.1 x' as (x, v), with its exact Jacobian
+_OSC = np.array([[0.0, 1.0], [-1.0, -0.1]])
+
+
+def _osc_rhs(t, y):
+    return _OSC @ y
+
+
+def _osc_jac(t, y):
+    return _OSC
+
+
+def _as_solve_ivp_event(spec):
+    def event(t, y):
+        return spec.func(t, y)
+
+    event.terminal, event.direction = True, spec.direction
+    return event
+
+
+def _matches_solve_ivp(rhs, t_span, y0, specs, method, jac=None):
+    """Run integrate_adaptive and solve_ivp on one problem; assert the same
+    mesh, event times, interpolant values, last state and counters."""
+    cfg = IntegratorConfig(rtol=1.0e-7, atol=1.0e-10)
+    res = integrate_adaptive(rhs, t_span, y0, cfg, events=specs, method=method, jac=jac)
+    kwargs = {} if jac is None else {"jac": jac}
+    ref = solve_ivp(rhs, t_span, y0, method=method, rtol=cfg.rtol, atol=cfg.atol,
+                    dense_output=True, events=[_as_solve_ivp_event(s) for s in specs],
+                    **kwargs)
+    assert ref.status >= 0
+    assert np.array_equal(res.t, ref.t)
+    for spec, te in zip(specs, ref.t_events):
+        assert np.array_equal(res.t_events[spec.name], te)
+    samples = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 37), ref.t])
+    assert np.array_equal(res.sol(samples), ref.sol(samples))
+    assert np.array_equal(res.y_last, ref.y[:, -1])
+    assert (res.nfev, res.njev, res.nlu) == (ref.nfev, ref.njev, ref.nlu)
+    return res
+
+
+_LOOP_METHODS = [pytest.param("BDF", _osc_jac, id="bdf-jac"),
+                 pytest.param("LSODA", None, id="lsoda"),
+                 pytest.param("RK45", None, id="rk45")]
+
+
+@pytest.mark.parametrize("method, jac", _LOOP_METHODS)
+@pytest.mark.parametrize("direction", [1.0, -1.0, 0.0])
+def test_loop_matches_solve_ivp_on_direction_filters(method, jac, direction):
+    # x starts at 1 moving up: it falls through zero first, then rises
+    spec = EventSpec(lambda t, y: y[0], direction=direction, name="zero")
+    res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.5]), [spec],
+                             method, jac)
+    t_hit = res.first_event_time("zero")
+    assert t_hit is not None and res.t[-1] == t_hit
+    assert (res.y_last[1] > 0.0) == (direction > 0.0)
+
+
+@pytest.mark.parametrize("method, jac", _LOOP_METHODS)
+@pytest.mark.parametrize("guard_first", [False, True])
+def test_loop_matches_solve_ivp_on_two_events_in_one_step(method, jac, guard_first):
+    # a done/guard pair 1e-9 apart: both cross in one step, the earlier ends
+    # the run whichever is listed first, and the other records no time
+    done = EventSpec(lambda t, y: y[0] - 0.5, direction=-1.0, name="done")
+    guard = EventSpec(lambda t, y: y[0] - 0.5 - 1.0e-9, direction=-1.0, name="guard")
+    specs = [guard, done] if guard_first else [done, guard]
+    res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.0]), specs,
+                             method, jac)
+    assert res.first_event_time("done") is None
+    assert res.first_event_time("guard") == res.t[-1]
+    # an exact tie goes to the event listed first
+    twin = EventSpec(specs[0].func, direction=-1.0, name="twin")
+    res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.0]),
+                             [specs[0], twin], method, jac)
+    assert res.first_event_time("twin") is None
+    assert res.first_event_time(specs[0].name) == res.t[-1]
+
+
+@pytest.mark.parametrize("method, jac", _LOOP_METHODS)
+def test_loop_matches_solve_ivp_on_event_at_zero_at_start(method, jac):
+    # x' = v > 0 at t0 = 1: a rising event that reads zero at t0 fires there,
+    # on a mesh of one zero-length segment; a falling one waits for the fall
+    y0 = np.array([0.0, 1.0])
+    rising = EventSpec(lambda t, y: y[0], direction=1.0, name="rising")
+    if method == "LSODA":
+        # LSODA's interpolant reads 9e-17 at t0, so solve_ivp's root search
+        # finds no sign change and raises; the loop takes the root at t0
+        with pytest.raises(ValueError, match="different signs"):
+            solve_ivp(_osc_rhs, (1.0, 20.0), y0, method=method, rtol=1.0e-7, atol=1.0e-10,
+                      dense_output=True, events=[_as_solve_ivp_event(rising)])
+        res = integrate_adaptive(_osc_rhs, (1.0, 20.0), y0,
+                                 IntegratorConfig(rtol=1.0e-7, atol=1.0e-10),
+                                 events=[rising], method=method)
+    else:
+        res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [rising], method, jac)
+    assert res.t.tolist() == [1.0, 1.0] and res.first_event_time("rising") == 1.0
+    falling = EventSpec(lambda t, y: y[0], direction=-1.0, name="falling")
+    res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [falling], method, jac)
+    assert res.first_event_time("falling") > 2.0
+
+
+@pytest.mark.parametrize("method, jac", _LOOP_METHODS)
+def test_loop_matches_solve_ivp_on_root_at_previous_mesh_point(method, jac):
+    # (t - c)^2 with c a mesh point touches zero there falling (filtered
+    # out), and the next step's rising root is c itself: the run ends at c
+    # without a zero-length segment
+    y0 = np.array([1.0, 0.0])
+    free = integrate_adaptive(_osc_rhs, (0.0, 20.0), y0,
+                              IntegratorConfig(rtol=1.0e-7, atol=1.0e-10),
+                              method=method, jac=jac)
+    c = free.t[5]
+    spec = EventSpec(lambda t, y: (t - c) ** 2, direction=1.0, name="touch")
+    res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), y0, [spec], method, jac)
+    assert np.array_equal(res.t, free.t[:6])
+    assert res.first_event_time("touch") == c
+
+
+def test_counters_report_smallest_step_and_wall_time():
+    y0 = np.array([1.0, 0.0])
+    cfg = IntegratorConfig(rtol=1.0e-7, atol=1.0e-10)
+    free = integrate_adaptive(_osc_rhs, (0.0, 20.0), y0, cfg)
+    assert free.min_step_s == np.min(np.diff(free.t))
+    # the segment an event cuts short is not a step: the evented run took
+    # the free run's steps up to and including the one the event fell in
+    c = free.t[5] + 1.0e-3 * (free.t[6] - free.t[5])
+    spec = EventSpec(lambda t, y: t - c, direction=1.0, name="soon")
+    res = integrate_adaptive(_osc_rhs, (0.0, 20.0), y0, cfg, events=[spec])
+    n = res.t.shape[0] - 1
+    assert n == 6 and np.array_equal(res.t[:-1], free.t[:n])
+    assert res.min_step_s == np.min(np.diff(free.t)[:n]) > res.t[-1] - res.t[-2]
+    counters = res.counters()
+    assert set(counters) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+    assert counters["steps"] == n and 0.0 < counters["wall_s"] < 1.0
