@@ -122,46 +122,10 @@ def _cycle_diagnostics(water_balance: dict[str, float],
 def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, Any]]:
     """Run one simulation subcommand; returns (trajectory, summary)."""
     params = scenario.parameters()
-    if command == "freeze":
-        traj = run_freezing(params.initial_vial_state(), params.freezing_system(),
-                            params.integrator,
-                            samples_per_stage=params.samples_per_stage)
-        summary: dict[str, Any] = {"events": dict(traj.events)}
-        summary.update(_stage_meta(traj.meta))
-        if "nucleation" in traj.meta:
-            summary["nucleation"] = traj.meta["nucleation"]
-        fs = traj.meta["final_state"]
-        summary["final_temperature_K"] = fs.T
-        summary["final_ice_mass_kg"] = fs.m_i
-        summary["final_water_mass_kg"] = fs.m_w
-        summary["end_time_s"] = traj.t_end
-    elif command in ("primary", "failure"):
-        # failure: the same stage under the chamber's saturating condenser
-        traj = run_primary(params.primary_initial_T, params.primary,
-                           params.radiation, params.geometry,
-                           params.chamber if command == "failure" else None,
-                           n_z=params.n_z, config=params.integrator,
-                           time_limit_s=params.primary_time_limit_s,
-                           samples=params.samples_per_stage)
-        summary = {"events": dict(traj.events)}
-        summary.update(_stage_meta(traj.meta))
-        summary["end_time_s"] = traj.t_end
-    elif command == "secondary":
-        traj = run_secondary(params.secondary_initial_T, params.bound_water_profile(),
-                             params.secondary, params.radiation,
-                             params.secondary_conditions, params.geometry,
-                             c_target=params.bound_water_target, n_z=params.n_z,
-                             config=params.integrator,
-                             time_limit_s=params.secondary_time_limit_s,
-                             samples=params.samples_per_stage)
-        summary = {"events": dict(traj.events)}
-        summary.update(_stage_meta(traj.meta))
-        summary["end_time_s"] = traj.t_end
-    elif command == "cycle":
-        result = run_full_cycle(params, scenario=scenario.data)
-        traj = result.combined
+    if command == "cycle":
+        result = run_full_cycle(params)
         t = result.stage_times
-        summary = {
+        return result.combined, {
             "events": dict(t),
             "stage_durations_s": {
                 "freezing": t["freezing_end_s"],
@@ -172,13 +136,39 @@ def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, An
             "water_balance": result.water_balance,
             "diagnostics": _cycle_diagnostics(result.water_balance,
                                               params.consistent_water),
-            "solver": {stage: _solver_counters(meta) for stage, meta in traj.meta.items()
-                       if "solver" in meta},
+            "solver": {stage: _solver_counters(meta)
+                       for stage, meta in result.combined.meta.items() if "solver" in meta},
             "runtime_s": result.runtime_s,
             "end_time_s": t["cycle_end_s"],
         }
+    if command == "freeze":
+        traj = run_freezing(params.initial_vial_state(), params.freezing_system(),
+                            params.integrator,
+                            samples_per_stage=params.samples_per_stage)
+    elif command in ("primary", "failure"):
+        # failure: the same stage under the chamber's saturating condenser
+        traj = run_primary(params.primary_initial_T, params.primary,
+                           params.radiation, params.geometry,
+                           params.chamber if command == "failure" else None,
+                           n_z=params.n_z, config=params.integrator,
+                           time_limit_s=params.primary_time_limit_s,
+                           samples=params.samples_per_stage)
+    elif command == "secondary":
+        traj = run_secondary(params.secondary_initial_T, params.bound_water_profile(),
+                             params.secondary, params.radiation,
+                             params.secondary_conditions, params.geometry,
+                             c_target=params.bound_water_target, n_z=params.n_z,
+                             config=params.integrator,
+                             time_limit_s=params.secondary_time_limit_s,
+                             samples=params.samples_per_stage)
     else:  # pragma: no cover - argparse restricts the choices
         raise ScenarioError(f"unknown command {command!r}")
+    summary: dict[str, Any] = {"events": dict(traj.events), **_stage_meta(traj.meta)}
+    if command == "freeze":
+        fs = traj.meta["final_state"]
+        summary.update(nucleation=traj.meta["nucleation"], final_temperature_K=fs.T,
+                       final_ice_mass_kg=fs.m_i, final_water_mass_kg=fs.m_w)
+    summary["end_time_s"] = traj.t_end
     return traj, summary
 
 

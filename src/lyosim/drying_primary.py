@@ -43,6 +43,11 @@ __all__ = [
 
 STAGE_PRIMARY = "primary_drying"
 
+# the front-completion margin: the integration stops with this fraction of
+# the product height left, where the moving-domain transform nears its
+# singularity, and the last sliver is removed by extrapolation
+_FRONT_EPSILON_REL = 1.0e-3
+
 log = logging.getLogger(__name__)
 
 
@@ -118,7 +123,7 @@ def sublimation_flux(T_interface: float, S: float, dp: DryingParams,
 
 
 def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
-               n_z: int, gap_floor_rel: float = 0.5e-3, pressure_state: bool = False
+               n_z: int, pressure_state: bool = False
                ) -> tuple[Callable[[float, np.ndarray, float, float],
                                    tuple[np.ndarray, float, float]],
                           Callable[..., csc_matrix]]:
@@ -129,10 +134,9 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     (dT/dt, dS/dt, N_w) and is total: implicit-solver trial steps may probe
     unphysical states, so the flux vanishes for nonpositive front
     temperatures (the continuous limit, since saturation pressure vanishes
-    there) and the gap H - S is floored at ``gap_floor_rel * H`` so the
-    1/gap^2 diffusion coefficient stays bounded when a trial step
-    overshoots the terminal event.  Callers tie the floor to half their
-    front-completion margin.
+    there) and the gap H - S is floored at half the front-completion margin
+    of :func:`run_primary` so the 1/gap^2 diffusion coefficient stays
+    bounded when a trial step overshoots the terminal event.
 
     ``jac(t, T, S, p_w_chamber, dp_dy=1.0, load_gain=None)`` is the
     Jacobian of (dT/dt, dS/dt) with respect to the state (T, S) as a CSC
@@ -154,7 +158,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     drho = dp.rho_f - dp.rho_e
     side_rad = rad.sigma * rad.F_side * 4.0 * H / geom.d  # A_r / (A_z H) folded in
     top_rad = rad.sigma * rad.F_top
-    gap_floor = gap_floor_rel * H
+    gap_floor = 0.5 * _FRONT_EPSILON_REL * H
 
     def core(t: float, T: np.ndarray, S: float, p_w_c: float):
         gap = max(H - S, gap_floor)
@@ -279,18 +283,17 @@ def run_primary(initial_temperature: float | np.ndarray,
                 t0: float = 0.0,
                 S0: float = 0.0,
                 time_limit_s: float = 1.0e6,
-                samples: int = 400,
-                front_epsilon_rel: float = 1.0e-3) -> Trajectory:
+                samples: int = 400) -> Trajectory:
     """Integrate primary drying until the front reaches the vial bottom.
 
     ``initial_temperature`` may be a scalar (uniform profile, the usual
     chained start) or a length-``n_z`` array.  The moving-domain transform
     is singular at S = H, so the integration stops at the terminal event
-    S = H (1 - front_epsilon_rel) and the removal of the remaining ice
-    sliver (a fraction ``front_epsilon_rel`` of the ice) is completed by
-    linear extrapolation at the terminal front speed; the final trajectory
-    row marks completion with the front at H, zero flux, and zero ice.  If
-    the horizon ``time_limit_s`` elapses before the event a
+    S = H (1 - 1e-3) and the removal of the remaining ice sliver (a
+    thousandth of the ice) is completed by linear extrapolation at the
+    terminal front speed; the final trajectory row marks completion with
+    the front at H, zero flux, and zero ice.  If the horizon
+    ``time_limit_s`` elapses before the event a
     :class:`StageTimeoutError` reports whether the front stalled for lack
     of driving force.  The trajectory carries the full temperature field
     under ``fields["temperature_K"]``.
@@ -306,20 +309,16 @@ def run_primary(initial_temperature: float | np.ndarray,
     H = geom.H
     if samples < 2:
         raise ConfigurationError("need at least 2 trajectory samples")
-    if not 0.0 < front_epsilon_rel < 0.1:
-        raise ConfigurationError("front_epsilon_rel must lie in (0, 0.1)")
-    S_stop = H * (1.0 - front_epsilon_rel)
+    S_stop = H * (1.0 - _FRONT_EPSILON_REL)
     if not 0.0 <= S0 < S_stop:
-        raise ConfigurationError(
-            "initial front position must lie in [0, H (1 - front_epsilon_rel))")
+        raise ConfigurationError("initial front position must lie in [0, H (1 - 1e-3))")
     T0 = np.asarray(initial_temperature, dtype=float)
     if T0.ndim == 0:
         T0 = np.full(n_z, float(T0))
     elif T0.shape != (n_z,):
         raise ConfigurationError(f"initial profile must have shape ({n_z},)")
     log.info("%s: start at t = %.6g s", STAGE_PRIMARY, t0)
-    core, core_jac = _make_core(dp, rad, geom, n_z, gap_floor_rel=0.5 * front_epsilon_rel,
-                                pressure_state=chamber is not None)
+    core, core_jac = _make_core(dp, rad, geom, n_z, pressure_state=chamber is not None)
     A_z = geom.A_z
 
     if chamber is None:
@@ -360,8 +359,7 @@ def run_primary(initial_temperature: float | np.ndarray,
     done = EventSpec(lambda t, y: y[n_z] - S_stop, direction=1.0, name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
                              events=[done], jac=jac)
-    t_end = res.first_event_time("front_complete")
-    if t_end is None:
+    if res.event is None:
         y_last = res.y_last
         S_last = float(y_last[n_z])
         flux = sublimation_flux(float(y_last[0]), S_last, dp, float(pressure(y_last)))
@@ -373,14 +371,14 @@ def run_primary(initial_temperature: float | np.ndarray,
             f"horizon; {detail}", stage=STAGE_PRIMARY, t=res.t[-1])
 
     # extrapolate removal of the last ice sliver at the terminal front speed
+    t_end = float(res.t[-1])
     y_end = res.sol(t_end)
     T_end = y_end[:n_z].copy()
     p_end = float(pressure(y_end))
     dS_end = sublimation_flux(T_end[0], S_stop, dp, p_end) / (dp.rho_f - dp.rho_e)
     t_complete = t_end + (H - S_stop) / dS_end if dS_end > 0.0 else t_end
 
-    ts = np.linspace(t0, t_end, samples - 1)
-    ys = res.sol(ts)
+    ts, ys = res.resample(samples - 1)
     T_hist = np.vstack([ys[:n_z, :].T, T_end])  # (n_time, n_z)
     S_hist = np.append(np.clip(ys[n_z, :], 0.0, H), H)
     p_hist = np.append(pressure(ys), p_end)

@@ -202,7 +202,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
 
     if c_target is not None and float(c0 @ w) <= c_target:
         # nothing to remove; the stage completes instantly
-        traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, t0, stage_label)
+        traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, stage_label)
         traj.meta["final_state"] = SecondaryState(T=T0, c_w=c0, t=t0)
         log.info("%s: end at t = %.6g s, bound water already at target", stage_label, t0)
         return traj
@@ -213,31 +213,27 @@ def run_secondary(initial_temperature: float | np.ndarray,
     rhs, jac = _make_core(kin, rad, cond, geom, n_z)
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, c0]), config, events=events, jac=jac)
-    if c_target is None:
-        t_end = float(res.t[-1])
-    else:
-        t_end = res.first_event_time("dry_enough")
-        if t_end is None:
-            c_last = float(res.y_last[n_z:] @ w)
-            raise StageTimeoutError(
-                f"average bound water only fell to {c_last:.4g} kg/kg (target "
-                f"{c_target:.4g}) within the horizon", stage=STAGE_SECONDARY,
-                t=res.t[-1])
+    if c_target is not None and res.event is None:
+        c_last = float(res.y_last[n_z:] @ w)
+        raise StageTimeoutError(
+            f"average bound water only fell to {c_last:.4g} kg/kg (target "
+            f"{c_target:.4g}) within the horizon", stage=STAGE_SECONDARY, t=res.t[-1])
 
-    ts = np.linspace(t0, t_end, samples)
-    ys = res.sol(ts)
+    # the end of the horizon is the end of a hold without a target
+    ts, ys = res.resample(samples)
+    t_end = float(ts[-1])
     T_hist = ys[:n_z, :].T
     c_hist = ys[n_z:, :].T
-    traj = _package(ts, T_hist, c_hist, w, t_end, stage_label)
+    traj = _package(ts, T_hist, c_hist, w, stage_label)
     traj.meta["final_state"] = SecondaryState(T=T_hist[-1].copy(), c_w=c_hist[-1].copy(),
-                                              t=float(t_end))
+                                              t=t_end)
     traj.meta["solver"] = res.counters()
     log.info("%s: end at t = %.6g s, solver %s", stage_label, t_end, traj.meta["solver"])
     return traj
 
 
 def _package(ts: np.ndarray, T_hist: np.ndarray, c_hist: np.ndarray,
-             w: np.ndarray, t_end: float, stage_label: str) -> Trajectory:
+             w: np.ndarray, stage_label: str) -> Trajectory:
     traj = Trajectory(
         t=ts,
         stage=[stage_label] * ts.shape[0],
@@ -248,7 +244,7 @@ def _package(ts: np.ndarray, T_hist: np.ndarray, c_hist: np.ndarray,
             "bound_water_avg_kg_per_kg": c_hist @ w,
         },
         fields={"temperature_K": T_hist, "bound_water_kg_per_kg": c_hist},
-        events={f"{stage_label}_end_s": float(t_end)},
+        events={f"{stage_label}_end_s": float(ts[-1])},
     )
     traj.meta["duration_s"] = float(ts[-1] - ts[0])
     traj.meta["n_z"] = T_hist.shape[1]

@@ -93,7 +93,6 @@ class VialState:
     T: float
     m_w: float
     m_i: float = 0.0
-    stage: str = STAGE_PRECONDITIONING
     t: float = 0.0
 
 
@@ -394,15 +393,6 @@ def solidification_rhs(state: VialState, sys: FreezingSystem, *,
     return dm_i, dT
 
 
-def _resample(sol, t0: float, t1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate a dense solution on a uniform grid over [t0, t1]."""
-    if t1 <= t0:
-        ts = np.array([t0])
-    else:
-        ts = np.linspace(t0, t1, n)
-    return ts, np.atleast_2d(sol(ts))
-
-
 def run_freezing(initial: VialState, sys: FreezingSystem,
                  config: IntegratorConfig = IntegratorConfig(), *,
                  samples_per_stage: int = 200,
@@ -413,11 +403,12 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
 
     Returns a :class:`Trajectory` whose events map the stage transitions
     (``preconditioning_end_s``, ``visf_end_s``, ``nucleation_s``,
-    ``solidification_end_s``, ``freezing_end_s``) to absolute model times.
-    The final state for chaining into drying is stored under
-    ``meta["final_state"]`` and the solver counters of the stage's
-    integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
-    the smallest step of any of them).  Every integration uses LSODA
+    ``solidification_end_s``, ``freezing_end_s``) to absolute model times,
+    and whose stage column labels each stage's samples; ``stage[-1]`` is
+    the stage the run stopped in.  The final state for chaining into drying
+    is stored under ``meta["final_state"]`` and the solver counters of the
+    stage's integrations under ``meta["solver"]`` (summed, except
+    ``min_step_s``, the smallest step of any of them).  Every integration uses LSODA
     with the tolerances and ``max_step`` of ``config``.  Raises
     :class:`StageTimeoutError` when a stage fails to reach its completion
     event within the protocol's horizon.  ``stop_after="solidification"``
@@ -435,7 +426,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     T = float(initial.T)
     m_w = float(initial.m_w)
     limit = p.stage_time_limit_s
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, str]] = []
+    stages: dict[str, Trajectory] = {}
     events: dict[str, float] = {}
     solver: dict[str, int | float] = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0,
                                       "min_step_s": math.inf, "wall_s": 0.0}
@@ -443,10 +434,16 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     log.info("freezing: start at t = %.6g s", t)
 
     def record(ts, Ts, mws, mis, label: str) -> None:
+        # read-only views; Trajectory.concatenate copies them once
         n = ts.shape[0]
-        parts.append((ts, np.broadcast_to(np.asarray(Ts, float), (n,)).copy(),
-                      np.broadcast_to(np.asarray(mws, float), (n,)).copy(),
-                      np.broadcast_to(np.asarray(mis, float), (n,)).copy(), label))
+        Ts = np.broadcast_to(Ts, (n,))
+        stages[label] = Trajectory(t=ts, stage=[label] * n, series={
+            "temperature_avg_K": Ts,
+            "temperature_bottom_K": Ts,
+            "temperature_top_K": Ts,
+            "water_mass_kg": np.broadcast_to(mws, (n,)),
+            "ice_mass_kg": np.broadcast_to(mis, (n,)),
+        })
 
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
         res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
@@ -464,13 +461,12 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         SimulationError(message) instead."""
         res = integrate(rhs, y0, t + limit, cfg,
                         [done] if guard is None else [done, guard[0]])
-        if guard is not None and (t_bad := res.first_event_time(guard[0].name)) is not None:
-            raise SimulationError(guard[1], stage=stage, t=t_bad)
-        t_done = res.first_event_time(done.name)
-        if t_done is None:
+        if guard is not None and res.event == guard[0].name:
+            raise SimulationError(guard[1], stage=stage, t=res.t[-1])
+        if res.event is None:
             raise StageTimeoutError(timeout.format(T_last=res.y_last[0]), stage=stage,
                                     t=res.t[-1])
-        return _resample(res.sol, t, t_done, samples_per_stage)
+        return res.resample(samples_per_stage)
 
     def precond_rhs(tt: float, y: np.ndarray):
         return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys),)
@@ -483,8 +479,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         if p.visf_start_s is not None:
             t1 = t + p.visf_start_s
             if p.visf_start_s > 0.0:
-                res = integrate(precond_rhs, [T], t1)
-                ts, ys = _resample(res.sol, t, t1, samples_per_stage)
+                ts, ys = integrate(precond_rhs, [T], t1).resample(samples_per_stage)
                 record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
                 T = float(ys[0, -1])
                 t = t1
@@ -494,8 +489,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                                   name="water_depleted")
 
                 def rhs2(tt: float, y: np.ndarray):
-                    s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt,
-                                  stage=STAGE_VISF)
+                    s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt)
                     return visf_rhs(s, sys)
 
                 ts, ys = advance(
@@ -561,8 +555,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     def rhs4(tt: float, y: np.ndarray):
         m_i = min(max(y[0], 0.0), m_w_nuc * (1.0 - 1.0e-12))
         m_rem = m_w_nuc - m_i
-        s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt,
-                      stage=STAGE_SOLIDIFICATION)
+        s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt)
         return (solidification_rhs(s, sys, h_rad_side=h_rad)[0],)
 
     done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
@@ -586,8 +579,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         falling = T > target  # approach direction decides the band edge crossed
 
         def rhs5(tt: float, y: np.ndarray):
-            s = VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt, stage=STAGE_FINAL_COOLING)
-            return (_final_cooling_rhs(s, sys),)
+            return (_final_cooling_rhs(VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt), sys),)
 
         # the crossing of the near band edge: one step may jump the whole band
         edge = target + tol if falling else target - tol
@@ -604,26 +596,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         record(np.array([t]), T, m_w, m_i, STAGE_FINAL_COOLING)
     events["freezing_end_s"] = t
 
-    # ---- assemble ------------------------------------------------------------
-    t_all = np.concatenate([pt[0] for pt in parts])
-    T_all = np.concatenate([pt[1] for pt in parts])
-    mw_all = np.concatenate([pt[2] for pt in parts])
-    mi_all = np.concatenate([pt[3] for pt in parts])
-    stage_all: list[str] = []
-    for pt in parts:
-        stage_all.extend([pt[4]] * pt[0].shape[0])
-    meta["final_state"] = VialState(T=T, m_w=m_w, m_i=m_i, t=t, stage=parts[-1][4])
+    meta["final_state"] = VialState(T=T, m_w=m_w, m_i=m_i, t=t)
     log.info("freezing: end at t = %.6g s, solver %s", t, solver)
-    return Trajectory(
-        t=t_all,
-        stage=stage_all,
-        series={
-            "temperature_avg_K": T_all,
-            "temperature_bottom_K": T_all.copy(),
-            "temperature_top_K": T_all.copy(),
-            "water_mass_kg": mw_all,
-            "ice_mass_kg": mi_all,
-        },
-        events=events,
-        meta=meta,
-    )
+    traj = Trajectory.concatenate(stages)
+    # concatenate nests the (empty) stage metas; the run's own replace them
+    traj.events, traj.meta = events, meta
+    return traj

@@ -330,7 +330,11 @@ def _schedule(scenario: dict[str, Any], key: str) -> Schedule:
 
 
 def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
-    """Assemble a :class:`ParameterSet` from a fully merged scenario dict."""
+    """Assemble a :class:`ParameterSet` from a fully merged scenario dict.
+
+    Integer keys are converted with ``int()``: JSON Schema counts a
+    whole-number float such as ``5.0`` as an integer.
+    """
     fd = scenario["formulation"]
     formulation = Formulation(
         x_s=fd["solute_mass_fraction"],
@@ -366,6 +370,7 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
                                   F_side=rd["transfer_factor_side"],
                                   eps_glass=rd["glass_emissivity"])
     seed = scenario.get("seed")
+    seed = None if seed is None else int(seed)
 
     fz = scenario["freezing"]
     with _scenario_keys({"visf_start_s": "freezing.depressurization_start_s"}):
@@ -437,7 +442,7 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     chamber = ChamberModel(
         V_c=ch["volume_m3"],
         j_w_max=ch["condenser_capacity_kg_per_s"],
-        n_vial=ch["vial_count"],
+        n_vial=int(ch["vial_count"]),
         T_bar=ch["gas_temperature_K"],
         p_setpoint=ch["pressure_setpoint_Pa"],
         M_w=formulation.M_w,
@@ -473,11 +478,11 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         secondary_time_limit_s=sd["time_limit_s"],
         chamber=chamber,
         integrator=integrator,
-        n_z=scenario["grid"]["n_nodes"],
+        n_z=int(scenario["grid"]["n_nodes"]),
         seed=seed,
         primary_start=pl["primary_start"],
         post_heat_duration_s=pl["post_heat_duration_s"],
-        samples_per_stage=pl["samples_per_stage"],
+        samples_per_stage=int(pl["samples_per_stage"]),
         consistent_water=pl["consistent_water"],
     )
 

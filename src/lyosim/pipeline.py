@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import replace
-from typing import Any
 
 import numpy as np
 
@@ -46,13 +45,11 @@ def consistent_parameters(params: ParameterSet, final_state: VialState) -> Param
 
 
 def run_full_cycle(params: ParameterSet, *,
-                   rng: np.random.Generator | None = None,
-                   scenario: dict[str, Any] | None = None) -> CycleResult:
+                   rng: np.random.Generator | None = None) -> CycleResult:
     """Simulate one vial through the complete cycle.
 
     ``rng`` overrides the seeded generator for stochastic nucleation.
-    ``scenario`` is stored verbatim on the result for provenance; it does
-    not affect the run.  Raises the stage drivers' errors unchanged.
+    Raises the stage drivers' errors unchanged.
     """
     wall0 = time.perf_counter()
     stop_after = ("solidification" if params.primary_start == "solidification_end"
@@ -129,6 +126,5 @@ def run_full_cycle(params: ParameterSet, *,
         combined=combined,
         stage_times=stage_times,
         water_balance=water_balance,
-        parameters=scenario if scenario is not None else {},
         runtime_s=time.perf_counter() - wall0,
     )

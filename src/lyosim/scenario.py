@@ -11,6 +11,7 @@ them over the defaults.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,14 +27,34 @@ from .params import (DEFAULT_SCENARIO, SCENARIO_SCHEMA, ParameterSet, build_para
 __all__ = ["Scenario", "load_scenario", "builtin_scenarios", "validate_scenario"]
 
 
+def _non_finite(node: Any, path: tuple = ()) -> tuple | None:
+    """Path of the first NaN or infinity in a parsed document, else None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if (found := _non_finite(value, path + (key,))) is not None:
+            return found
+    return None
+
+
 def validate_scenario(data: dict[str, Any], *, where: str = "scenario") -> None:
-    """Check ``data`` against the scenario schema; raise :class:`ScenarioError`."""
+    """Check ``data`` against the scenario schema; raise :class:`ScenarioError`.
+
+    The schema's bounds do not catch NaN (every comparison with it is
+    false) or infinity, which YAML's ``.nan`` and ``.inf`` produce and JSON
+    cannot express, so any non-finite number is rejected as well.
+    """
     validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if errors:
         e = errors[0]
         loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
         raise ScenarioError(f"{where}: invalid value at {loc}: {e.message}")
+    if (path := _non_finite(data)) is not None:
+        loc = "/".join(map(str, path))
+        raise ScenarioError(f"{where}: invalid value at {loc}: not a finite number")
 
 
 def builtin_scenarios() -> list[str]:
@@ -111,7 +132,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{where}: top level must be a mapping")
+        raise ScenarioError(f"{where}: invalid value at <root>: top level must be a mapping")
     validate_scenario(raw, where=where)
     merged = deep_merge(DEFAULT_SCENARIO, raw)
     if "name" not in raw and source is not None:

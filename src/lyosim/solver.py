@@ -1,4 +1,4 @@
-"""Adaptive integration with event detection.
+"""Adaptive integration to one terminal event.
 
 :func:`integrate_adaptive` runs its own step loop over one of scipy's
 ``OdeSolver`` classes, named by the calling stage driver.  The distributed
@@ -20,20 +20,27 @@ the last bit.  Two cases where it does not complete end here instead: a
 crossing that the step's end states show but the interpolant misses by
 rounding (LSODA's interpolant at the step start) is taken at the nearer
 end, and LSODA's zero-length steps past a blow-up raise
-:class:`SolverError`.  The loop keeps the last state only, not a mesh of
-every state.  The result reports the solver's step, RHS, Jacobian and LU
-counts, its smallest step and its wall time.
+:class:`SolverError`.
+
+Every stage driver ends, resamples and packages through the
+:class:`IntegrationResult`: its ``event`` names the terminal event that
+ended the integration (``None`` at the end of ``t_span``, which a driver
+reports as a timeout), the event's time is the last mesh point ``t[-1]``,
+and :meth:`IntegrationResult.resample` evaluates the dense output on the
+driver's uniform sample grid.  The loop keeps the last state only, not a
+mesh of every state.  The result reports the solver's step, RHS, Jacobian
+and LU counts, its smallest step and its wall time.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import BDF, LSODA, RK45, OdeSolution
+from scipy.integrate import BDF, LSODA, OdeSolution
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 
@@ -44,10 +51,7 @@ __all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
 
 log = logging.getLogger(__name__)
 
-_METHODS = {cls.__name__: cls for cls in (BDF, LSODA, RK45)}
-# methods whose OdeSolution picks the later segment at a mesh point, as
-# solve_ivp builds them
-_ALT_SEGMENT = ("BDF", "LSODA")
+_METHODS = {cls.__name__: cls for cls in (BDF, LSODA)}
 # the root-search tolerance of solve_ivp
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 
@@ -104,13 +108,18 @@ class EventSpec:
 
 @dataclass
 class IntegrationResult:
-    """Integration outcome: accepted-step mesh, last state, dense
-    interpolant, event times and the solver's counters."""
+    """Integration outcome: accepted-step mesh ``t``, last state, dense
+    interpolant ``sol``, the ending event and the solver's counters.
+
+    ``event`` is the name of the terminal event that ended the
+    integration, at time ``t[-1]``, or ``None`` when it reached the end of
+    ``t_span``.
+    """
 
     t: np.ndarray
     y_last: np.ndarray  # state at t[-1]
     sol: OdeSolution
-    t_events: dict[str, np.ndarray] = field(default_factory=dict)
+    event: str | None = None
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
@@ -125,11 +134,12 @@ class IntegrationResult:
                 "njev": int(self.njev), "nlu": int(self.nlu),
                 "min_step_s": float(self.min_step_s), "wall_s": float(self.wall_s)}
 
-    def first_event_time(self, name: str) -> float | None:
-        te = self.t_events.get(name)
-        if te is None or te.size == 0:
-            return None
-        return float(te[0])
+    def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` uniform times over [t[0], t[-1]] (only t[0] for an empty
+        span) and the dense output there, shape (n_states, n_times)."""
+        t0, t1 = self.t[0], self.t[-1]
+        ts = self.t[:1] if t1 == t0 else np.linspace(t0, t1, n)
+        return ts, np.atleast_2d(self.sol(ts))
 
 
 class CscPattern:
@@ -166,12 +176,11 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
-    ``method`` names a scipy ``OdeSolver`` class: ``BDF`` (the default),
-    ``LSODA`` or ``RK45``.  ``jac(t, y)`` is
-    the exact Jacobian d rhs / dy, dense or sparse, for a method that uses
-    one.  The integration stops at the earliest zero crossing of any of
-    ``events`` or at the end of ``t_span``.  Returns an
-    :class:`IntegrationResult`; raises :class:`SolverError` when the
+    ``method`` names a scipy ``OdeSolver`` class: ``BDF`` (the default)
+    or ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense
+    or sparse.  The integration stops at the earliest zero crossing of any
+    of ``events``, which the result's ``event`` names, or at the end of
+    ``t_span``.  Returns an :class:`IntegrationResult`; raises :class:`SolverError` when the
     integrator fails (the error reports the last reached time and state).
     """
     wall0 = perf_counter()
@@ -186,8 +195,8 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     y_last = y0
     interpolants = []
     min_step = np.inf
-    hit: EventSpec | None = None
-    while hit is None and solver.status == "running":
+    event: str | None = None
+    while event is None and solver.status == "running":
         message = solver.step()
         t_old, t, y = solver.t_old, solver.t, solver.y
         # past a blow-up LSODA returns zero-length steps without failing
@@ -206,7 +215,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                      if ev.crossed(g[i], g_new[i])]
             if roots:
                 t_hit, i = min(roots)
-                hit = events[i]
+                event = events[i].name
                 t, y = t_hit, sol(t_hit)
             g = g_new
         if len(ts) > 1 and t == ts[-1]:
@@ -216,15 +225,13 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
             ts.append(t)
             y_last = y
     ts_arr = np.array(ts)
-    t_events = {ev.name: np.array([t_hit] if ev is hit else [], dtype=float)
-                for ev in events}
     log.info("%s integration over [%.6g, %.6g] s ended at t = %.6g s by %s",
-             method, t0, tf, ts_arr[-1], "horizon" if hit is None else hit.name)
+             method, t0, tf, ts_arr[-1], event or "horizon")
     return IntegrationResult(
         t=ts_arr,
         y_last=y_last,
-        sol=OdeSolution(ts_arr, interpolants, alt_segment=method in _ALT_SEGMENT),
-        t_events=t_events,
+        sol=OdeSolution(ts_arr, interpolants, alt_segment=True),
+        event=event,
         nfev=solver.nfev,
         njev=solver.njev,
         nlu=solver.nlu,

@@ -156,5 +156,4 @@ class CycleResult:
     combined: Trajectory
     stage_times: dict[str, float]
     water_balance: dict[str, float] = field(default_factory=dict)
-    parameters: dict[str, Any] = field(default_factory=dict)
     runtime_s: float = 0.0

@@ -196,8 +196,6 @@ def test_run_validations(geom):
     with pytest.raises(ConfigurationError):
         run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, samples=1)
     with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, front_epsilon_rel=0.2)
-    with pytest.raises(ConfigurationError):
         run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, S0=geom.H)
 
 

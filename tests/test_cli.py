@@ -233,11 +233,65 @@ def test_sweep_writes_table(tmp_path):
 
 
 @pytest.mark.parametrize("spec", ["nonsense", "freezing.bogus=1:2:2",
-                                  "freezing=1:2:2"])
+                                  "freezing=1:2:2", "freezing.initial_temperature_K=nan:nan:1"])
 def test_bad_sweep_spec_exits_2(tmp_path, capsys, spec):
     code = main(["freeze", "--out", str(tmp_path), "--sweep", spec])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, where", [
+    ("primary", "- 1\n- 2\n", "invalid value at <root>: top level must be a mapping"),
+    ("primary", "primary: [1, 2\n", "parse error"),
+    ("primary", "primray:\n  shelf_temperature_K: 260\n",
+     "invalid value at <root>: Additional properties are not allowed"),
+    ("primary", "primary:\n  shelf_temperature_K: [[10, 250], [5, 240]]\n",
+     "primary.shelf_temperature_K: schedule times must be strictly increasing"),
+    ("primary", "primary:\n  shelf_temperature_K: .nan\n",
+     "invalid value at primary/shelf_temperature_K: not a finite number"),
+    ("primary", "primary:\n  shelf_temperature_K: [[0, 250], [60, .nan]]\n",
+     "invalid value at primary/shelf_temperature_K/1/1: not a finite number"),
+    ("primary", "integrator:\n  rtol: .nan\n",
+     "invalid value at integrator/rtol: not a finite number"),
+    ("primary", "primary:\n  time_limit_s: .inf\n",
+     "invalid value at primary/time_limit_s: not a finite number"),
+    ("freeze", "freezing:\n  initial_temperature_K: .inf\n",
+     "invalid value at freezing/initial_temperature_K: not a finite number"),
+    ("primary", "primary:\n  wall_temperature_K: -.inf\n",
+     "invalid value at primary/wall_temperature_K: not a finite number"),
+], ids=["top-level-list", "broken-yaml", "unknown-key", "unsorted-schedule", "nan-shelf",
+        "nan-breakpoint", "nan-rtol", "inf-time-limit", "inf-initial-T", "minus-inf"])
+def test_malformed_scenario_exits_2(tmp_path, capsys, command, text, where):
+    scn = tmp_path / "bad.yaml"
+    scn.write_text(text)
+    assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and where in err
+
+
+@pytest.mark.parametrize("command, text", [
+    ("primary", "grid:\n  n_nodes: 5.0\n"),
+    ("primary", "grid:\n  n_nodes: 5\npipeline:\n  samples_per_stage: 30.0\n"),
+    ("freeze", "seed: 5.0\nfreezing:\n  depressurization_start_s: null\n"
+               "  nucleation:\n    mode: stochastic\n"),
+], ids=["n-nodes", "samples-per-stage", "seed"])
+def test_whole_number_floats_in_integer_keys_run(tmp_path, command, text):
+    # JSON Schema counts 5.0 as an integer; the run matches the one given 5
+    outputs = []
+    for value in (text, text.replace(".0\n", "\n")):
+        out = tmp_path / str(len(outputs))
+        scn = tmp_path / "scn.yaml"
+        scn.write_text(value)
+        assert main([command, "--scenario", str(scn), "--out", str(out)]) == 0
+        outputs.append((out / f"scn_{command}_trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_sweep_over_an_integer_key(tmp_path):
+    code = main(["primary", "--out", str(tmp_path), "--sweep", "grid.n_nodes=11:21:2"])
+    assert code == 0
+    rows = (tmp_path / "defaults_primary_sweep.csv").read_text().splitlines()
+    assert [r.split(",")[1] for r in rows[1:]] == ["11.0", "21.0"]
 
 
 def test_unknown_scenario_exits_2(tmp_path, capsys):

@@ -291,10 +291,8 @@ def test_run_validations(geom):
     rad = RadiationSpec()
     with pytest.raises(ConfigurationError):
         run_primary(235.0, dp, rad, geom, samples=1)
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, front_epsilon_rel=0.0)
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, front_epsilon_rel=0.5)
+    with pytest.raises(ConfigurationError):  # inside the front-completion margin
+        run_primary(235.0, dp, rad, geom, S0=geom.H * (1.0 - 0.5e-3))
     with pytest.raises(ConfigurationError):
         run_primary(235.0, dp, rad, geom, S0=-1.0e-3)
     with pytest.raises(ConfigurationError):

@@ -80,9 +80,10 @@ def test_stiff_attractor_tracks_closed_form():
 def test_stiff_system_is_cheap_for_bdf():
     # the explicit reference needs orders of magnitude more steps
     y0 = np.array([1.0, 0.0])
-    res_bdf = integrate_adaptive(_stiff_rhs, (0.0, 50.0), y0, IntegratorConfig())
-    res_rk = integrate_adaptive(_stiff_rhs, (0.0, 50.0), y0, IntegratorConfig(),
-                                method="RK45")
+    cfg = IntegratorConfig()
+    res_bdf = integrate_adaptive(_stiff_rhs, (0.0, 50.0), y0, cfg)
+    res_rk = solve_ivp(_stiff_rhs, (0.0, 50.0), y0, method="RK45", rtol=cfg.rtol,
+                       atol=cfg.atol)
     assert res_bdf.nfev < res_rk.nfev / 5
 
 
@@ -108,9 +109,8 @@ def test_terminal_event_stops_at_known_time():
     cfg = IntegratorConfig(rtol=1.0e-10, atol=1.0e-12)
     res = integrate_adaptive(lambda t, y: -y, (0.0, 10.0), np.array([1.0]), cfg,
                              events=[ev])
-    t_hit = res.first_event_time("half_life")
-    assert t_hit == pytest.approx(math.log(2.0), rel=1.0e-8)
-    assert res.t[-1] == pytest.approx(t_hit)
+    assert res.event == "half_life"
+    assert res.t[-1] == pytest.approx(math.log(2.0), rel=1.0e-8)
     assert res.y_last[0] == pytest.approx(0.5, abs=1.0e-9)
 
 
@@ -122,7 +122,8 @@ def test_event_localization_converges_with_rtol():
         cfg = IntegratorConfig(rtol=rtol, atol=1.0e-12)
         res = integrate_adaptive(lambda t, y: -y, (0.0, 10.0), np.array([1.0]),
                                  cfg, events=[ev])
-        times.append(res.first_event_time("quarter"))
+        assert res.event == "quarter"
+        times.append(res.t[-1])
     assert abs(times[1] - times[0]) / times[1] < 1.0e-3
     assert times[1] == pytest.approx(math.log(4.0), rel=1.0e-6)
 
@@ -133,20 +134,21 @@ def test_event_direction_filter():
     cfg = IntegratorConfig(rtol=1.0e-9, atol=1.0e-12)
     up = EventSpec(lambda t, y: y[0], direction=1.0, name="up")
     res = integrate_adaptive(rhs, (0.1, 10.0), np.array([math.sin(0.1)]), cfg,
-                             events=[up], method="RK45")
-    assert res.first_event_time("up") == pytest.approx(2.0 * math.pi, rel=1.0e-6)
+                             events=[up], method="LSODA")
+    assert res.event == "up"
+    assert res.t[-1] == pytest.approx(2.0 * math.pi, rel=1.0e-6)
     down = EventSpec(lambda t, y: y[0], direction=-1.0, name="down")
     res = integrate_adaptive(rhs, (0.1, 10.0), np.array([math.sin(0.1)]), cfg,
-                             events=[down], method="RK45")
-    assert res.first_event_time("down") == pytest.approx(math.pi, rel=1.0e-6)
+                             events=[down], method="LSODA")
+    assert res.event == "down"
+    assert res.t[-1] == pytest.approx(math.pi, rel=1.0e-6)
 
 
 def test_missing_event_returns_none():
     ev = EventSpec(lambda t, y: y[0] + 10.0, name="never")
     res = integrate_adaptive(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
                              IntegratorConfig(), events=[ev])
-    assert res.first_event_time("never") is None
-    assert res.first_event_time("unknown") is None
+    assert res.event is None and res.t[-1] == 1.0
 
 
 def test_solver_failure_reports_last_state():
@@ -241,8 +243,11 @@ def _matches_solve_ivp(rhs, t_span, y0, specs, method, jac=None):
                     **kwargs)
     assert ref.status >= 0
     assert np.array_equal(res.t, ref.t)
-    for spec, te in zip(specs, ref.t_events):
-        assert np.array_equal(res.t_events[spec.name], te)
+    # the one event solve_ivp records is the one the result names, at t[-1]
+    fired = [(spec.name, te) for spec, te in zip(specs, ref.t_events) if te.size]
+    assert [name for name, _ in fired] == ([] if res.event is None else [res.event])
+    for _, te in fired:
+        assert te.tolist() == [res.t[-1]]
     samples = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 37), ref.t])
     assert np.array_equal(res.sol(samples), ref.sol(samples))
     assert np.array_equal(res.y_last, ref.y[:, -1])
@@ -251,8 +256,7 @@ def _matches_solve_ivp(rhs, t_span, y0, specs, method, jac=None):
 
 
 _LOOP_METHODS = [pytest.param("BDF", _osc_jac, id="bdf-jac"),
-                 pytest.param("LSODA", None, id="lsoda"),
-                 pytest.param("RK45", None, id="rk45")]
+                 pytest.param("LSODA", None, id="lsoda")]
 
 
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
@@ -262,8 +266,7 @@ def test_loop_matches_solve_ivp_on_direction_filters(method, jac, direction):
     spec = EventSpec(lambda t, y: y[0], direction=direction, name="zero")
     res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.5]), [spec],
                              method, jac)
-    t_hit = res.first_event_time("zero")
-    assert t_hit is not None and res.t[-1] == t_hit
+    assert res.event == "zero"
     assert (res.y_last[1] > 0.0) == (direction > 0.0)
 
 
@@ -277,14 +280,12 @@ def test_loop_matches_solve_ivp_on_two_events_in_one_step(method, jac, guard_fir
     specs = [guard, done] if guard_first else [done, guard]
     res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.0]), specs,
                              method, jac)
-    assert res.first_event_time("done") is None
-    assert res.first_event_time("guard") == res.t[-1]
+    assert res.event == "guard"
     # an exact tie goes to the event listed first
     twin = EventSpec(specs[0].func, direction=-1.0, name="twin")
     res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), np.array([1.0, 0.0]),
                              [specs[0], twin], method, jac)
-    assert res.first_event_time("twin") is None
-    assert res.first_event_time(specs[0].name) == res.t[-1]
+    assert res.event == specs[0].name
 
 
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
@@ -304,10 +305,10 @@ def test_loop_matches_solve_ivp_on_event_at_zero_at_start(method, jac):
                                  events=[rising], method=method)
     else:
         res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [rising], method, jac)
-    assert res.t.tolist() == [1.0, 1.0] and res.first_event_time("rising") == 1.0
+    assert res.t.tolist() == [1.0, 1.0] and res.event == "rising"
     falling = EventSpec(lambda t, y: y[0], direction=-1.0, name="falling")
     res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [falling], method, jac)
-    assert res.first_event_time("falling") > 2.0
+    assert res.event == "falling" and res.t[-1] > 2.0
 
 
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
@@ -323,7 +324,7 @@ def test_loop_matches_solve_ivp_on_root_at_previous_mesh_point(method, jac):
     spec = EventSpec(lambda t, y: (t - c) ** 2, direction=1.0, name="touch")
     res = _matches_solve_ivp(_osc_rhs, (0.0, 20.0), y0, [spec], method, jac)
     assert np.array_equal(res.t, free.t[:6])
-    assert res.first_event_time("touch") == c
+    assert res.event == "touch" and res.t[-1] == c
 
 
 def test_counters_report_smallest_step_and_wall_time():
@@ -342,3 +343,28 @@ def test_counters_report_smallest_step_and_wall_time():
     counters = res.counters()
     assert set(counters) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
     assert counters["steps"] == n and 0.0 < counters["wall_s"] < 1.0
+
+
+def test_resample_spans_the_mesh_endpoints():
+    cfg = IntegratorConfig(rtol=1.0e-7, atol=1.0e-10)
+    res = integrate_adaptive(_osc_rhs, (0.5, 20.0), np.array([1.0, 0.5]), cfg)
+    ts, ys = res.resample(7)
+    assert ts[0] == 0.5 and ts[-1] == res.t[-1] == 20.0
+    assert np.array_equal(ts, np.linspace(0.5, 20.0, 7))
+    assert ys.shape == (2, 7) and np.array_equal(ys, res.sol(ts))
+    # the interpolant meets the last state up to rounding
+    assert np.allclose(ys[:, -1], res.y_last, rtol=1.0e-12, atol=0.0)
+
+
+def test_resample_of_an_empty_span_is_one_point():
+    # a rising event that reads zero at t0 ends the run on a zero-length span
+    rising = EventSpec(lambda t, y: y[0], direction=1.0, name="rising")
+    res = integrate_adaptive(_osc_rhs, (1.0, 20.0), np.array([0.0, 1.0]),
+                             IntegratorConfig(), events=[rising])
+    ts, ys = res.resample(50)
+    assert ts.tolist() == [1.0] and ys.shape == (2, 1)
+    # one state component still comes back two-dimensional
+    res = integrate_adaptive(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
+                             IntegratorConfig())
+    ts, ys = res.resample(3)
+    assert ys.shape == (1, 3) and ys[0, 0] == 1.0
