@@ -30,6 +30,7 @@ from .drying_secondary import run_secondary
 from .errors import ComparisonError, ConfigurationError, DomainError, \
     ScenarioError, SimulationError
 from .freezing import run_freezing
+from .params import ParameterSet
 from .pipeline import run_full_cycle
 from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
 from .trajectory import Trajectory, trajectory_json_dict, write_trajectory_csv
@@ -119,9 +120,8 @@ def _cycle_diagnostics(water_balance: dict[str, float],
     return {"flags": flags}
 
 
-def _run_one(command: str, scenario: Scenario) -> tuple[Trajectory, dict[str, Any]]:
+def _run_one(command: str, params: ParameterSet) -> tuple[Trajectory, dict[str, Any]]:
     """Run one simulation subcommand; returns (trajectory, summary)."""
-    params = scenario.parameters()
     if command == "cycle":
         result = run_full_cycle(params)
         t = result.stage_times
@@ -284,12 +284,13 @@ def _dispatch(args) -> int:
     if args.seed is not None:
         scenario.data["seed"] = args.seed
         validate_scenario(scenario.data, where=f"--seed {args.seed}")
-    out_dir = _output_dir(args, scenario)
     prefix = f"{scenario.name}_{args.command}"
+    # every input is built before the output directory is made, so a run
+    # that a bad input ends leaves no directory behind
 
     if args.command == "analyze":
         report = _transport_report(scenario.transport())
-        path = out_dir / f"{prefix}.json"
+        path = _output_dir(args, scenario) / f"{prefix}.json"
         path.write_text(json.dumps(_json_safe(report), indent=2) + "\n")
         print(f"transport analysis ({scenario.name}):")
         _print_transport(report)
@@ -298,12 +299,16 @@ def _dispatch(args) -> int:
 
     if getattr(args, "sweep", None):
         path_spec, values = _parse_sweep(args.sweep)
-        rows: list[dict[str, float]] = []
+        points = []
         for v in values:
             data = copy.deepcopy(scenario.data)
             _set_by_path(data, path_spec, float(v))
             validate_scenario(data, where=f"sweep point {path_spec}={v:g}")
-            traj, summary = _run_one(args.command, Scenario(data, scenario.source))
+            points.append(Scenario(data, scenario.source).parameters())
+        out_dir = _output_dir(args, scenario)
+        rows: list[dict[str, float]] = []
+        for v, params in zip(values, points):
+            traj, summary = _run_one(args.command, params)
             row = {"value": float(v)}
             row.update(_flatten(summary))
             rows.append(row)
@@ -322,7 +327,9 @@ def _dispatch(args) -> int:
         print(f"wrote {sweep_path}")
         return 0
 
-    traj, summary = _run_one(args.command, scenario)
+    params = scenario.parameters()
+    out_dir = _output_dir(args, scenario)
+    traj, summary = _run_one(args.command, params)
     report = _compare(traj, scenario)
     exit_code = 0
     if report is not None:

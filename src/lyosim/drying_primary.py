@@ -25,12 +25,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .chamber import ChamberModel, chamber_pressure_gain, chamber_pressure_rhs
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
-from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
+from .solver import BorderedTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
 from .thermo import (RadiationSpec, VialGeometry, psat_sublimation,
                      psat_sublimation_slope, trapezoid_weights)
 from .trajectory import Trajectory
@@ -126,7 +125,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
                n_z: int, pressure_state: bool = False
                ) -> tuple[Callable[[float, np.ndarray, float, float],
                                    tuple[np.ndarray, float, float]],
-                          Callable[..., csc_matrix]]:
+                          Callable[..., BorderedTridiagonal]]:
     """Build the discretized right-hand side shared by the fixed-pressure
     and chamber-coupled modes of :func:`run_primary`, and its exact Jacobian.
 
@@ -139,13 +138,18 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     bounded when a trial step overshoots the terminal event.
 
     ``jac(t, T, S, p_w_chamber, dp_dy=1.0, load_gain=None)`` is the
-    Jacobian of (dT/dt, dS/dt) with respect to the state (T, S) as a CSC
-    matrix.  It takes the branches of ``core``, each with its one-sided
-    derivative, so it is total on the same states.  With
+    Jacobian of (dT/dt, dS/dt) with respect to the state (T, S) as a
+    :class:`~lyosim.solver.BorderedTridiagonal`: tridiagonal in
+    T_1 ... T_{n_z-1}, bordered by T_0 and S (every equation senses the
+    front temperature through dS/dt and the gap through H - S; the front
+    equation senses T_1 through its ghost node; the S row holds entries in
+    the border columns only).  It takes the branches of ``core``, each with
+    its one-sided derivative, so it is total on the same states.  With
     ``pressure_state`` the state gains the chamber pressure p as a last
     component: the model sees p_w_chamber, whose derivative with respect to
     p is ``dp_dy`` (zero under a setpoint clamp), and the appended row of
-    dp/dt is ``load_gain(N_w)`` (d(dp/dt)/dN_w) times dN_w/d(T_0, S, p).
+    dp/dt is ``load_gain(N_w)`` (d(dp/dt)/dN_w) times dN_w/d(T_0, S, p);
+    p joins the border.
     """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
@@ -181,21 +185,8 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         q_rad = (side_rad / (rho_cp * gap)) * (T_c**4 - T**4)
         return diff + conv + q_rad, dS, N_w
 
-    # Jacobian structure, in the order jac lists the values: the T_0 column
-    # (every equation senses the front temperature through dS/dt), the
-    # tridiagonal T block right of it, the S column (every equation senses
-    # the gap) and, under a chamber, the p column.  The S and p rows hold
-    # entries in the border columns only.
     n = n_z + 1 + int(pressure_state)
-    every = np.arange(n)
-    nodes = np.arange(n_z)
-    dense_cols = [n_z, n_z + 1] if pressure_state else [n_z]
-    pattern = CscPattern(
-        rows=np.concatenate([every, nodes[:-1], nodes[1:], nodes[2:]]
-                            + [every] * len(dense_cols)),
-        cols=np.concatenate([np.zeros(n, dtype=int), nodes[1:], nodes[1:], nodes[1:-1]]
-                            + [np.full(n, j) for j in dense_cols]),
-        n=n)
+    border = [0, n_z, n_z + 1] if pressure_state else [0, n_z]
 
     def jac(t: float, T: np.ndarray, S: float, p_w_c: float,
             dp_dy: float = 1.0, load_gain: Callable[[float], float] | None = None):
@@ -241,26 +232,25 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         via_top = a - u_beta[0]  # d f_0 / d ghost_top
         via_bot = a + u_beta[-1]  # d f_{n_z-1} / d ghost_bot
 
-        col_T0 = np.zeros(n)
+        cols = np.zeros((n, len(border)))  # J[:, border]
+        col_T0, col_S = cols[:, 0], cols[:, 1]
         col_T0[:n_z] = u_diff * beta_T
         col_T0[0] += -2.0 * a + via_top * top_T - 4.0 * c * T_front**3
         col_T0[1] += a - u_beta[1]
         col_T0[n_z] = N_T / drho
-        upper = a + u_beta[:-1]
-        upper[0] = 2.0 * a  # the top ghost node carries T_1 too
+        # the tridiagonal block in T_1 ... T_{n_z-1}
+        upper = a + u_beta[1:-1]
         diag = -2.0 * a - 4.0 * c * T[1:] ** 3
         diag[-1] -= via_bot * film_gain
         lower = a - u_beta[2:]
         lower[-1] = 2.0 * a  # the bottom ghost node carries T_{n_z-2} too
-        col_S = np.zeros(n)
         col_S[:n_z] = (-2.0 * a * gap_S / gap) * lap + u_diff * beta_S \
             - (c * gap_S / gap) * (T_c**4 - T**4)
         col_S[0] += via_top * top_S
         col_S[n_z - 1] += via_bot * bot_S
         col_S[n_z] = N_S / drho
-        cols = [col_T0, upper, diag, lower, col_S]
         if pressure_state:
-            col_p = np.zeros(n)
+            col_p = cols[:, 2]
             col_p[:n_z] = u_diff * (N_p * beta_N)
             col_p[0] -= via_top * front_gain * N_p * dp.dH_sub
             col_p[n_z] = N_p / drho
@@ -269,8 +259,9 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
             col_T0[-1] = gain * N_T
             col_S[-1] = gain * N_S
             col_p[-1] = gain * N_p * dp_dy
-            cols.append(col_p)
-        return pattern.matrix(np.concatenate(cols))
+        rows = np.zeros((len(border), n_z - 1))  # J[border, T_1 ... T_{n_z-1}]
+        rows[0, 0] = 2.0 * a  # the top ghost node carries T_1 too
+        return BorderedTridiagonal(lower, diag, upper, border, cols, rows)
 
     return core, jac
 
@@ -329,7 +320,7 @@ def run_primary(initial_temperature: float | np.ndarray,
             dT, dS, _ = core(t, y[:n_z], y[n_z], dp.p_w_chamber)
             return np.concatenate([dT, [dS]])
 
-        def jac(t: float, y: np.ndarray) -> csc_matrix:
+        def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
             return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
 
         y0 = np.concatenate([T0, [S0]])
@@ -345,7 +336,7 @@ def run_primary(initial_temperature: float | np.ndarray,
             dT, dS, N_w = core(t, y[:n_z], y[n_z], p)
             return np.concatenate([dT, [dS, chamber_pressure_rhs(p, load * N_w, chamber)]])
 
-        def jac(t: float, y: np.ndarray) -> csc_matrix:
+        def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
             p = max(y[n_z + 1], chamber.p_setpoint)
             dp_dy = 1.0 if y[n_z + 1] >= chamber.p_setpoint else 0.0
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
-from .solver import CscPattern, EventSpec, IntegratorConfig, integrate_adaptive
+from .solver import CoupledTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
 from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry, trapezoid_weights
 from .trajectory import Trajectory
 
@@ -104,12 +103,13 @@ def desorption_rate(T, c_w, kin: DesorptionKinetics):
 def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditions,
                geom: VialGeometry, n_z: int
                ) -> tuple[Callable[[float, np.ndarray], np.ndarray],
-                          Callable[[float, np.ndarray], csc_matrix]]:
+                          Callable[[float, np.ndarray], CoupledTridiagonal]]:
     """Build the discretized cake equations on the state y = (T, c_w) and
     their exact Jacobian.
 
     Returns ``(rhs, jac)``: ``rhs(t, y)`` is (dT/dt, dc_w/dt) stacked, and
-    ``jac(t, y)`` its Jacobian as a CSC matrix: a tridiagonal T block,
+    ``jac(t, y)`` its Jacobian as a
+    :class:`~lyosim.solver.CoupledTridiagonal`: a tridiagonal T block,
     diagonal T-c_w coupling both ways and a diagonal c_w block.  The
     schedules enter the right-hand side additively, so the Jacobian does
     not depend on time.
@@ -137,26 +137,19 @@ def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditio
         q_rad = side_rad * (cond.wall_temperature(t)**4 - T**4)
         return np.concatenate([diff + sink * dc + q_rad, dc])
 
-    nodes = np.arange(n_z)
-    # values in the order: T diagonal, T super- and subdiagonal, dT/dc_w,
-    # dc_w/dT, c_w diagonal
-    pattern = CscPattern(
-        rows=np.concatenate([nodes, nodes[:-1], nodes[1:], nodes, n_z + nodes, n_z + nodes]),
-        cols=np.concatenate([nodes, nodes[1:], nodes[:-1], n_z + nodes, nodes, n_z + nodes]),
-        n=2 * n_z)
     upper = np.full(n_z - 1, a)
     upper[0] = 2.0 * a  # the top ghost node carries T_1 too
     lower = np.full(n_z - 1, a)
     lower[-1] = 2.0 * a  # the bottom ghost node carries T_{n_z-2} too
 
-    def jac(t: float, y: np.ndarray) -> csc_matrix:
+    def jac(t: float, y: np.ndarray) -> CoupledTridiagonal:
         T = y[:n_z]
         k_d = kin.rate_constant(T)
         dc_dT = -k_d * (kin.E_a / (kin.R * T**2)) * (y[n_z:] - kin.c_eq)
         diag = -2.0 * a + sink * dc_dT - 4.0 * side_rad * T**3
         diag[0] -= a * 4.0 * top_gain * T[0] ** 3
         diag[-1] -= a * film_gain
-        return pattern.matrix(np.concatenate([diag, upper, lower, -sink * k_d, dc_dT, -k_d]))
+        return CoupledTridiagonal(lower, diag, upper, -sink * k_d, dc_dT, -k_d)
 
     return rhs, jac
 

@@ -5,10 +5,18 @@
 drying stages are stiff (thermal relaxation times from seconds to hours in
 one system, and a moving-front transform that becomes singular near
 completion), so they run on the default variable-order BDF family with
-their exact Jacobians, built in closed form as sparse CSC matrices whose
-fixed structure :class:`CscPattern` builds once per stage.  The lumped
-freezing stages are not stiff and run on LSODA, whose compiled Adams steps
-switch to BDF by themselves where a problem turns stiff.
+their exact Jacobians, built in closed form in a structured form that
+factors the BDF iteration matrix I - cJ in O(n) (Shampine & Reichelt,
+SIAM J. Sci. Comput., 1997): a tridiagonal block with a few border states
+(:class:`BorderedTridiagonal`, primary drying) or a tridiagonal block
+coupled diagonally to a diagonal block (:class:`CoupledTridiagonal`,
+secondary drying).  Both factor with LAPACK's tridiagonal ``dgttrf`` and
+solve with ``dgttrs``.  scipy's BDF still takes the steps and Newton
+iterations; only the factor and solve behind them change, so a structured
+Jacobian takes exactly the steps of its dense form.  A matrix Jacobian runs
+on scipy's own factor and solve.  The lumped freezing stages are not stiff
+and run on LSODA, whose compiled Adams steps switch to BDF by themselves
+where a problem turns stiff.
 
 After each accepted step the loop keeps the step's dense output and checks
 the terminal events (:class:`EventSpec`) for a zero crossing in their
@@ -20,7 +28,8 @@ the last bit.  Two cases where it does not complete end here instead: a
 crossing that the step's end states show but the interpolant misses by
 rounding (LSODA's interpolant at the step start) is taken at the nearer
 end, and LSODA's zero-length steps past a blow-up raise
-:class:`SolverError`.
+:class:`SolverError`.  So does a structured iteration matrix that is
+exactly singular.
 
 Every stage driver ends, resamples and packages through the
 :class:`IntegrationResult`: its ``event`` names the terminal event that
@@ -36,22 +45,22 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import BDF, LSODA, OdeSolution
+from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 from scipy.optimize import brentq
-from scipy.sparse import csc_matrix
 
 from .errors import ConfigurationError, SolverError
 
-__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "CscPattern",
-           "integrate_adaptive"]
+__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult",
+           "BorderedTridiagonal", "CoupledTridiagonal", "integrate_adaptive"]
 
 log = logging.getLogger(__name__)
 
-_METHODS = {cls.__name__: cls for cls in (BDF, LSODA)}
 # the root-search tolerance of solve_ivp
 _ROOT_TOL = 4.0 * np.finfo(float).eps
 
@@ -142,29 +151,214 @@ class IntegrationResult:
         return ts, np.atleast_2d(self.sol(ts))
 
 
-class CscPattern:
-    """Fixed sparsity structure of a Jacobian, in CSC form.
+class BorderedTridiagonal:
+    """Jacobian that is tridiagonal but for a few border states.
 
-    ``rows`` and ``cols`` list the structurally nonzero entries, each
-    (row, col) pair once, in the order the caller produces their values;
-    :meth:`matrix` takes the values in that order and returns the CSC
-    matrix.  The index arrays are built here once and shared by every
-    matrix, so each Jacobian evaluation only fills ``data``.
+    The inner states, every index not in ``border`` in order, couple
+    tridiagonally: ``lower``, ``diag`` and ``upper`` are the sub-, main and
+    superdiagonal of their block.  ``cols`` holds the border columns
+    J[:, border] in full (n x k) and ``rows`` the border rows' inner
+    entries J[border, inner] (k x m).  :meth:`factor` eliminates the inner
+    block by a tridiagonal LU and factors the k x k Schur complement on the
+    border densely, in O(n k^2).
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray, n: int) -> None:
-        rows = np.asarray(rows, dtype=np.int32)
-        cols = np.asarray(cols, dtype=np.int32)
-        self._order = np.lexsort((rows, cols))
-        self.indices = rows[self._order]
-        self.indptr = np.zeros(n + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n), out=self.indptr[1:])
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 border: Sequence[int], cols: np.ndarray, rows: np.ndarray) -> None:
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.border = np.asarray(border)
+        self.cols, self.rows = cols, rows
+        n = cols.shape[0]
+        self.inner = np.delete(np.arange(n), self.border)
         self.shape = (n, n)
 
-    def matrix(self, values: np.ndarray) -> csc_matrix:
-        return csc_matrix((values[self._order], self.indices, self.indptr),
-                          shape=self.shape)
+    def toarray(self) -> np.ndarray:
+        J = np.zeros(self.shape)
+        i = self.inner
+        J[i, i] = self.diag
+        J[i[1:], i[:-1]] = self.lower
+        J[i[:-1], i[1:]] = self.upper
+        J[:, self.border] = self.cols
+        J[np.ix_(self.border, i)] = self.rows
+        return J
 
+    def factor(self, c: float) -> "_BorderedFactor":
+        """LU of I - cJ; raises :class:`SolverError` if it is singular."""
+        return _BorderedFactor(self, c)
+
+
+class _BorderedFactor:
+    def __init__(self, J: BorderedTridiagonal, c: float) -> None:
+        self.inner, self.border = J.inner, J.border
+        self.tri = _TridiagonalLU(-c * J.lower, 1.0 - c * J.diag, -c * J.upper)
+        self.row = -c * J.rows
+        # the inner block's solve of the border columns, and the Schur
+        # complement of the border states over it
+        self.fill = self.tri.solve(-c * J.cols[self.inner])
+        schur = np.eye(self.border.shape[0]) - c * J.cols[self.border] - self.row @ self.fill
+        self.schur_lu, self.schur_piv, info = dgetrf(schur)
+        if info > 0:
+            raise SolverError(f"singular iteration matrix: the border block has a "
+                              f"zero pivot at border state {self.border[info - 1]}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        z = self.tri.solve(b[self.inner])
+        y_border, _ = dgetrs(self.schur_lu, self.schur_piv, b[self.border] - self.row @ z)
+        x = np.empty_like(b)
+        x[self.inner] = z - self.fill @ y_border
+        x[self.border] = y_border
+        return x
+
+
+class CoupledTridiagonal:
+    """Jacobian [[A, diag(e)], [diag(f), diag(g)]] on the states (u, v),
+    each of length m, with A tridiagonal: ``lower``, ``diag`` and
+    ``upper`` are its sub-, main and superdiagonal.  :meth:`factor`
+    eliminates v, which leaves one tridiagonal system in u, in O(m).
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
+                 e: np.ndarray, f: np.ndarray, g: np.ndarray) -> None:
+        self.lower, self.diag, self.upper = lower, diag, upper
+        self.e, self.f, self.g = e, f, g
+        n = 2 * diag.shape[0]
+        self.shape = (n, n)
+
+    def toarray(self) -> np.ndarray:
+        m = self.diag.shape[0]
+        u, v = np.arange(m), np.arange(m, 2 * m)
+        J = np.zeros(self.shape)
+        J[u, u] = self.diag
+        J[u[1:], u[:-1]] = self.lower
+        J[u[:-1], u[1:]] = self.upper
+        J[u, v] = self.e
+        J[v, u] = self.f
+        J[v, v] = self.g
+        return J
+
+    def factor(self, c: float) -> "_CoupledFactor":
+        """LU of I - cJ; raises :class:`SolverError` if it is singular."""
+        return _CoupledFactor(self, c)
+
+
+class _CoupledFactor:
+    def __init__(self, J: CoupledTridiagonal, c: float) -> None:
+        self.m = J.diag.shape[0]
+        self.g = 1.0 - c * J.g  # the v block of I - cJ
+        if not np.all(self.g):
+            raise SolverError(f"singular iteration matrix: zero pivot at state "
+                              f"{self.m + int(np.argmin(np.abs(self.g)))}")
+        self.ce, self.cf = c * J.e, c * J.f
+        self.tri = _TridiagonalLU(-c * J.lower, 1.0 - c * J.diag - self.ce * self.cf / self.g,
+                                  -c * J.upper)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        m = self.m
+        bu, bv = b[:m], b[m:]
+        u = self.tri.solve(bu + self.ce * bv / self.g)
+        return np.concatenate([u, (bv + self.cf * u) / self.g])
+
+
+class _TridiagonalLU:
+    """LAPACK ``dgttrf`` LU of a tridiagonal matrix, overwriting the three
+    diagonals; raises :class:`SolverError` on an exactly zero pivot.
+
+    scipy's ``dgttrf`` wrapper rejects n = 2, so a smaller matrix is padded
+    with identity rows to n = 3.
+    """
+
+    def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+        self.m = diag.shape[0]
+        self.pad = max(3 - self.m, 0)
+        if self.pad:
+            zeros = np.zeros(self.pad)
+            lower, diag, upper = (np.concatenate([lower, zeros]),
+                                  np.concatenate([diag, zeros + 1.0]),
+                                  np.concatenate([upper, zeros]))
+        *self.lu, info = dgttrf(lower, diag, upper,
+                                overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info > 0:
+            raise SolverError(f"singular iteration matrix: zero pivot in tridiagonal "
+                              f"row {info - 1}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Solve for one right-hand side (shape (m,)) or several (m, k)."""
+        if self.pad:
+            b = np.concatenate([b, np.zeros((self.pad,) + b.shape[1:])])
+        x, _ = dgttrs(*self.lu, b)
+        return x[:self.m]
+
+
+class _Deferred:
+    """A structured Jacobian as scipy's BDF step uses it, in ``lu(I - c * J)``:
+    ``c * J`` defers the iteration matrix to ``J.factor(c)``, and
+    :data:`_PASS_IDENTITY` passes it on to ``lu``."""
+
+    __array_ufunc__ = None  # numpy's scalar c hands c * J to __rmul__
+
+    def __init__(self, J: BorderedTridiagonal | CoupledTridiagonal) -> None:
+        self.J = J
+
+    def __rmul__(self, c: float) -> Callable[[], object]:
+        return partial(self.J.factor, c)
+
+
+class _PassIdentity:
+    def __sub__(self, factor: Callable[[], object]) -> Callable[[], object]:
+        return factor
+
+
+_PASS_IDENTITY = _PassIdentity()
+_STRUCTURED = (BorderedTridiagonal, CoupledTridiagonal)
+
+
+class _BDF(BDF):
+    """scipy's BDF, which lets a structured Jacobian factor I - cJ.
+
+    The steps, Newton iterations and counters are scipy's.  When ``jac``
+    returns a :class:`BorderedTridiagonal` or :class:`CoupledTridiagonal`,
+    the factor and solve of each iteration matrix are the Jacobian's own,
+    and a singular one raises :class:`SolverError` at the step's start
+    time.  A matrix Jacobian (or none) runs on scipy's own factor and solve.
+    """
+
+    def __init__(self, fun, t0, y0, t_bound, **options) -> None:
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if isinstance(self.J, _Deferred):
+            self.I = _PASS_IDENTITY  # and drop the dense identity scipy built
+            self.lu = self._factor
+            self.solve_lu = _solve
+
+    def _validate_jac(self, jac, sparsity):
+        if not callable(jac):
+            return super()._validate_jac(jac, sparsity)
+        J = jac(self.t, self.y)
+        if not isinstance(J, _STRUCTURED):
+            # scipy evaluates the matrix at t0 itself: hand it the one in hand
+            first = [J]
+            return super()._validate_jac(
+                lambda t, y: first.pop() if first else jac(t, y), sparsity)
+        self.njev += 1
+
+        def deferred(t: float, y: np.ndarray) -> _Deferred:
+            self.njev += 1
+            return _Deferred(jac(t, y))
+
+        return deferred, _Deferred(J)
+
+    def _factor(self, factor: Callable[[], object]) -> object:
+        self.nlu += 1
+        try:
+            return factor()
+        except SolverError as err:
+            raise SolverError(str(err), t=self.t) from None
+
+
+def _solve(factor, b: np.ndarray) -> np.ndarray:
+    return factor.solve(b)
+
+
+_METHODS = {"BDF": _BDF, "LSODA": LSODA}
 
 def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        t_span: tuple[float, float],
@@ -177,8 +371,10 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
     ``method`` names a scipy ``OdeSolver`` class: ``BDF`` (the default)
-    or ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, dense
-    or sparse.  The integration stops at the earliest zero crossing of any
+    or ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, a dense
+    or sparse matrix, or for ``BDF`` a :class:`BorderedTridiagonal` or
+    :class:`CoupledTridiagonal`, which then factors each iteration matrix
+    itself.  The integration stops at the earliest zero crossing of any
     of ``events``, which the result's ``event`` names, or at the end of
     ``t_span``.  Returns an :class:`IntegrationResult`; raises :class:`SolverError` when the
     integrator fails (the error reports the last reached time and state).

@@ -235,9 +235,11 @@ def test_sweep_writes_table(tmp_path):
 @pytest.mark.parametrize("spec", ["nonsense", "freezing.bogus=1:2:2",
                                   "freezing=1:2:2", "freezing.initial_temperature_K=nan:nan:1"])
 def test_bad_sweep_spec_exits_2(tmp_path, capsys, spec):
-    code = main(["freeze", "--out", str(tmp_path), "--sweep", spec])
+    out = tmp_path / "out"
+    code = main(["freeze", "--out", str(out), "--sweep", spec])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, text, where", [
@@ -264,9 +266,11 @@ def test_bad_sweep_spec_exits_2(tmp_path, capsys, spec):
 def test_malformed_scenario_exits_2(tmp_path, capsys, command, text, where):
     scn = tmp_path / "bad.yaml"
     scn.write_text(text)
-    assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 2
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(scn), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and where in err
+    assert not out.exists()  # no output directory for a run that never started
 
 
 @pytest.mark.parametrize("command, text", [

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lyosim import (
+    ChamberModel,
     ConfigurationError,
     DomainError,
     DryingParams,
@@ -16,6 +17,7 @@ from lyosim import (
 )
 from lyosim import drying_primary
 from lyosim.drying_primary import cake_resistance, sublimation_flux
+from lyosim.solver import BorderedTridiagonal
 
 
 def _default_dp(**kw):
@@ -137,21 +139,29 @@ def _primary_system(driver_system, geom, n_z, dp=None):
 
 
 def test_jacobian_sparsity_structure(driver_system, geom):
-    rhs, jac = _primary_system(driver_system, geom, 5)
-    y = np.concatenate([np.linspace(240.0, 250.0, 5), [0.4 * geom.H]])
-    J = jac(100.0, y)
-    assert J.format == "csc" and J.shape == (6, 6)
-    P = J.copy()
-    P.data[:] = 1.0
-    P = P.toarray()
-    # tridiagonal T block, dense T_0 and S columns, S row only in the border
-    assert np.all(P[:, 0] == 1.0) and np.all(P[:, -1] == 1.0)
-    assert P[0, 2] == 0.0 and P[1, 3] == 0.0 and P[4, 2] == 0.0
-    assert np.all(P[-1, 1:-1] == 0.0)
-    # the index arrays are built once per stage; each call fills data only
-    J2 = jac(200.0, y + 1.0)
-    assert np.shares_memory(J2.indices, J.indices)
-    assert np.shares_memory(J2.indptr, J.indptr)
+    n_z = 5
+    for chamber in (None, ChamberModel()):
+        rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
+            235.0, _default_dp(), RadiationSpec(), geom, chamber, n_z=n_z))
+        y = np.concatenate([np.linspace(240.0, 250.0, n_z), [0.4 * geom.H]])
+        if chamber is not None:
+            y = np.append(y, 10.0)  # over the setpoint: p couples both ways
+        J = jac(100.0, y)
+        n = y.shape[0]
+        border = [0, n_z, n_z + 1][:n - n_z + 1]
+        assert isinstance(J, BorderedTridiagonal) and J.shape == (n, n)
+        assert J.border.tolist() == border
+        # tridiagonal T_1 ... T_{n_z-1}, dense border columns T_0, S (and p),
+        # the front row's T_1 entry, border rows in the border columns only
+        expected = np.zeros((n, n), dtype=bool)
+        for i in range(1, n_z):
+            expected[i, max(i - 1, 1):min(i + 2, n_z)] = True
+        expected[:, border] = True
+        expected[0, 1] = True
+        # the advection coefficient vanishes at the bottom node, whose
+        # equation senses T_0 and p only through the front speed
+        expected[n_z - 1, [0, n_z + 1][:n - n_z]] = False
+        assert np.array_equal(J.toarray() != 0.0, expected)
 
 
 @pytest.mark.parametrize("n_z", [5, 51])

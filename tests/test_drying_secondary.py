@@ -18,6 +18,7 @@ from lyosim import (
 )
 from lyosim import drying_secondary
 from lyosim.drying_secondary import desorption_rate
+from lyosim.solver import CoupledTridiagonal
 
 
 def _conditions(T=295.0, **kw):
@@ -143,9 +144,15 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
     y = np.concatenate([275.0 + 20.0 * rng.random(n_z), 0.02 + 0.06 * rng.random(n_z)])
     assert jacobian_error(rhs, jac, 500.0, y) < 1.0e-5
     J = jac(500.0, y)
-    assert J.format == "csc" and J.shape == (2 * n_z, 2 * n_z)
-    # tridiagonal T block (3 n_z - 2), T-c both ways and the c diagonal
-    assert J.nnz == 3 * n_z - 2 + 3 * n_z
+    assert isinstance(J, CoupledTridiagonal) and J.shape == (2 * n_z, 2 * n_z)
+    # tridiagonal T block, T-c_w diagonal both ways and the c_w diagonal
+    nodes = np.arange(n_z)
+    expected = np.zeros((2 * n_z, 2 * n_z), dtype=bool)
+    for i in nodes:
+        expected[i, max(i - 1, 0):min(i + 2, n_z)] = True
+    expected[nodes, n_z + nodes] = expected[n_z + nodes, nodes] = True
+    expected[n_z + nodes, n_z + nodes] = True
+    assert np.array_equal(J.toarray() != 0.0, expected)
 
 
 @pytest.fixture(scope="module")

@@ -177,18 +177,20 @@ def test_solver_failure_reports_last_state():
 
 
 def test_each_stage_driver_fixes_its_method(monkeypatch):
-    # freezing runs on LSODA without a Jacobian; drying on BDF with its exact one
+    # freezing runs on LSODA without a Jacobian; drying on BDF with its exact
+    # one in structured form
     calls = []
 
-    def recording(cls):
+    def recording(name, cls):
         class Recorded(cls):
-            def __init__(self, *args, **kwargs):
-                calls.append((cls.__name__, kwargs.get("jac") is not None))
-                super().__init__(*args, **kwargs)
+            def __init__(self, fun, t0, y0, t_bound, **kwargs):
+                jac = kwargs.get("jac")
+                calls.append((name, None if jac is None else type(jac(t0, y0)).__name__))
+                super().__init__(fun, t0, y0, t_bound, **kwargs)
         return Recorded
 
     monkeypatch.setattr(solver, "_METHODS",
-                        {name: recording(cls) for name, cls in solver._METHODS.items()})
+                        {name: recording(name, cls) for name, cls in solver._METHODS.items()})
 
     def methods(run, *args, **kwargs):
         calls.clear()
@@ -198,16 +200,17 @@ def test_each_stage_driver_fixes_its_method(monkeypatch):
     p = default_parameters()
     assert p.freezing.visf_start_s is not None  # controlled nucleation after VISF
     assert methods(run_freezing, p.initial_vial_state(), p.freezing_system(),
-                   p.integrator) == {("LSODA", False)}
+                   p.integrator) == {("LSODA", None)}
     ps = load_scenario("stochastic_freezing").parameters()
     assert methods(run_freezing, ps.initial_vial_state(), ps.freezing_system(),
-                   ps.integrator, rng=np.random.default_rng(3)) == {("LSODA", False)}
+                   ps.integrator, rng=np.random.default_rng(3)) == {("LSODA", None)}
     for chamber in (None, p.chamber):
         assert methods(run_primary, p.primary_initial_T, p.primary, p.radiation,
-                       p.geometry, chamber, n_z=11, config=p.integrator) == {("BDF", True)}
+                       p.geometry, chamber, n_z=11, config=p.integrator) \
+            == {("BDF", "BorderedTridiagonal")}
     assert methods(run_secondary, p.secondary_initial_T, np.full(11, 0.088), p.secondary,
                    p.radiation, p.secondary_conditions, p.geometry, n_z=11,
-                   config=p.integrator) == {("BDF", True)}
+                   config=p.integrator) == {("BDF", "CoupledTridiagonal")}
 
 
 # --- the step loop against solve_ivp -------------------------------------------
