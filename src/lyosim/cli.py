@@ -285,8 +285,8 @@ def _dispatch(args) -> int:
         scenario.data["seed"] = args.seed
         validate_scenario(scenario.data, where=f"--seed {args.seed}")
     prefix = f"{scenario.name}_{args.command}"
-    # every input is built before the output directory is made, so a run
-    # that a bad input ends leaves no directory behind
+    # each command builds its inputs before it makes the output directory,
+    # so a run that a bad input ends leaves no directory behind
 
     if args.command == "analyze":
         report = _transport_report(scenario.transport())
