@@ -56,9 +56,15 @@ from .freezing import (
     nucleation_hazard,
     run_freezing,
 )
-from .params import DEFAULT_SCENARIO, ParameterSet, build_parameters, default_parameters
+from .params import DEFAULT_SCENARIO, ParameterSet, build_parameters
 from .pipeline import consistent_parameters, run_full_cycle
-from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
+from .scenario import (
+    Scenario,
+    builtin_scenarios,
+    default_parameters,
+    load_scenario,
+    validate_scenario,
+)
 from .schedules import Schedule, as_schedule
 from .solver import EventSpec, IntegrationResult, IntegratorConfig, integrate_adaptive
 from .thermo import (

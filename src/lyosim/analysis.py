@@ -11,13 +11,14 @@ comparison shows which mechanism limits secondary drying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jn_zeros
 
-from .errors import ConfigurationError, DomainError
+from .bounds import OPEN_FRACTION, POS, check_bounds
+from .errors import DomainError
 
 __all__ = [
     "PorousMedium", "EffectiveDiffusivity", "TimeScales",
@@ -89,18 +90,13 @@ class PorousMedium:
     """Dried-cake pore structure and the bulk binary diffusivity of water
     vapor in the inert gas at the condition of interest."""
 
-    porosity: float = 0.815
-    tortuosity: float = 1.2
-    pore_radius: float = 5.0e-6  # m
-    D_gas: float = 1.97e-5  # m^2/s
+    porosity: float = field(default=0.815, metadata=OPEN_FRACTION)
+    tortuosity: float = field(default=1.2, metadata={"type": "number", "minimum": 1})
+    pore_radius: float = field(default=5.0e-6, metadata=POS)  # m
+    D_gas: float = field(default=1.97e-5, metadata=POS)  # m^2/s
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.porosity < 1.0:
-            raise ConfigurationError("porosity must lie in (0, 1)")
-        if self.tortuosity < 1.0:
-            raise ConfigurationError("tortuosity must be >= 1")
-        if self.pore_radius <= 0.0 or self.D_gas <= 0.0:
-            raise ConfigurationError("pore radius and gas diffusivity must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ which adds the chamber pressure to the state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
-from .thermo import GAS_CONSTANT
+from .bounds import NONNEG, POS, check_bounds
+from .thermo import GAS_CONSTANT, Formulation
 
 __all__ = ["ChamberModel", "chamber_pressure_rhs", "chamber_pressure_gain",
            "run_primary_with_condenser"]
@@ -34,22 +34,15 @@ class ChamberModel:
     the controlled water partial pressure while the condenser keeps up.
     """
 
-    V_c: float = 0.118
-    j_w_max: float = 1.8e-5
-    n_vial: int = 200
-    T_bar: float = 260.0
-    p_setpoint: float = 3.0
-    M_w: float = 0.018
+    V_c: float = field(default=0.118, metadata=POS)
+    j_w_max: float = field(default=1.8e-5, metadata=NONNEG)
+    n_vial: int = field(default=200, metadata={"type": "integer", "minimum": 1})
+    T_bar: float = field(default=260.0, metadata=POS)
+    p_setpoint: float = field(default=3.0, metadata=NONNEG)
+    M_w: float = field(default=Formulation.M_w, metadata=POS)
 
     def __post_init__(self) -> None:
-        if self.V_c <= 0.0 or self.T_bar <= 0.0 or self.M_w <= 0.0:
-            raise ConfigurationError("chamber volume, temperature, and molar mass must be positive")
-        if self.j_w_max < 0.0:
-            raise ConfigurationError("condenser capacity must be nonnegative")
-        if self.n_vial < 1:
-            raise ConfigurationError("need at least one vial")
-        if self.p_setpoint < 0.0:
-            raise ConfigurationError("pressure setpoint must be nonnegative")
+        check_bounds(self)
 
 
 def chamber_pressure_rhs(p_w_c: float, j_w: float, ch: ChamberModel) -> float:

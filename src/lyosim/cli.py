@@ -30,7 +30,7 @@ from .drying_secondary import run_secondary
 from .errors import ComparisonError, ConfigurationError, DomainError, \
     ScenarioError, SimulationError
 from .freezing import run_freezing
-from .params import ParameterSet
+from .params import ParameterSet, _build
 from .pipeline import run_full_cycle
 from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
 from .trajectory import Trajectory, trajectory_json_dict, write_trajectory_csv
@@ -173,9 +173,7 @@ def _run_one(command: str, params: ParameterSet) -> tuple[Trajectory, dict[str, 
 
 
 def _transport_report(block: dict[str, Any]) -> dict[str, Any]:
-    medium = PorousMedium(porosity=block["porosity"], tortuosity=block["tortuosity"],
-                          pore_radius=block["pore_radius_m"],
-                          D_gas=block["gas_diffusivity_m2_per_s"])
+    medium = _build(PorousMedium, {"transport_analysis": block})
     diff = effective_diffusivity(medium, block["temperature_K"],
                                  block["molar_mass_g_per_mol"])
     scales = time_scales(block["length_scale_m"], diff.D_e,

@@ -21,11 +21,12 @@ state of the chamber water balance (:mod:`lyosim.chamber`).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .bounds import NONNEG, POS, check_bounds
 from .chamber import ChamberModel, chamber_pressure_gain, chamber_pressure_rhs
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
@@ -76,28 +77,22 @@ class DryingParams:
     shelf_temperature: Schedule
     wall_temperature: Schedule
     upper_temperature: Schedule
-    rho_f: float = 937.0
-    Cp_f: float = 2163.0
-    k_f: float = 2.07
-    rho_e: float = 215.0
-    h_b: float = 15.0
-    Rp0: float = 1.5e4
-    Rp1: float = 3.0e7
-    Rp2: float = 10.0
-    dH_sub: float = 2.84e6
-    p_w_chamber: float = 3.0
+    rho_f: float = field(default=937.0, metadata=POS)
+    Cp_f: float = field(default=2163.0, metadata=POS)
+    k_f: float = field(default=2.07, metadata=POS)
+    rho_e: float = field(default=215.0, metadata=POS)
+    h_b: float = field(default=15.0, metadata=POS)
+    Rp0: float = field(default=1.5e4, metadata=POS)
+    Rp1: float = field(default=3.0e7, metadata=NONNEG)
+    Rp2: float = field(default=10.0, metadata=POS)
+    dH_sub: float = field(default=2.84e6, metadata=POS)
+    p_w_chamber: float = field(default=3.0, metadata=NONNEG)
 
     def __post_init__(self) -> None:
-        if not self.rho_f > self.rho_e > 0.0:
+        check_bounds(self)
+        if not self.rho_f > self.rho_e:
             raise ConfigurationError(
                 f"rho_e = {self.rho_e:g} must lie in (0, rho_f = {self.rho_f:g})")
-        for name in ("Cp_f", "k_f", "h_b", "Rp0", "Rp2", "dH_sub"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"DryingParams.{name} must be positive")
-        if self.Rp1 < 0.0:
-            raise ConfigurationError("Rp1 must be nonnegative")
-        if self.p_w_chamber < 0.0:
-            raise ConfigurationError("chamber water partial pressure must be nonnegative")
 
 
 def cake_resistance(S: float, dp: DryingParams) -> float:

@@ -12,11 +12,12 @@ and distributed radiation from the chamber wall through the glass.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from .bounds import NONNEG, POS, check_bounds
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
 from .solver import CoupledTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
@@ -54,26 +55,19 @@ class DesorptionKinetics:
     conduction properties of the cake.
     """
 
-    f_a: float = 1.5e-3  # 1/s
-    E_a: float = 6500.0  # J/mol
-    R: float = GAS_CONSTANT
-    c_eq: float = 0.0  # kg/kg equilibrium bound water
-    rho_d: float = 212.21  # kg/m^3 solid basis for the desorption heat source
-    dH_des: float = 2.68e6  # J/kg
-    k_e: float = 0.217  # W/m/K
-    rho_e: float = 215.0  # kg/m^3
-    Cp_e: float = 2590.0  # J/kg/K
+    f_a: float = field(default=1.5e-3, metadata=NONNEG)  # 1/s
+    E_a: float = field(default=6500.0, metadata=NONNEG)  # J/mol
+    R: float = field(default=GAS_CONSTANT, metadata=POS)
+    c_eq: float = field(default=0.0, metadata=NONNEG)  # kg/kg equilibrium bound water
+    # kg/m^3 solid basis for the desorption heat source
+    rho_d: float = field(default=212.21, metadata=POS)
+    dH_des: float = field(default=2.68e6, metadata=POS)  # J/kg
+    k_e: float = field(default=0.217, metadata=POS)  # W/m/K
+    rho_e: float = field(default=215.0, metadata=POS)  # kg/m^3
+    Cp_e: float = field(default=2590.0, metadata=POS)  # J/kg/K
 
     def __post_init__(self) -> None:
-        if self.f_a < 0.0 or self.E_a < 0.0:
-            raise ConfigurationError("Arrhenius parameters must be nonnegative")
-        if self.R <= 0.0:
-            raise ConfigurationError("gas constant must be positive")
-        if self.c_eq < 0.0:
-            raise ConfigurationError("equilibrium bound water must be nonnegative")
-        for name in ("rho_d", "dH_des", "k_e", "rho_e", "Cp_e"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"DesorptionKinetics.{name} must be positive")
+        check_bounds(self)
 
     def rate_constant(self, T):
         """Arrhenius desorption rate constant k_d (1/s); accepts arrays."""
@@ -87,11 +81,10 @@ class DryingConditions:
     shelf_temperature: Schedule
     wall_temperature: Schedule
     upper_temperature: Schedule
-    h_b: float = 15.0
+    h_b: float = field(default=15.0, metadata=POS)
 
     def __post_init__(self) -> None:
-        if self.h_b <= 0.0:
-            raise ConfigurationError("bottom film coefficient must be positive")
+        check_bounds(self)
 
 
 def desorption_rate(T, c_w, kin: DesorptionKinetics):

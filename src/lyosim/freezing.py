@@ -33,12 +33,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
 from scipy.optimize import brentq
 
+from .bounds import NONNEG, POS, check_bounds, nullable
 from .errors import ConfigurationError, DomainError, SimulationError, StageTimeoutError
 from .schedules import Schedule
 from .solver import EventSpec, IntegratorConfig, integrate_adaptive
@@ -100,11 +101,10 @@ class VialState:
 class ControlledNucleation:
     """Deterministic trigger: nucleation fires when T reaches ``temperature_K``."""
 
-    temperature_K: float = 268.0
+    temperature_K: float = field(default=268.0, metadata=POS)
 
     def __post_init__(self) -> None:
-        if self.temperature_K <= 0.0:
-            raise ConfigurationError("nucleation temperature must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -117,15 +117,12 @@ class StochasticNucleation:
     cumulative hazard of the cooldown reaches E.
     """
 
-    rate_prefactor: float = 1.0e-5
-    rate_exponent: float = 10.0
+    rate_prefactor: float = field(default=1.0e-5, metadata=NONNEG)
+    rate_exponent: float = field(default=10.0, metadata=POS)
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rate_prefactor < 0.0:
-            raise ConfigurationError("nucleation rate prefactor must be nonnegative")
-        if self.rate_exponent <= 0.0:
-            raise ConfigurationError("nucleation rate exponent must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -146,44 +143,26 @@ class FreezingProtocol:
     wall_temperature: Schedule
     upper_temperature: Schedule
     total_pressure: Schedule
-    h_top: float = 5.0
-    h_bottom: float = 10.0
-    h_side: float = 8.0
-    h_mass: float = 6.34e-3
-    p_w_chamber: float = 0.0
+    h_top: float = field(default=5.0, metadata=NONNEG)
+    h_bottom: float = field(default=10.0, metadata=NONNEG)
+    h_side: float = field(default=8.0, metadata=NONNEG)
+    h_mass: float = field(default=6.34e-3, metadata=NONNEG)
+    p_w_chamber: float = field(default=0.0, metadata=NONNEG)
     nucleation: ControlledNucleation | StochasticNucleation = ControlledNucleation()
-    visf_start_s: float | None = 3600.0
-    solidification_fraction: float = 0.95
-    final_temperature_K: float = 235.0
-    final_tolerance_K: float = 0.5
-    dH_fus: float = DH_FUSION
-    stage_time_limit_s: float = 1.0e6
+    visf_start_s: float | None = field(default=3600.0, metadata=nullable(NONNEG))
+    solidification_fraction: float = field(
+        default=0.95, metadata={"type": "number", "minimum": 0.85, "maximum": 0.95})
+    final_temperature_K: float = field(default=235.0, metadata=POS)
+    final_tolerance_K: float = field(default=0.5, metadata=POS)
+    dH_fus: float = field(default=DH_FUSION, metadata=POS)
+    stage_time_limit_s: float = field(default=1.0e6, metadata=POS)
 
     def __post_init__(self) -> None:
-        for name in ("h_top", "h_bottom", "h_side"):
-            if getattr(self, name) < 0.0:
-                raise ConfigurationError(f"FreezingProtocol.{name} must be nonnegative")
-        if self.h_mass < 0.0:
-            raise ConfigurationError("h_mass must be nonnegative")
-        if self.p_w_chamber < 0.0:
-            raise ConfigurationError("chamber water partial pressure must be nonnegative")
-        if not 0.85 <= self.solidification_fraction <= 0.95:
+        check_bounds(self)
+        if self.visf_start_s is not None and isinstance(self.nucleation, StochasticNucleation):
             raise ConfigurationError(
-                "solidification fraction must lie in [0.85, 0.95], got "
-                f"{self.solidification_fraction}")
-        if self.final_tolerance_K <= 0.0:
-            raise ConfigurationError("final temperature tolerance must be positive")
-        if self.dH_fus <= 0.0:
-            raise ConfigurationError("heat of fusion must be positive")
-        if self.stage_time_limit_s <= 0.0:
-            raise ConfigurationError("stage time limit must be positive")
-        if self.visf_start_s is not None:
-            if self.visf_start_s < 0.0:
-                raise ConfigurationError("visf_start_s must be nonnegative")
-            if isinstance(self.nucleation, StochasticNucleation):
-                raise ConfigurationError(
-                    "stochastic nucleation replaces the depressurization trigger; "
-                    "set visf_start_s to null")
+                "stochastic nucleation replaces the depressurization trigger; "
+                "set visf_start_s to null")
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """The scenario format, its defaults, and assembly into typed model objects.
 
 This module owns the scenario format.  ``_TABLE`` declares every scenario
-key once: a section is a dict, and a leaf is a ``(default, schema)`` pair
-whose schema is the JSON-schema fragment the key's value must satisfy.
-``DEFAULT_SCENARIO`` (the complete baseline description of one cycle) and
-``SCENARIO_SCHEMA`` (which rejects unknown keys, so typos fail loudly) are
-both split off that one table.  Scenario files override any subset of the
-defaults; :mod:`lyosim.scenario` loads and validates them, and
+key once.  A section is a dict.  A key read one-to-one into a dataclass
+field is a reference to that field, ``_key(Formulation, "x_s")``: its
+default and its schema are the field's default and metadata, so each is
+stated once, on the dataclass (see :mod:`lyosim.bounds`).  Any other key is
+a ``(default, schema)`` pair.  ``DEFAULT_SCENARIO`` (the complete baseline
+description of one cycle), ``SCENARIO_SCHEMA`` (which rejects unknown keys,
+so typos fail loudly) and the field -> scenario-key map are all split off
+that one table.  Scenario files override any subset of the defaults;
+:mod:`lyosim.scenario` loads and validates them, and
 :func:`build_parameters` turns the merged dictionary into the dataclasses
 the stage drivers consume.  Scenario keys carry their units in the name.
 """
@@ -17,10 +20,12 @@ import copy
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
+from .analysis import PorousMedium
+from .bounds import NONNEG, POS, nullable
 from .chamber import ChamberModel
 from .drying_primary import DryingParams
 from .drying_secondary import DesorptionKinetics, DryingConditions
@@ -37,13 +42,8 @@ from .solver import IntegratorConfig
 from .thermo import Formulation, MixtureProperties, RadiationSpec, VialGeometry, mixture_properties
 
 __all__ = ["DEFAULT_SCENARIO", "SCENARIO_SCHEMA", "ParameterSet", "build_parameters",
-           "default_parameters", "deep_merge"]
+           "deep_merge"]
 
-_POS = {"type": "number", "exclusiveMinimum": 0}
-_NONNEG = {"type": "number", "minimum": 0}
-_FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
-_OPEN_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
-_UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 _STRING = {"type": "string"}
 # a schedule is either a constant or a list of [time_s, value] breakpoints
 _SCHEDULE = {"oneOf": [
@@ -54,10 +54,6 @@ _SCHEDULE = {"oneOf": [
 ]}
 
 
-def _nullable(schema: dict) -> dict:
-    return {"oneOf": [schema, {"type": "null"}]}
-
-
 def _obj(properties: dict, required: list[str] | None = None) -> dict:
     out: dict[str, Any] = {"type": "object", "additionalProperties": False,
                            "properties": properties}
@@ -66,135 +62,141 @@ def _obj(properties: dict, required: list[str] | None = None) -> dict:
     return out
 
 
+class _key(NamedTuple):
+    """A table leaf read one-to-one into the field ``name`` of ``cls``."""
+
+    cls: type
+    name: str
+
+
 _TABLE: dict[str, Any] = {
     "name": ("defaults", _STRING),
-    "seed": (20260815, _nullable({"type": "integer", "minimum": 0})),
+    "seed": (20260815, nullable({"type": "integer", "minimum": 0})),
     "grid": {"n_nodes": (51, {"type": "integer", "minimum": 3})},
     "integrator": {
-        "rtol": (1.0e-6, _POS),
-        "atol": (1.0e-9, _POS),
-        "max_step_s": (None, _nullable(_POS)),
+        "rtol": _key(IntegratorConfig, "rtol"),
+        "atol": _key(IntegratorConfig, "atol"),
+        "max_step_s": (None, nullable(POS)),
     },
     "formulation": {
-        "solute_mass_fraction": (0.05, _OPEN_FRACTION),
-        "fill_volume_m3": (3.0e-6, _POS),
-        "solute_density_kg_per_m3": (1587.9, _POS),
-        "water_density_kg_per_m3": (1000.0, _POS),
-        "ice_density_kg_per_m3": (917.0, _POS),
-        "solute_heat_capacity_J_per_kgK": (1204.0, _POS),
-        "water_heat_capacity_J_per_kgK": (4187.0, _POS),
-        "ice_heat_capacity_J_per_kgK": (2108.0, _POS),
-        "solute_conductivity_W_per_mK": (0.126, _POS),
-        "water_conductivity_W_per_mK": (0.598, _POS),
-        "ice_conductivity_W_per_mK": (2.25, _POS),
-        "solute_molar_mass_kg_per_mol": (0.3423, _POS),
-        "water_molar_mass_kg_per_mol": (0.018, _POS),
-        "inert_molar_mass_kg_per_mol": (0.028, _POS),
-        "cryoscopic_constant_kgK_per_mol": (1.86, _POS),
+        "solute_mass_fraction": _key(Formulation, "x_s"),
+        "fill_volume_m3": _key(Formulation, "V_l"),
+        "solute_density_kg_per_m3": _key(Formulation, "rho_s"),
+        "water_density_kg_per_m3": _key(Formulation, "rho_w"),
+        "ice_density_kg_per_m3": _key(Formulation, "rho_i"),
+        "solute_heat_capacity_J_per_kgK": _key(Formulation, "Cp_s"),
+        "water_heat_capacity_J_per_kgK": _key(Formulation, "Cp_w"),
+        "ice_heat_capacity_J_per_kgK": _key(Formulation, "Cp_i"),
+        "solute_conductivity_W_per_mK": _key(Formulation, "k_s"),
+        "water_conductivity_W_per_mK": _key(Formulation, "k_w"),
+        "ice_conductivity_W_per_mK": _key(Formulation, "k_i"),
+        "solute_molar_mass_kg_per_mol": _key(Formulation, "M_s"),
+        "water_molar_mass_kg_per_mol": _key(Formulation, "M_w"),
+        "inert_molar_mass_kg_per_mol": _key(Formulation, "M_in"),
+        "cryoscopic_constant_kgK_per_mol": _key(Formulation, "K_f"),
     },
     "vial": {
-        "diameter_m": (0.024, _POS),
+        "diameter_m": _key(VialGeometry, "d"),
         # null derives the height from the fill volume and frozen density
-        "product_height_m": (None, _nullable(_POS)),
+        "product_height_m": (None, nullable(POS)),
     },
     "radiation": {
-        "glass_emissivity": (0.8, _FRACTION),
-        "transfer_factor_top": (0.8, _UNIT),
-        "transfer_factor_side": (0.624, _UNIT),
+        "glass_emissivity": _key(RadiationSpec, "eps_glass"),
+        "transfer_factor_top": _key(RadiationSpec, "F_top"),
+        "transfer_factor_side": _key(RadiationSpec, "F_side"),
     },
     "frozen_matrix": {
         # measured values; null falls back to the mixing rules
-        "density_kg_per_m3": (None, _nullable(_POS)),
-        "heat_capacity_J_per_kgK": (2163.0, _nullable(_POS)),
-        "conductivity_W_per_mK": (2.07, _nullable(_POS)),
+        "density_kg_per_m3": (None, nullable(POS)),
+        "heat_capacity_J_per_kgK": (DryingParams.Cp_f, nullable(POS)),
+        "conductivity_W_per_mK": (DryingParams.k_f, nullable(POS)),
     },
     "freezing": {
-        "initial_temperature_K": (298.15, _POS),
+        "initial_temperature_K": (298.15, POS),
         # the vial moves to the depressurized chamber at 3600 s; conditions
         # transition linearly over the 30 s pressure ramp
         "gas_temperature_K": ([[3600.0, 268.0], [3630.0, 230.0]], _SCHEDULE),
         "wall_temperature_K": ([[3600.0, 273.0], [3630.0, 240.0]], _SCHEDULE),
         "upper_temperature_K": ([[3600.0, 273.0], [3630.0, 240.0]], _SCHEDULE),
         "total_pressure_Pa": ([[3600.0, 1.0e5], [3630.0, 1.0e4]], _SCHEDULE),
-        "chamber_water_pressure_Pa": (0.0, _NONNEG),
-        "top_htc_W_per_m2K": (5.0, _NONNEG),
-        "bottom_htc_W_per_m2K": (10.0, _NONNEG),
-        "side_htc_W_per_m2K": (8.0, _NONNEG),
-        "evaporation_coefficient_kg_per_m2s": (6.34e-3, _NONNEG),
-        "depressurization_start_s": (3600.0, _nullable(_NONNEG)),
+        "chamber_water_pressure_Pa": _key(FreezingProtocol, "p_w_chamber"),
+        "top_htc_W_per_m2K": _key(FreezingProtocol, "h_top"),
+        "bottom_htc_W_per_m2K": _key(FreezingProtocol, "h_bottom"),
+        "side_htc_W_per_m2K": _key(FreezingProtocol, "h_side"),
+        "evaporation_coefficient_kg_per_m2s": _key(FreezingProtocol, "h_mass"),
+        "depressurization_start_s": _key(FreezingProtocol, "visf_start_s"),
         "nucleation": {
             "mode": ("controlled", {"enum": ["controlled", "stochastic"]}),
-            "temperature_K": (268.0, _POS),
-            "rate_prefactor_per_m3_s_K": (1.0e-5, _NONNEG),
-            "rate_exponent": (10.0, _POS),
+            "temperature_K": _key(ControlledNucleation, "temperature_K"),
+            "rate_prefactor_per_m3_s_K": _key(StochasticNucleation, "rate_prefactor"),
+            "rate_exponent": _key(StochasticNucleation, "rate_exponent"),
         },
-        "solidification_fraction": (0.95, {"type": "number", "minimum": 0.85,
-                                           "maximum": 0.95}),
-        "final_temperature_K": (235.0, _POS),
-        "final_tolerance_K": (0.5, _POS),
-        "heat_of_fusion_J_per_kg": (3.34e5, _POS),
-        "stage_time_limit_s": (1.0e6, _POS),
+        "solidification_fraction": _key(FreezingProtocol, "solidification_fraction"),
+        "final_temperature_K": _key(FreezingProtocol, "final_temperature_K"),
+        "final_tolerance_K": _key(FreezingProtocol, "final_tolerance_K"),
+        "heat_of_fusion_J_per_kg": _key(FreezingProtocol, "dH_fus"),
+        "stage_time_limit_s": _key(FreezingProtocol, "stage_time_limit_s"),
     },
     "primary": {
-        "initial_temperature_K": (235.0, _POS),
+        "initial_temperature_K": (235.0, POS),
         "shelf_temperature_K": (270.0, _SCHEDULE),
         "wall_temperature_K": (265.0, _SCHEDULE),
         "upper_temperature_K": (265.0, _SCHEDULE),
-        "bottom_htc_W_per_m2K": (15.0, _POS),
-        "chamber_water_pressure_Pa": (3.0, _NONNEG),
-        "cake_resistance_R0_m_per_s": (1.5e4, _POS),
-        "cake_resistance_R1_m_per_s": (3.0e7, _NONNEG),
-        "cake_resistance_R2_m": (10.0, _POS),
-        "sublimation_heat_J_per_kg": (2.84e6, _POS),
-        "dried_density_kg_per_m3": (215.0, _POS),
-        "time_limit_s": (1.0e6, _POS),
+        "bottom_htc_W_per_m2K": _key(DryingParams, "h_b"),
+        "chamber_water_pressure_Pa": _key(DryingParams, "p_w_chamber"),
+        "cake_resistance_R0_m_per_s": _key(DryingParams, "Rp0"),
+        "cake_resistance_R1_m_per_s": _key(DryingParams, "Rp1"),
+        "cake_resistance_R2_m": _key(DryingParams, "Rp2"),
+        "sublimation_heat_J_per_kg": _key(DryingParams, "dH_sub"),
+        "dried_density_kg_per_m3": _key(DryingParams, "rho_e"),
+        "time_limit_s": (1.0e6, POS),
     },
     "secondary": {
-        "initial_temperature_K": (273.15, _POS),
+        "initial_temperature_K": (273.15, POS),
         "initial_bound_water_kg_per_kg": (0.088, {"oneOf": [
-            _NONNEG,
-            {"type": "array", "items": _NONNEG, "minItems": 2, "maxItems": 2},
+            NONNEG,
+            {"type": "array", "items": NONNEG, "minItems": 2, "maxItems": 2},
         ]}),
-        "target_bound_water_kg_per_kg": (0.01, _NONNEG),
-        "equilibrium_bound_water_kg_per_kg": (0.0, _NONNEG),
+        "target_bound_water_kg_per_kg": (0.01, NONNEG),
+        "equilibrium_bound_water_kg_per_kg": _key(DesorptionKinetics, "c_eq"),
         "shelf_temperature_K": (295.0, _SCHEDULE),
         "wall_temperature_K": (290.0, _SCHEDULE),
         "upper_temperature_K": (290.0, _SCHEDULE),
-        "bottom_htc_W_per_m2K": (15.0, _POS),
-        "desorption_prefactor_per_s": (1.5e-3, _NONNEG),
-        "desorption_activation_energy_J_per_mol": (6500.0, _NONNEG),
-        "desorption_heat_J_per_kg": (2.68e6, _POS),
-        "desorption_density_kg_per_m3": (212.21, _POS),
-        "cake_conductivity_W_per_mK": (0.217, _POS),
-        "cake_density_kg_per_m3": (215.0, _POS),
-        "cake_heat_capacity_J_per_kgK": (2590.0, _POS),
-        "time_limit_s": (1.0e6, _POS),
+        "bottom_htc_W_per_m2K": _key(DryingConditions, "h_b"),
+        "desorption_prefactor_per_s": _key(DesorptionKinetics, "f_a"),
+        "desorption_activation_energy_J_per_mol": _key(DesorptionKinetics, "E_a"),
+        "desorption_heat_J_per_kg": _key(DesorptionKinetics, "dH_des"),
+        "desorption_density_kg_per_m3": _key(DesorptionKinetics, "rho_d"),
+        "cake_conductivity_W_per_mK": _key(DesorptionKinetics, "k_e"),
+        "cake_density_kg_per_m3": _key(DesorptionKinetics, "rho_e"),
+        "cake_heat_capacity_J_per_kgK": _key(DesorptionKinetics, "Cp_e"),
+        "time_limit_s": (1.0e6, POS),
     },
     "chamber": {
-        "volume_m3": (0.118, _POS),
-        "condenser_capacity_kg_per_s": (1.8e-5, _NONNEG),
-        "vial_count": (200, {"type": "integer", "minimum": 1}),
-        "gas_temperature_K": (260.0, _POS),
-        "pressure_setpoint_Pa": (3.0, _NONNEG),
+        "volume_m3": _key(ChamberModel, "V_c"),
+        "condenser_capacity_kg_per_s": _key(ChamberModel, "j_w_max"),
+        "vial_count": _key(ChamberModel, "n_vial"),
+        "gas_temperature_K": _key(ChamberModel, "T_bar"),
+        "pressure_setpoint_Pa": _key(ChamberModel, "p_setpoint"),
     },
     "pipeline": {
         "primary_start": ("final_cooling_end",
                           {"enum": ["final_cooling_end", "solidification_end"]}),
-        "post_heat_duration_s": (0.0, _NONNEG),
+        "post_heat_duration_s": (0.0, NONNEG),
         "samples_per_stage": (300, {"type": "integer", "minimum": 2}),
         # re-derive dried density and initial bound water from the actual
         # end-of-freezing state so all three stages share one water inventory
         "consistent_water": (False, {"type": "boolean"}),
     },
     "transport_analysis": {
-        "porosity": (0.815, _OPEN_FRACTION),
-        "tortuosity": (1.2, {"type": "number", "minimum": 1}),
-        "pore_radius_m": (5.0e-6, _POS),
-        "gas_diffusivity_m2_per_s": (1.97e-5, _POS),
-        "temperature_K": (256.0, _POS),
-        "molar_mass_g_per_mol": (18.0, _POS),
-        "length_scale_m": (0.01, _POS),
-        "desorption_rate_per_s": (7.8e-5, _POS),
+        "porosity": _key(PorousMedium, "porosity"),
+        "tortuosity": _key(PorousMedium, "tortuosity"),
+        "pore_radius_m": _key(PorousMedium, "pore_radius"),
+        "gas_diffusivity_m2_per_s": _key(PorousMedium, "D_gas"),
+        "temperature_K": (256.0, POS),
+        "molar_mass_g_per_mol": (18.0, POS),
+        "length_scale_m": (0.01, POS),
+        "desorption_rate_per_s": (7.8e-5, POS),
         "biot": ([
             {"label": "gas_film", "htc_W_per_m2K": 8.0, "length_m": 0.012,
              "conductivity_W_per_mK": 2.25},
@@ -202,36 +204,43 @@ _TABLE: dict[str, Any] = {
              "conductivity_W_per_mK": 2.25},
         ], {"type": "array", "items": _obj({
             "label": _STRING,
-            "htc_W_per_m2K": _POS,
-            "length_m": _POS,
-            "conductivity_W_per_mK": _POS,
+            "htc_W_per_m2K": POS,
+            "length_m": POS,
+            "conductivity_W_per_mK": POS,
         }, required=["label", "htc_W_per_m2K", "length_m", "conductivity_W_per_mK"])}),
     },
-    "comparison": (None, _nullable(_obj({
+    "comparison": (None, nullable(_obj({
         "reference_csv": _STRING,
         "observable": _STRING,
         "time_column": _STRING,
         "value_column": _STRING,
         "thresholds": _obj({
-            "rmse": _NONNEG,
-            "max_abs": _NONNEG,
-            "terminal_time_rel": _NONNEG,
+            "rmse": NONNEG,
+            "max_abs": NONNEG,
+            "terminal_time_rel": NONNEG,
         }),
     }, required=["reference_csv", "observable"]))),
-    "output": {"directory": (None, _nullable(_STRING))},
+    "output": {"directory": (None, nullable(_STRING))},
 }
 
 
-def _split(node) -> tuple[Any, dict[str, Any]]:
-    """(defaults, schema) of a table leaf or section."""
+def _split(node, path: tuple[str, ...] = ()) -> tuple[Any, Any, dict[type, dict[str, str]]]:
+    """(defaults, schema, keys) of a table leaf or section; ``keys`` maps each
+    dataclass to {field name: dotted scenario key} of its fields under it."""
+    if isinstance(node, _key):
+        f = node.cls.__dataclass_fields__[node.name]
+        return f.default, dict(f.metadata), {node.cls: {node.name: ".".join(path)}}
     if isinstance(node, tuple):
-        return node
-    pairs = {key: _split(sub) for key, sub in node.items()}
-    return ({key: d for key, (d, _) in pairs.items()},
-            _obj({key: s for key, (_, s) in pairs.items()}))
+        return (*node, {})
+    defaults, schema, keys = {}, {}, {}
+    for name, sub in node.items():
+        defaults[name], schema[name], sub_keys = _split(sub, path + (name,))
+        for cls, names in sub_keys.items():
+            keys.setdefault(cls, {}).update(names)
+    return defaults, _obj(schema), keys
 
 
-DEFAULT_SCENARIO, SCENARIO_SCHEMA = _split(_TABLE)
+DEFAULT_SCENARIO, SCENARIO_SCHEMA, _KEYS = _split(_TABLE)
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -293,19 +302,6 @@ class ParameterSet:
         return np.linspace(float(top), float(bottom), self.n_z)
 
 
-def _nucleation_from(d: dict, seed: int | None):
-    mode = d["mode"]
-    if mode == "controlled":
-        return ControlledNucleation(temperature_K=d["temperature_K"])
-    if mode == "stochastic":
-        return StochasticNucleation(
-            rate_prefactor=d["rate_prefactor_per_m3_s_K"],
-            rate_exponent=d["rate_exponent"],
-            seed=seed,
-        )
-    raise ScenarioError(f"unknown nucleation mode {mode!r}")
-
-
 @contextmanager
 def _scenario_keys(keys: dict[str, str]):
     """Re-raise a dataclass :class:`ConfigurationError` raised inside with
@@ -319,6 +315,23 @@ def _scenario_keys(keys: dict[str, str]):
         raise ConfigurationError(fields.sub(lambda m: keys[m[1]], str(exc))) from exc
 
 
+def _build(cls, scenario: dict[str, Any], **derived):
+    """``cls`` built from ``derived`` and from the scenario keys its other
+    fields are read from, an integer field through ``int()``; a
+    :class:`ConfigurationError` names the scenario keys."""
+    keys = _KEYS[cls]
+    values = {}
+    for name, key in keys.items():
+        value = scenario
+        for part in key.split("."):
+            value = value[part]
+        if cls.__dataclass_fields__[name].metadata.get("type") == "integer":
+            value = int(value)
+        values[name] = value
+    with _scenario_keys(keys):
+        return cls(**values, **derived)
+
+
 def _schedule(scenario: dict[str, Any], key: str) -> Schedule:
     """The schedule at the dotted scenario ``key``; a table that is no
     valid schedule raises a :class:`ConfigurationError` naming the key."""
@@ -329,30 +342,29 @@ def _schedule(scenario: dict[str, Any], key: str) -> Schedule:
         raise ConfigurationError(f"{key}: {exc}") from exc
 
 
+def _temperatures(scenario: dict[str, Any], section: str,
+                  names=("shelf_temperature", "wall_temperature", "upper_temperature")):
+    """The temperature schedules ``names`` of ``section``, each read from
+    the key ``<name>_K``."""
+    return {name: _schedule(scenario, f"{section}.{name}_K") for name in names}
+
+
+def _nucleation(scenario: dict[str, Any], seed: int | None):
+    mode = scenario["freezing"]["nucleation"]["mode"]
+    if mode == "controlled":
+        return _build(ControlledNucleation, scenario)
+    if mode == "stochastic":
+        return _build(StochasticNucleation, scenario, seed=seed)
+    raise ScenarioError(f"unknown nucleation mode {mode!r}")
+
+
 def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     """Assemble a :class:`ParameterSet` from a fully merged scenario dict.
 
     Integer keys are converted with ``int()``: JSON Schema counts a
     whole-number float such as ``5.0`` as an integer.
     """
-    fd = scenario["formulation"]
-    formulation = Formulation(
-        x_s=fd["solute_mass_fraction"],
-        V_l=fd["fill_volume_m3"],
-        rho_s=fd["solute_density_kg_per_m3"],
-        rho_w=fd["water_density_kg_per_m3"],
-        rho_i=fd["ice_density_kg_per_m3"],
-        Cp_s=fd["solute_heat_capacity_J_per_kgK"],
-        Cp_w=fd["water_heat_capacity_J_per_kgK"],
-        Cp_i=fd["ice_heat_capacity_J_per_kgK"],
-        k_s=fd["solute_conductivity_W_per_mK"],
-        k_w=fd["water_conductivity_W_per_mK"],
-        k_i=fd["ice_conductivity_W_per_mK"],
-        M_s=fd["solute_molar_mass_kg_per_mol"],
-        M_w=fd["water_molar_mass_kg_per_mol"],
-        M_in=fd["inert_molar_mass_kg_per_mol"],
-        K_f=fd["cryoscopic_constant_kgK_per_mol"],
-    )
+    formulation = _build(Formulation, scenario)
     matrix = scenario["frozen_matrix"]
     mixture = mixture_properties(
         formulation, scenario["vial"]["diameter_m"],
@@ -360,77 +372,27 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         k_f_override=matrix["conductivity_W_per_mK"],
     )
     height = scenario["vial"]["product_height_m"]
-    geometry = VialGeometry(d=scenario["vial"]["diameter_m"],
-                            H=height if height is not None else mixture.H)
-    rd = scenario["radiation"]
-    with _scenario_keys({"F_top": "radiation.transfer_factor_top",
-                         "F_side": "radiation.transfer_factor_side",
-                         "eps_glass": "radiation.glass_emissivity"}):
-        radiation = RadiationSpec(F_top=rd["transfer_factor_top"],
-                                  F_side=rd["transfer_factor_side"],
-                                  eps_glass=rd["glass_emissivity"])
+    geometry = _build(VialGeometry, scenario, H=height if height is not None else mixture.H)
     seed = scenario.get("seed")
     seed = None if seed is None else int(seed)
 
-    fz = scenario["freezing"]
-    with _scenario_keys({"visf_start_s": "freezing.depressurization_start_s"}):
-        freezing = FreezingProtocol(
-            gas_temperature=_schedule(scenario, "freezing.gas_temperature_K"),
-            wall_temperature=_schedule(scenario, "freezing.wall_temperature_K"),
-            upper_temperature=_schedule(scenario, "freezing.upper_temperature_K"),
-            total_pressure=_schedule(scenario, "freezing.total_pressure_Pa"),
-            h_top=fz["top_htc_W_per_m2K"],
-            h_bottom=fz["bottom_htc_W_per_m2K"],
-            h_side=fz["side_htc_W_per_m2K"],
-            h_mass=fz["evaporation_coefficient_kg_per_m2s"],
-            p_w_chamber=fz["chamber_water_pressure_Pa"],
-            nucleation=_nucleation_from(fz["nucleation"], seed),
-            visf_start_s=fz["depressurization_start_s"],
-            solidification_fraction=fz["solidification_fraction"],
-            final_temperature_K=fz["final_temperature_K"],
-            final_tolerance_K=fz["final_tolerance_K"],
-            dH_fus=fz["heat_of_fusion_J_per_kg"],
-            stage_time_limit_s=fz["stage_time_limit_s"],
-        )
+    freezing = _build(
+        FreezingProtocol, scenario,
+        **_temperatures(scenario, "freezing",
+                        ("gas_temperature", "wall_temperature", "upper_temperature")),
+        total_pressure=_schedule(scenario, "freezing.total_pressure_Pa"),
+        nucleation=_nucleation(scenario, seed),
+    )
 
-    pr = scenario["primary"]
     rho_f = matrix["density_kg_per_m3"]
     frozen_density = ("frozen_matrix.density_kg_per_m3" if rho_f is not None
                       else "the frozen density from the formulation")
-    with _scenario_keys({"rho_f": frozen_density, "rho_e": "primary.dried_density_kg_per_m3"}):
-        primary = DryingParams(
-            shelf_temperature=_schedule(scenario, "primary.shelf_temperature_K"),
-            wall_temperature=_schedule(scenario, "primary.wall_temperature_K"),
-            upper_temperature=_schedule(scenario, "primary.upper_temperature_K"),
-            rho_f=rho_f if rho_f is not None else mixture.rho_f,
-            Cp_f=mixture.Cp_f,
-            k_f=mixture.k_f,
-            rho_e=pr["dried_density_kg_per_m3"],
-            h_b=pr["bottom_htc_W_per_m2K"],
-            Rp0=pr["cake_resistance_R0_m_per_s"],
-            Rp1=pr["cake_resistance_R1_m_per_s"],
-            Rp2=pr["cake_resistance_R2_m"],
-            dH_sub=pr["sublimation_heat_J_per_kg"],
-            p_w_chamber=pr["chamber_water_pressure_Pa"],
-        )
+    with _scenario_keys({"rho_f": frozen_density}):
+        primary = _build(DryingParams, scenario, **_temperatures(scenario, "primary"),
+                         rho_f=rho_f if rho_f is not None else mixture.rho_f,
+                         Cp_f=mixture.Cp_f, k_f=mixture.k_f)
 
     sd = scenario["secondary"]
-    secondary = DesorptionKinetics(
-        f_a=sd["desorption_prefactor_per_s"],
-        E_a=sd["desorption_activation_energy_J_per_mol"],
-        c_eq=sd["equilibrium_bound_water_kg_per_kg"],
-        rho_d=sd["desorption_density_kg_per_m3"],
-        dH_des=sd["desorption_heat_J_per_kg"],
-        k_e=sd["cake_conductivity_W_per_mK"],
-        rho_e=sd["cake_density_kg_per_m3"],
-        Cp_e=sd["cake_heat_capacity_J_per_kgK"],
-    )
-    secondary_conditions = DryingConditions(
-        shelf_temperature=_schedule(scenario, "secondary.shelf_temperature_K"),
-        wall_temperature=_schedule(scenario, "secondary.wall_temperature_K"),
-        upper_temperature=_schedule(scenario, "secondary.upper_temperature_K"),
-        h_b=sd["bottom_htc_W_per_m2K"],
-    )
     c0 = sd["initial_bound_water_kg_per_kg"]
     if isinstance(c0, (list, tuple)):
         if len(c0) != 2:
@@ -438,25 +400,8 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
                                 "a [top, bottom] pair")
         c0 = (float(c0[0]), float(c0[1]))
 
-    ch = scenario["chamber"]
-    chamber = ChamberModel(
-        V_c=ch["volume_m3"],
-        j_w_max=ch["condenser_capacity_kg_per_s"],
-        n_vial=int(ch["vial_count"]),
-        T_bar=ch["gas_temperature_K"],
-        p_setpoint=ch["pressure_setpoint_Pa"],
-        M_w=formulation.M_w,
-    )
-
-    it = scenario["integrator"]
-    max_step = it["max_step_s"]
-    integrator = IntegratorConfig(
-        rtol=it["rtol"],
-        atol=it["atol"],
-        max_step=float("inf") if max_step is None else max_step,
-    )
-
-    pl = scenario["pipeline"]
+    max_step = scenario["integrator"]["max_step_s"]
+    pr, fz, pl = scenario["primary"], scenario["freezing"], scenario["pipeline"]
     if pl["primary_start"] not in ("final_cooling_end", "solidification_end"):
         raise ScenarioError("pipeline.primary_start must be 'final_cooling_end' or "
                             "'solidification_end'")
@@ -464,20 +409,22 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         formulation=formulation,
         mixture=mixture,
         geometry=geometry,
-        radiation=radiation,
+        radiation=_build(RadiationSpec, scenario),
         freezing=freezing,
         freezing_initial_T=fz["initial_temperature_K"],
         primary=primary,
         primary_initial_T=pr["initial_temperature_K"],
         primary_time_limit_s=pr["time_limit_s"],
-        secondary=secondary,
-        secondary_conditions=secondary_conditions,
+        secondary=_build(DesorptionKinetics, scenario),
+        secondary_conditions=_build(DryingConditions, scenario,
+                                    **_temperatures(scenario, "secondary")),
         secondary_initial_T=sd["initial_temperature_K"],
         bound_water_initial=c0,
         bound_water_target=sd["target_bound_water_kg_per_kg"],
         secondary_time_limit_s=sd["time_limit_s"],
-        chamber=chamber,
-        integrator=integrator,
+        chamber=_build(ChamberModel, scenario, M_w=formulation.M_w),
+        integrator=_build(IntegratorConfig, scenario,
+                          max_step=float("inf") if max_step is None else max_step),
         n_z=int(scenario["grid"]["n_nodes"]),
         seed=seed,
         primary_start=pl["primary_start"],
@@ -485,9 +432,3 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         samples_per_stage=int(pl["samples_per_stage"]),
         consistent_water=pl["consistent_water"],
     )
-
-
-def default_parameters(overrides: dict[str, Any] | None = None) -> ParameterSet:
-    """Baseline :class:`ParameterSet`, optionally with scenario-style overrides."""
-    scenario = DEFAULT_SCENARIO if overrides is None else deep_merge(DEFAULT_SCENARIO, overrides)
-    return build_parameters(scenario)

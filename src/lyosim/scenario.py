@@ -1,11 +1,13 @@
 """Scenario files: validation, loading, and built-in lookup.
 
 A scenario is a YAML or JSON document overriding any subset of the
-baseline parameter dictionary.  The format itself, every key with its
-default and its schema, is declared once in :mod:`lyosim.params`; this
-module checks documents against that schema (which rejects unknown keys,
-so typos fail loudly instead of silently running the defaults) and merges
-them over the defaults.
+baseline parameter dictionary.  The format itself is declared once in
+:mod:`lyosim.params`, whose table takes the default and the schema of
+most keys from the dataclass field the key is read into.  This module
+checks documents against that schema (which rejects unknown keys, so typos
+fail loudly instead of silently running the defaults) and merges them over
+the defaults, for scenario files and for :func:`default_parameters`
+overrides alike.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from .errors import ScenarioError
 from .params import (DEFAULT_SCENARIO, SCENARIO_SCHEMA, ParameterSet, build_parameters,
                      deep_merge)
 
-__all__ = ["Scenario", "load_scenario", "builtin_scenarios", "validate_scenario"]
+__all__ = ["Scenario", "load_scenario", "builtin_scenarios", "validate_scenario",
+           "default_parameters"]
 
 
 def _non_finite(node: Any, path: tuple = ()) -> tuple | None:
@@ -55,6 +58,20 @@ def validate_scenario(data: dict[str, Any], *, where: str = "scenario") -> None:
     if (path := _non_finite(data)) is not None:
         loc = "/".join(map(str, path))
         raise ScenarioError(f"{where}: invalid value at {loc}: not a finite number")
+
+
+def _merged(raw: dict[str, Any], where: str) -> dict[str, Any]:
+    """``raw`` validated, merged over the defaults, and validated again."""
+    validate_scenario(raw, where=where)
+    merged = deep_merge(DEFAULT_SCENARIO, raw)
+    validate_scenario(merged, where=f"{where} (merged)")
+    return merged
+
+
+def default_parameters(overrides: dict[str, Any] | None = None) -> ParameterSet:
+    """Baseline :class:`ParameterSet`, optionally with scenario-style
+    overrides, which are validated as a scenario file is."""
+    return build_parameters(_merged(overrides or {}, "overrides"))
 
 
 def builtin_scenarios() -> list[str]:
@@ -133,9 +150,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         raw = {}
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where}: invalid value at <root>: top level must be a mapping")
-    validate_scenario(raw, where=where)
-    merged = deep_merge(DEFAULT_SCENARIO, raw)
+    merged = _merged(raw, where)
     if "name" not in raw and source is not None:
         merged["name"] = source.stem
-    validate_scenario(merged, where=f"{where} (merged)")
     return Scenario(data=merged, source=source)

@@ -37,6 +37,8 @@ class Schedule:
             raise ConfigurationError("schedule needs at least one (t, value) point")
         t = np.asarray([p[0] for p in self.points], dtype=float)
         v = np.asarray([p[1] for p in self.points], dtype=float)
+        if not (np.isfinite(t).all() and np.isfinite(v).all()):
+            raise ConfigurationError("schedule breakpoints must be finite numbers")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise ConfigurationError("schedule times must be strictly increasing")
         object.__setattr__(self, "_t", t)

@@ -44,7 +44,7 @@ and LU counts, its smallest step and its wall time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
@@ -54,7 +54,8 @@ from scipy.integrate import BDF, LSODA, OdeSolution
 from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 from scipy.optimize import brentq
 
-from .errors import ConfigurationError, SolverError
+from .bounds import POS, check_bounds
+from .errors import SolverError
 
 __all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult",
            "BorderedTridiagonal", "CoupledTridiagonal", "integrate_adaptive"]
@@ -75,17 +76,12 @@ class IntegratorConfig:
     driver passes its own to :func:`integrate_adaptive`.
     """
 
-    rtol: float = 1.0e-6
-    atol: float | np.ndarray = 1.0e-9
-    max_step: float = np.inf
+    rtol: float = field(default=1.0e-6, metadata=POS)
+    atol: float | np.ndarray = field(default=1.0e-9, metadata=POS)
+    max_step: float = field(default=np.inf, metadata=POS)
 
     def __post_init__(self) -> None:
-        if self.rtol <= 0.0:
-            raise ConfigurationError("rtol must be positive")
-        if np.any(np.asarray(self.atol) <= 0.0):
-            raise ConfigurationError("atol must be positive")
-        if self.max_step <= 0.0:
-            raise ConfigurationError("max_step must be positive")
+        check_bounds(self)
 
 
 @dataclass

@@ -9,10 +9,11 @@ increasing in temperature over their stated ranges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import FRACTION, OPEN_FRACTION, POS, UNIT, check_bounds
 from .errors import ConfigurationError, DomainError
 
 __all__ = [
@@ -182,29 +183,24 @@ class Formulation:
     constant of water (kg*K/mol).
     """
 
-    x_s: float = 0.05
-    V_l: float = 3.0e-6
-    rho_s: float = 1587.9  # kg/m^3 solute
-    rho_w: float = 1000.0  # kg/m^3 liquid water
-    rho_i: float = 917.0  # kg/m^3 ice
-    Cp_s: float = 1204.0  # J/kg/K solute
-    Cp_w: float = 4187.0  # J/kg/K liquid water
-    Cp_i: float = 2108.0  # J/kg/K ice
-    k_s: float = 0.126  # W/m/K solute
-    k_w: float = 0.598  # W/m/K liquid water
-    k_i: float = 2.25  # W/m/K ice
-    M_s: float = 0.3423  # kg/mol solute (sucrose)
-    M_w: float = 0.018  # kg/mol water
-    M_in: float = 0.028  # kg/mol inert gas (nitrogen)
-    K_f: float = 1.86  # kg*K/mol
+    x_s: float = field(default=0.05, metadata=OPEN_FRACTION)
+    V_l: float = field(default=3.0e-6, metadata=POS)
+    rho_s: float = field(default=1587.9, metadata=POS)  # kg/m^3 solute
+    rho_w: float = field(default=1000.0, metadata=POS)  # kg/m^3 liquid water
+    rho_i: float = field(default=917.0, metadata=POS)  # kg/m^3 ice
+    Cp_s: float = field(default=1204.0, metadata=POS)  # J/kg/K solute
+    Cp_w: float = field(default=4187.0, metadata=POS)  # J/kg/K liquid water
+    Cp_i: float = field(default=2108.0, metadata=POS)  # J/kg/K ice
+    k_s: float = field(default=0.126, metadata=POS)  # W/m/K solute
+    k_w: float = field(default=0.598, metadata=POS)  # W/m/K liquid water
+    k_i: float = field(default=2.25, metadata=POS)  # W/m/K ice
+    M_s: float = field(default=0.3423, metadata=POS)  # kg/mol solute (sucrose)
+    M_w: float = field(default=0.018, metadata=POS)  # kg/mol water
+    M_in: float = field(default=0.028, metadata=POS)  # kg/mol inert gas (nitrogen)
+    K_f: float = field(default=1.86, metadata=POS)  # kg*K/mol
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.x_s < 1.0:
-            raise ConfigurationError(f"solute mass fraction must lie in [0, 1), got {self.x_s}")
-        for name in ("V_l", "rho_s", "rho_w", "rho_i", "Cp_s", "Cp_w", "Cp_i",
-                     "k_s", "k_w", "k_i", "M_s", "M_w", "M_in", "K_f"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(f"Formulation.{name} must be positive")
+        check_bounds(self)
 
 
 @dataclass(frozen=True)
@@ -212,12 +208,11 @@ class VialGeometry:
     """Cylindrical product geometry: inner diameter ``d`` and product
     height ``H`` (m).  The cross section A_z = pi d^2 / 4 is derived."""
 
-    d: float = 0.024
-    H: float = 7.2e-3
+    d: float = field(default=0.024, metadata=POS)
+    H: float = field(default=7.2e-3, metadata=POS)
 
     def __post_init__(self) -> None:
-        if self.d <= 0.0 or self.H <= 0.0:
-            raise ConfigurationError("vial diameter and product height must be positive")
+        check_bounds(self)
 
     @property
     def A_z(self) -> float:
@@ -233,20 +228,17 @@ class RadiationSpec:
     surface, ``F_side`` couples the lateral surface, through the glass,
     to the chamber wall.  Both are bounded by the glass emissivity."""
 
-    F_top: float = 0.8
-    F_side: float = 0.624
-    eps_glass: float = 0.8
-    sigma: float = STEFAN_BOLTZMANN
+    F_top: float = field(default=0.8, metadata=UNIT)
+    F_side: float = field(default=0.624, metadata=UNIT)
+    eps_glass: float = field(default=0.8, metadata=FRACTION)
+    sigma: float = field(default=STEFAN_BOLTZMANN, metadata=POS)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.eps_glass <= 1.0:
-            raise ConfigurationError("glass emissivity must lie in [0, 1]")
+        check_bounds(self)
         for name in ("F_top", "F_side"):
-            if not 0.0 <= getattr(self, name) <= self.eps_glass:
+            if getattr(self, name) > self.eps_glass:
                 raise ConfigurationError(f"{name} = {getattr(self, name):g} must lie in "
                                          f"[0, eps_glass = {self.eps_glass:g}]")
-        if self.sigma <= 0.0:
-            raise ConfigurationError("Stefan-Boltzmann constant must be positive")
 
 
 @dataclass(frozen=True)
@@ -281,7 +273,7 @@ class MixtureProperties:
         return 4.0 * v_tot / self.d
 
 
-def mixture_properties(f: Formulation, d: float = 0.024, *,
+def mixture_properties(f: Formulation, d: float = VialGeometry.d, *,
                        Cp_f_override: float | None = None,
                        k_f_override: float | None = None) -> MixtureProperties:
     """Build derived fill and frozen-matrix properties.

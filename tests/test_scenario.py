@@ -19,6 +19,7 @@ from lyosim import (
     VialGeometry,
     build_parameters,
     builtin_scenarios,
+    default_parameters,
     load_scenario,
     validate_scenario,
 )
@@ -73,6 +74,16 @@ def test_load_json_scenario(tmp_path):
 def test_unknown_scenario_name():
     with pytest.raises(ScenarioError):
         load_scenario("does_not_exist")
+
+
+def test_default_parameters_validates_overrides():
+    # a misspelled key would otherwise run the default it meant to override
+    with pytest.raises(ScenarioError):
+        default_parameters({"primary": {"shelf_temprature_K": 300.0}})
+    with pytest.raises(ScenarioError):
+        default_parameters({"formulation": {"solute_mass_fraction": 0.0}})
+    p = default_parameters({"primary": {"shelf_temperature_K": 300.0}})
+    assert p.primary.shelf_temperature(0.0) == 300.0
 
 
 def test_unknown_key_rejected():

@@ -65,3 +65,14 @@ def test_as_schedule_coercion():
 def test_ramp_value_always_within_range(t):
     s = Schedule(((0.0, 200.0), (60.0, 260.0)))
     assert 200.0 <= s(t) <= 260.0
+
+
+@pytest.mark.parametrize("points", [
+    ((0.0, 1.0), (float("nan"), 2.0)),
+    ((0.0, float("inf")),),
+    ((float("-inf"), 1.0), (0.0, 2.0)),
+    ((0.0, float("nan")),),
+], ids=["nan-time", "inf-value", "inf-time", "nan-value"])
+def test_non_finite_breakpoints_rejected(points):
+    with pytest.raises(ConfigurationError, match="finite"):
+        Schedule(points)

@@ -138,7 +138,8 @@ def test_linearized_radiation_htc():
 
 def test_radiation_spec_bounds():
     RadiationSpec()  # defaults valid
-    RadiationSpec(F_top=0.0, F_side=0.0, eps_glass=0.0)
+    with pytest.raises(ConfigurationError):  # glass emissivity lies in (0, 1]
+        RadiationSpec(F_top=0.0, F_side=0.0, eps_glass=0.0)
     with pytest.raises(ConfigurationError):
         RadiationSpec(F_top=0.9, eps_glass=0.8)
     with pytest.raises(ConfigurationError):
@@ -231,10 +232,11 @@ def test_formulation_validation():
         Formulation(V_l=0.0)
     with pytest.raises(ConfigurationError):
         Formulation(rho_i=-1.0)
-    Formulation(x_s=0.0)  # pure water is allowed
+    with pytest.raises(ConfigurationError):  # the fill needs a solute
+        Formulation(x_s=0.0)
 
 
-@given(x_s=st.floats(0.0, 0.5))
+@given(x_s=st.floats(0.0, 0.5, exclude_min=True))
 def test_mixture_density_between_components(x_s):
     f = Formulation(x_s=x_s)
     mp = mixture_properties(f)
