@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .freezing import run_freezing
 from .params import ParameterSet, _build
 from .pipeline import run_full_cycle
 from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scenario
-from .trajectory import Trajectory, trajectory_json_dict, write_trajectory_csv
+from .trajectory import Trajectory, json_safe, trajectory_json_dict, write_trajectory_csv
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -214,19 +213,6 @@ def _print_transport(report: dict[str, Any]) -> None:
           f"(ratio {t['desorption_to_diffusion_ratio']:.3g})")
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        v = float(obj)
-        return None if math.isnan(v) else v
-    if isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _flatten(d: dict[str, Any], prefix: str = "") -> dict[str, float]:
     out: dict[str, float] = {}
     for k, v in d.items():
@@ -289,7 +275,7 @@ def _dispatch(args) -> int:
     if args.command == "analyze":
         report = _transport_report(scenario.transport())
         path = _output_dir(args, scenario) / f"{prefix}.json"
-        path.write_text(json.dumps(_json_safe(report), indent=2) + "\n")
+        path.write_text(json.dumps(json_safe(report), indent=2) + "\n")
         print(f"transport analysis ({scenario.name}):")
         _print_transport(report)
         print(f"wrote {path}")
@@ -344,10 +330,9 @@ def _dispatch(args) -> int:
         write_trajectory_csv(traj, table)
     else:
         table = out_dir / f"{prefix}_trajectory.json"
-        table.write_text(json.dumps(_json_safe(trajectory_json_dict(traj)), indent=2)
-                         + "\n")
+        table.write_text(json.dumps(trajectory_json_dict(traj), indent=2) + "\n")
     summary_path = out_dir / f"{prefix}_summary.json"
-    summary_path.write_text(json.dumps(_json_safe(summary), indent=2) + "\n")
+    summary_path.write_text(json.dumps(json_safe(summary), indent=2) + "\n")
     params_path = out_dir / f"{prefix}_parameters.json"
     params_path.write_text(scenario.effective_json() + "\n")
 

@@ -31,7 +31,7 @@ from .chamber import ChamberModel, chamber_pressure_gain, chamber_pressure_rhs
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
 from .solver import BorderedTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import (RadiationSpec, VialGeometry, psat_sublimation,
+from .thermo import (RadiationSpec, VialGeometry, as_profile, psat_sublimation,
                      psat_sublimation_slope, trapezoid_weights)
 from .trajectory import Trajectory
 
@@ -117,7 +117,7 @@ def sublimation_flux(T_interface: float, S: float, dp: DryingParams,
 
 
 def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
-               n_z: int, pressure_state: bool = False
+               n_z: int, pressure_state: bool = False, t0: float = 0.0
                ) -> tuple[Callable[[float, np.ndarray, float, float],
                                    tuple[np.ndarray, float, float]],
                           Callable[..., BorderedTridiagonal]]:
@@ -144,7 +144,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     component: the model sees p_w_chamber, whose derivative with respect to
     p is ``dp_dy`` (zero under a setpoint clamp), and the appended row of
     dp/dt is ``load_gain(N_w)`` (d(dp/dt)/dN_w) times dN_w/d(T_0, S, p);
-    p joins the border.
+    p joins the border.  Both read the schedules at stage time, t - t0.
     """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
@@ -166,9 +166,9 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         N_w = (sublimation_flux(T_front, max(S, 0.0), dp, p_w_c)
                if T_front > 0.0 else 0.0)
         dS = N_w / drho
-        T_b = dp.shelf_temperature(t)
-        T_u = dp.upper_temperature(t)
-        T_c = dp.wall_temperature(t)
+        T_b = dp.shelf_temperature(t - t0)
+        T_u = dp.upper_temperature(t - t0)
+        T_c = dp.wall_temperature(t - t0)
         q_top_rad = top_rad * (T_u**4 - T_front**4)
         Te = np.empty(n_z + 2)
         Te[1:-1] = T
@@ -200,9 +200,9 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
                 N_p = -1.0 / R
                 if S >= 0.0:
                     N_S = -N_w * dp.Rp1 * dp.Rp2 / ((dp.Rp2 + S_eff) ** 2 * R)
-        T_b = dp.shelf_temperature(t)
-        T_u = dp.upper_temperature(t)
-        T_c = dp.wall_temperature(t)
+        T_b = dp.shelf_temperature(t - t0)
+        T_u = dp.upper_temperature(t - t0)
+        T_c = dp.wall_temperature(t - t0)
         # core's coefficients: diffusion a, advection beta, side radiation c
         a = k / (rho_cp * gap**2 * dxi**2)
         beta_N = 1.0 / (drho * 2.0 * dxi * gap)  # d beta / d N_w
@@ -264,25 +264,25 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
 def run_primary(initial_temperature: float | np.ndarray,
                 dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
                 chamber: ChamberModel | None = None, *,
-                n_z: int = 51,
+                n_z: int, time_limit_s: float, samples: int,
                 config: IntegratorConfig = IntegratorConfig(),
-                t0: float = 0.0,
-                S0: float = 0.0,
-                time_limit_s: float = 1.0e6,
-                samples: int = 400) -> Trajectory:
-    """Integrate primary drying until the front reaches the vial bottom.
+                t0: float = 0.0) -> Trajectory:
+    """Integrate primary drying from t0 until the front, which starts at the
+    product top, reaches the vial bottom.
 
+    ``n_z``, ``time_limit_s`` and ``samples`` (trajectory rows) are the
+    scenario's ``grid.n_nodes``, ``primary.time_limit_s`` and
+    ``pipeline.samples_per_stage``; the schedules of ``dp`` run from t0.
     ``initial_temperature`` may be a scalar (uniform profile, the usual
     chained start) or a length-``n_z`` array.  The moving-domain transform
     is singular at S = H, so the integration stops at the terminal event
     S = H (1 - 1e-3) and the removal of the remaining ice sliver (a
     thousandth of the ice) is completed by linear extrapolation at the
     terminal front speed; the final trajectory row marks completion with
-    the front at H, zero flux, and zero ice.  If the horizon
-    ``time_limit_s`` elapses before the event a
-    :class:`StageTimeoutError` reports whether the front stalled for lack
-    of driving force.  The trajectory carries the full temperature field
-    under ``fields["temperature_K"]``.
+    the front at H, zero flux, and zero ice.  If the horizon elapses
+    before the event a :class:`StageTimeoutError` reports whether the
+    front stalled for lack of driving force.  The trajectory carries the
+    full temperature field under ``fields["temperature_K"]``.
 
     Without a ``chamber`` the chamber water partial pressure is held at
     ``dp.p_w_chamber``.  With a :class:`~lyosim.chamber.ChamberModel` the
@@ -296,15 +296,10 @@ def run_primary(initial_temperature: float | np.ndarray,
     if samples < 2:
         raise ConfigurationError("need at least 2 trajectory samples")
     S_stop = H * (1.0 - _FRONT_EPSILON_REL)
-    if not 0.0 <= S0 < S_stop:
-        raise ConfigurationError("initial front position must lie in [0, H (1 - 1e-3))")
-    T0 = np.asarray(initial_temperature, dtype=float)
-    if T0.ndim == 0:
-        T0 = np.full(n_z, float(T0))
-    elif T0.shape != (n_z,):
-        raise ConfigurationError(f"initial profile must have shape ({n_z},)")
+    T0 = as_profile(initial_temperature, n_z, "initial temperature")
     log.info("%s: start at t = %.6g s", STAGE_PRIMARY, t0)
-    core, core_jac = _make_core(dp, rad, geom, n_z, pressure_state=chamber is not None)
+    core, core_jac = _make_core(dp, rad, geom, n_z, pressure_state=chamber is not None,
+                                t0=t0)
     A_z = geom.A_z
 
     if chamber is None:
@@ -318,7 +313,7 @@ def run_primary(initial_temperature: float | np.ndarray,
         def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
             return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
 
-        y0 = np.concatenate([T0, [S0]])
+        y0 = np.concatenate([T0, [0.0]])
     else:
         load = chamber.n_vial * A_z  # vapor load (kg/s) per unit flux (kg/m^2/s)
 
@@ -340,7 +335,7 @@ def run_primary(initial_temperature: float | np.ndarray,
 
             return core_jac(t, y[:n_z], y[n_z], p, dp_dy=dp_dy, load_gain=load_gain)
 
-        y0 = np.concatenate([T0, [S0, chamber.p_setpoint]])
+        y0 = np.concatenate([T0, [0.0, chamber.p_setpoint]])
 
     done = EventSpec(lambda t, y: y[n_z] - S_stop, direction=1.0, name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,

@@ -21,7 +21,7 @@ from .bounds import NONNEG, POS, check_bounds
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
 from .solver import CoupledTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry, trapezoid_weights
+from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry, as_profile, trapezoid_weights
 from .trajectory import Trajectory
 
 __all__ = [
@@ -94,7 +94,7 @@ def desorption_rate(T, c_w, kin: DesorptionKinetics):
 
 
 def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditions,
-               geom: VialGeometry, n_z: int
+               geom: VialGeometry, n_z: int, t0: float = 0.0
                ) -> tuple[Callable[[float, np.ndarray], np.ndarray],
                           Callable[[float, np.ndarray], CoupledTridiagonal]]:
     """Build the discretized cake equations on the state y = (T, c_w) and
@@ -104,8 +104,8 @@ def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditio
     ``jac(t, y)`` its Jacobian as a
     :class:`~lyosim.solver.CoupledTridiagonal`: a tridiagonal T block,
     diagonal T-c_w coupling both ways and a diagonal c_w block.  The
-    schedules enter the right-hand side additively, so the Jacobian does
-    not depend on time.
+    schedules, read at the stage time t - t0, enter the right-hand side
+    additively, so the Jacobian does not depend on time.
     """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
@@ -124,10 +124,10 @@ def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditio
         dc = desorption_rate(T, y[n_z:], kin)
         Te = np.empty(n_z + 2)
         Te[1:-1] = T
-        Te[0] = T[1] + top_gain * (cond.upper_temperature(t)**4 - T[0]**4)
-        Te[-1] = T[n_z - 2] - film_gain * (T[n_z - 1] - cond.shelf_temperature(t))
+        Te[0] = T[1] + top_gain * (cond.upper_temperature(t - t0)**4 - T[0]**4)
+        Te[-1] = T[n_z - 2] - film_gain * (T[n_z - 1] - cond.shelf_temperature(t - t0))
         diff = (Te[2:] - 2.0 * T + Te[:-2]) * a
-        q_rad = side_rad * (cond.wall_temperature(t)**4 - T**4)
+        q_rad = side_rad * (cond.wall_temperature(t - t0)**4 - T**4)
         return np.concatenate([diff + sink * dc + q_rad, dc])
 
     upper = np.full(n_z - 1, a)
@@ -151,34 +151,29 @@ def run_secondary(initial_temperature: float | np.ndarray,
                   initial_bound_water: float | np.ndarray,
                   kin: DesorptionKinetics, rad: RadiationSpec,
                   cond: DryingConditions, geom: VialGeometry, *,
-                  c_target: float | None = 0.01,
-                  n_z: int = 51,
+                  c_target: float | None, n_z: int, time_limit_s: float, samples: int,
                   config: IntegratorConfig = IntegratorConfig(),
                   t0: float = 0.0,
-                  time_limit_s: float = 1.0e6,
-                  samples: int = 400,
                   stage_label: str = STAGE_SECONDARY) -> Trajectory:
-    """Integrate secondary drying until the volume-averaged bound water
-    falls to ``c_target`` (kg/kg).
+    """Integrate secondary drying from t0 until the volume-averaged bound
+    water falls to ``c_target`` (kg/kg).
 
-    Initial fields may be scalars (uniform) or length-``n_z`` arrays; the
-    chained start copies the primary-drying profile node by node.  A
-    target not reached within ``time_limit_s`` raises
-    :class:`StageTimeoutError`.  With ``c_target=None`` the run has no
-    target and lasts exactly ``time_limit_s`` (a fixed-duration hold).
+    ``c_target``, ``n_z``, ``time_limit_s`` and ``samples`` (trajectory
+    rows) are the scenario's ``secondary.target_bound_water_kg_per_kg``,
+    ``grid.n_nodes``, ``secondary.time_limit_s`` and
+    ``pipeline.samples_per_stage``; the schedules of ``cond`` run on stage
+    time, t - t0.  Initial fields may be scalars (uniform) or
+    length-``n_z`` arrays; the chained start copies the primary-drying
+    profile node by node.  A target not reached within ``time_limit_s``
+    raises :class:`StageTimeoutError`.  With ``c_target=None`` the run has
+    no target and lasts exactly ``time_limit_s`` (a fixed-duration hold).
     ``stage_label`` renames the stage column and end event, e.g. for
     post-heating holds.
     """
-    def as_profile(v, name: str) -> np.ndarray:
-        a = np.asarray(v, dtype=float)
-        if a.ndim == 0:
-            return np.full(n_z, float(a))
-        if a.shape != (n_z,):
-            raise ConfigurationError(f"{name} must be scalar or shape ({n_z},)")
-        return a.copy()
-
-    T0 = as_profile(initial_temperature, "initial temperature")
-    c0 = as_profile(initial_bound_water, "initial bound water")
+    if samples < 2:
+        raise ConfigurationError("need at least 2 trajectory samples")
+    T0 = as_profile(initial_temperature, n_z, "initial temperature")
+    c0 = as_profile(initial_bound_water, n_z, "initial bound water")
     if np.any(c0 < 0.0):
         raise ConfigurationError("bound water cannot be negative")
     if c_target is not None and c_target < 0.0:
@@ -196,7 +191,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
     events = None if c_target is None else [
         EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, direction=-1.0,
                   name="dry_enough")]
-    rhs, jac = _make_core(kin, rad, cond, geom, n_z)
+    rhs, jac = _make_core(kin, rad, cond, geom, n_z, t0=t0)
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
                              np.concatenate([T0, c0]), config, events=events, jac=jac)
     if c_target is not None and res.event is None:

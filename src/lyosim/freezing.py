@@ -374,7 +374,7 @@ def solidification_rhs(state: VialState, sys: FreezingSystem, *,
 
 def run_freezing(initial: VialState, sys: FreezingSystem,
                  config: IntegratorConfig = IntegratorConfig(), *,
-                 samples_per_stage: int = 200,
+                 samples_per_stage: int,
                  rng: np.random.Generator | None = None,
                  stop_after: str = "final_cooling") -> Trajectory:
     """Drive the freezing stage machine from ``initial`` to the frozen,
@@ -383,12 +383,13 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     Returns a :class:`Trajectory` whose events map the stage transitions
     (``preconditioning_end_s``, ``visf_end_s``, ``nucleation_s``,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times,
-    and whose stage column labels each stage's samples; ``stage[-1]`` is
+    and whose stage column labels each stage's samples (the scenario's
+    ``pipeline.samples_per_stage`` per integrated stage); ``stage[-1]`` is
     the stage the run stopped in.  The final state for chaining into drying
     is stored under ``meta["final_state"]`` and the solver counters of the
     stage's integrations under ``meta["solver"]`` (summed, except
-    ``min_step_s``, the smallest step of any of them).  Every integration uses LSODA
-    with the tolerances and ``max_step`` of ``config``.  Raises
+    ``min_step_s``, the smallest step of any of them).  Every integration
+    uses LSODA with the tolerances and ``max_step`` of ``config``.  Raises
     :class:`StageTimeoutError` when a stage fails to reach its completion
     event within the protocol's horizon.  ``stop_after="solidification"``
     ends the run once the target ice fraction is reached, for protocols that
@@ -397,6 +398,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     p, mx = sys.protocol, sys.mixture
     f = mx.formulation
     nuc = p.nucleation
+    if samples_per_stage < 2:
+        raise ConfigurationError("need at least 2 trajectory samples per stage")
     if stop_after not in ("final_cooling", "solidification"):
         raise ConfigurationError("stop_after must be 'final_cooling' or 'solidification'")
     if initial.m_i != 0.0:

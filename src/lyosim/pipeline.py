@@ -2,9 +2,10 @@
 
 Stages chain through their end states: the frozen product temperature
 seeds a uniform primary-drying profile, and the primary profile copies
-node by node into the secondary grid.  The water inventory is audited
-across the whole cycle (surface evaporation during depressurization,
-sublimed ice, desorbed and residual bound water).
+node by node into the secondary grid; each drying stage reads its
+schedules from its own start.  The water inventory is audited across the
+whole cycle (surface evaporation during depressurization, sublimed ice,
+desorbed and residual bound water).
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from dataclasses import replace
 import numpy as np
 
 from .drying_primary import STAGE_PRIMARY, run_primary
-from .drying_secondary import STAGE_SECONDARY, run_secondary
+from .drying_secondary import STAGE_SECONDARY, DryingConditions, run_secondary
 from .errors import ConfigurationError
 from .freezing import VialState, run_freezing
 from .params import ParameterSet
+from .schedules import Schedule
 from .thermo import trapezoid_weights
 from .trajectory import CycleResult, Trajectory
 
@@ -80,11 +82,14 @@ def run_full_cycle(params: ParameterSet, *,
     end_state = secondary.meta["final_state"]
 
     if params.post_heat_duration_s > 0.0:
-        # conduction-only hold at the secondary conditions; bound water is
-        # already at target, so desorption is switched off
+        # conduction-only hold at the conditions secondary drying ended on;
+        # bound water is already at target, so desorption is switched off
+        cond = params.secondary_conditions
+        held = [Schedule.constant(s(end_state.t - ps.t)) for s in
+                (cond.shelf_temperature, cond.wall_temperature, cond.upper_temperature)]
         hold = run_secondary(end_state.T, end_state.c_w,
                              replace(params.secondary, f_a=0.0), params.radiation,
-                             params.secondary_conditions, params.geometry,
+                             DryingConditions(*held, h_b=cond.h_b), params.geometry,
                              c_target=None, n_z=params.n_z, config=params.integrator,
                              t0=end_state.t, time_limit_s=params.post_heat_duration_s,
                              samples=max(2, params.samples_per_stage // 3),

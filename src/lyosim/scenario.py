@@ -61,10 +61,11 @@ def validate_scenario(data: dict[str, Any], *, where: str = "scenario") -> None:
 
 
 def _merged(raw: dict[str, Any], where: str) -> dict[str, Any]:
-    """``raw`` validated, merged over the defaults, and validated again."""
-    validate_scenario(raw, where=where)
+    """``raw`` merged over the defaults, and validated."""
+    # one pass does: raw's leaves all appear unchanged in the merge, and no
+    # schema object with ``required`` keys has a mapping default to fill in
     merged = deep_merge(DEFAULT_SCENARIO, raw)
-    validate_scenario(merged, where=f"{where} (merged)")
+    validate_scenario(merged, where=where)
     return merged
 
 

@@ -1,9 +1,9 @@
 """Piecewise-linear time schedules for operating conditions.
 
 Shelf, gas, and wall temperatures as well as the chamber total pressure are
-prescribed quantities.  A :class:`Schedule` maps model time (s, relative to
-the start of the stage that owns it) onto a value, interpolating linearly
-between breakpoints and clamping outside the table range.
+prescribed quantities.  A :class:`Schedule` maps stage time (s from the
+stage start; post-heating holds the end-of-secondary values) onto a value,
+interpolating linearly between breakpoints and clamping outside the table.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ __all__ = [
     "overall_htc_slab",
     "overall_htc_cylinder",
     "trapezoid_weights",
+    "as_profile",
     "mixture_properties",
 ]
 
@@ -172,6 +173,14 @@ def trapezoid_weights(n: int) -> np.ndarray:
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
+
+
+def as_profile(value, n: int, name: str) -> np.ndarray:
+    """A scalar as a uniform n-node profile, a length-n array as a copy."""
+    a = np.asarray(value, dtype=float)
+    if a.shape not in ((), (n,)):
+        raise ConfigurationError(f"{name} must be scalar or shape ({n},)")
+    return np.full(n, a)
 
 
 @dataclass(frozen=True)

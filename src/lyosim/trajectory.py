@@ -13,7 +13,7 @@ import numpy as np
 from .errors import ConfigurationError
 
 __all__ = ["Trajectory", "CycleResult", "CSV_COLUMNS", "write_trajectory_csv",
-           "trajectory_json_dict"]
+           "json_safe", "trajectory_json_dict"]
 
 # Fixed column order of exported trajectory tables.  Quantities that do not
 # apply to a stage are written as nan.
@@ -126,19 +126,25 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         writer.writerows(zip(*cols))
 
 
+def json_safe(obj):
+    """``obj`` with numpy numbers as Python ones and nan as None, so that
+    ``json.dumps`` writes strict JSON; tuples become lists."""
+    if isinstance(obj, dict):
+        return {k: json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [json_safe(v) for v in obj]
+    if isinstance(obj, (np.floating, float)):
+        v = float(obj)
+        return None if math.isnan(v) else v
+    if isinstance(obj, np.integer):
+        return int(obj)
+    return obj
+
+
 def trajectory_json_dict(traj: Trajectory) -> dict[str, Any]:
     """The trajectory table as a JSON-ready dict (nan becomes null)."""
-    def clean(v: Any):
-        if isinstance(v, str):
-            return v
-        v = float(v)
-        return None if math.isnan(v) else v
-
-    return {
-        "columns": list(CSV_COLUMNS),
-        "rows": [[clean(v) for v in row] for row in traj.rows()],
-        "events": {k: float(v) for k, v in traj.events.items()},
-    }
+    return json_safe({"columns": CSV_COLUMNS, "rows": list(traj.rows()),
+                      "events": traj.events})
 
 
 @dataclass

@@ -21,6 +21,26 @@ def params():
     return default_parameters()
 
 
+@pytest.fixture(scope="session")
+def stage_settings(params):
+    """``stage_settings(stage, **overrides)``: the keyword settings that the
+    driver of ``stage`` ("freezing", "primary" or "secondary") takes from
+    the scenario, at the defaults, with ``overrides`` applied."""
+    defaults = {
+        "freezing": dict(samples_per_stage=params.samples_per_stage),
+        "primary": dict(n_z=params.n_z, time_limit_s=params.primary_time_limit_s,
+                        samples=params.samples_per_stage),
+        "secondary": dict(c_target=params.bound_water_target, n_z=params.n_z,
+                          time_limit_s=params.secondary_time_limit_s,
+                          samples=params.samples_per_stage),
+    }
+
+    def settings(stage, **overrides):
+        return {**defaults[stage], **overrides}
+
+    return settings
+
+
 @pytest.fixture
 def fast_config():
     """Looser tolerances for tests that only need qualitative behavior."""

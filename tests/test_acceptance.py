@@ -72,10 +72,10 @@ def cycle_default(defaults):
 
 
 @pytest.fixture(scope="module")
-def primary_base(defaults):
+def primary_base(defaults, stage_settings):
     return run_primary(defaults.primary_initial_T, defaults.primary,
                        defaults.radiation, defaults.geometry,
-                       n_z=defaults.n_z, config=defaults.integrator)
+                       config=defaults.integrator, **stage_settings("primary"))
 
 
 # --------------------------------------------------------------------------
@@ -262,7 +262,7 @@ def _secondary_energy_residual(secondary, params) -> float:
     return abs(dU - E_in - E_des) / scale
 
 
-def test_criterion_5_mass_and_energy_closure(cycle_default, defaults):
+def test_criterion_5_mass_and_energy_closure(cycle_default, defaults, stage_settings):
     freeze = cycle_default.freezing
     # (a) solidification water inventory, sample by sample
     sel = [i for i, s in enumerate(freeze.stage)
@@ -279,13 +279,13 @@ def test_criterion_5_mass_and_energy_closure(cycle_default, defaults):
     # initial boundary-layer transients (tau ~ 1 min against 6 h stages)
     d = defaults
     primary_fine = run_primary(d.primary_initial_T, d.primary, d.radiation,
-                               d.geometry, n_z=d.n_z, config=d.integrator,
-                               samples=3000)
+                               d.geometry, config=d.integrator,
+                               **stage_settings("primary", samples=3000))
     secondary_fine = run_secondary(d.secondary_initial_T,
                                    d.bound_water_profile(), d.secondary,
                                    d.radiation, d.secondary_conditions,
-                                   d.geometry, c_target=d.bound_water_target,
-                                   n_z=d.n_z, config=d.integrator, samples=3000)
+                                   d.geometry, config=d.integrator,
+                                   **stage_settings("secondary", samples=3000))
     e_sol = _solidification_energy_residual(freeze, defaults)
     e_pri = _primary_energy_residual(primary_fine, defaults)
     e_sec = _secondary_energy_residual(secondary_fine, defaults)
@@ -308,7 +308,7 @@ def test_criterion_5_mass_and_energy_closure(cycle_default, defaults):
 # 6. integrator accuracy, grid convergence, event localization
 
 
-def test_criterion_6_solver_accuracy(defaults, primary_base):
+def test_criterion_6_solver_accuracy(defaults, primary_base, stage_settings):
     rtol = 1.0e-6
     config = IntegratorConfig(rtol=rtol, atol=1.0e-12)
 
@@ -332,15 +332,16 @@ def test_criterion_6_solver_accuracy(defaults, primary_base):
     d = defaults
     t_d1 = primary_base.meta["duration_s"]
     t_d1_coarse = run_primary(d.primary_initial_T, d.primary, d.radiation,
-                              d.geometry, n_z=26,
-                              config=d.integrator).meta["duration_s"]
-    sec_kw = dict(c_target=d.bound_water_target, config=d.integrator)
+                              d.geometry, config=d.integrator,
+                              **stage_settings("primary", n_z=26)).meta["duration_s"]
     t_d2 = run_secondary(d.secondary_initial_T, d.bound_water_profile(),
                          d.secondary, d.radiation, d.secondary_conditions,
-                         d.geometry, n_z=d.n_z, **sec_kw).meta["duration_s"]
+                         d.geometry, config=d.integrator,
+                         **stage_settings("secondary")).meta["duration_s"]
     t_d2_coarse = run_secondary(d.secondary_initial_T, np.full(26, 0.088),
                                 d.secondary, d.radiation, d.secondary_conditions,
-                                d.geometry, n_z=26, **sec_kw).meta["duration_s"]
+                                d.geometry, config=d.integrator,
+                                **stage_settings("secondary", n_z=26)).meta["duration_s"]
     g1 = abs(t_d1_coarse / t_d1 - 1.0)
     g2 = abs(t_d2_coarse / t_d2 - 1.0)
     grid_ok = g1 < 0.01 and g2 < 0.01
@@ -348,12 +349,12 @@ def test_criterion_6_solver_accuracy(defaults, primary_base):
     # halving rtol moves the located stage-end events by less than 0.1 %
     tight = IntegratorConfig(rtol=d.integrator.rtol / 2.0, atol=d.integrator.atol)
     t_d1_tight = run_primary(d.primary_initial_T, d.primary, d.radiation,
-                             d.geometry, n_z=d.n_z,
-                             config=tight).meta["duration_s"]
+                             d.geometry, config=tight,
+                             **stage_settings("primary")).meta["duration_s"]
     t_d2_tight = run_secondary(d.secondary_initial_T, d.bound_water_profile(),
                                d.secondary, d.radiation, d.secondary_conditions,
-                               d.geometry, n_z=d.n_z, c_target=d.bound_water_target,
-                               config=tight).meta["duration_s"]
+                               d.geometry, config=tight,
+                               **stage_settings("secondary")).meta["duration_s"]
     l1 = abs(t_d1_tight / t_d1 - 1.0)
     l2 = abs(t_d2_tight / t_d2 - 1.0)
     event_ok = l1 < 0.001 and l2 < 0.001
@@ -368,7 +369,7 @@ def test_criterion_6_solver_accuracy(defaults, primary_base):
 # 7. stochastic nucleation statistics and reproducibility
 
 
-def test_criterion_7_nucleation_statistics():
+def test_criterion_7_nucleation_statistics(stage_settings):
     params = load_scenario("stochastic_freezing").parameters()
     sysm = params.freezing_system()
     mx = params.mixture
@@ -389,13 +390,15 @@ def test_criterion_7_nucleation_statistics():
     # seeded runs of the full stochastic freeze are bit-for-bit identical
     base = load_scenario("stochastic_freezing").parameters()
     runs = [run_freezing(base.initial_vial_state(), base.freezing_system(),
-                         base.integrator, rng=np.random.default_rng(77))
+                         base.integrator, rng=np.random.default_rng(77),
+                         **stage_settings("freezing"))
             for _ in range(2)]
     same = (np.array_equal(runs[0].t, runs[1].t)
             and all(np.array_equal(runs[0].series[k], runs[1].series[k])
                     for k in runs[0].series))
     other = run_freezing(base.initial_vial_state(), base.freezing_system(),
-                         base.integrator, rng=np.random.default_rng(78))
+                         base.integrator, rng=np.random.default_rng(78),
+                         **stage_settings("freezing"))
     differs = other.events["nucleation_s"] != runs[0].events["nucleation_s"]
 
     ok = stat_ok and same and differs
@@ -408,10 +411,11 @@ def test_criterion_7_nucleation_statistics():
 # 8. condenser failure coupling
 
 
-def test_criterion_8_condenser_failure(defaults, primary_base):
+def test_criterion_8_condenser_failure(defaults, primary_base, stage_settings):
     d = defaults
     failure = run_primary(d.primary_initial_T, d.primary, d.radiation, d.geometry,
-                          chamber=d.chamber, n_z=d.n_z, config=d.integrator)
+                          chamber=d.chamber, config=d.integrator,
+                          **stage_settings("primary"))
     p = failure.series["chamber_water_pressure_Pa"]
     T_top = failure.series["temperature_top_K"]
     S = failure.series["front_position_m"]

@@ -83,17 +83,18 @@ def test_pressure_gain_follows_the_clamp():
         assert chamber_pressure_gain(p, load, ch) == pytest.approx(factor, rel=1e-12)
 
 
-def _chamber_system(driver_system, geom, n_z, ch):
+def _chamber_system(driver_system, settings, geom, n_z, ch):
     """(rhs, jac) that run_primary under a chamber hands to the integrator."""
     rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
-        235.0, _default_dp(), RadiationSpec(), geom, chamber=ch, n_z=n_z))
+        235.0, _default_dp(), RadiationSpec(), geom, chamber=ch,
+        **settings("primary", n_z=n_z)))
     return rhs, jac
 
 
 @pytest.mark.parametrize("n_z", [5, 51])
 @pytest.mark.parametrize("case", ["setpoint_clamp", "overload"])
-def test_jacobian_matches_central_differences(driver_system, jacobian_error, geom,
-                                              n_z, case):
+def test_jacobian_matches_central_differences(driver_system, stage_settings,
+                                              jacobian_error, geom, n_z, case):
     T = np.linspace(240.0, 255.0, n_z)
     S = 0.4 * geom.H
     if case == "setpoint_clamp":
@@ -103,7 +104,7 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
     else:
         ch = ChamberModel()
         p_state = 10.0
-    rhs, jac = _chamber_system(driver_system, geom, n_z, ch)
+    rhs, jac = _chamber_system(driver_system, stage_settings, geom, n_z, ch)
     y = np.concatenate([T, [S, p_state]])
     assert jacobian_error(rhs, jac, 1000.0, y) < 1.0e-5
     J = jac(1000.0, y).toarray()
@@ -116,11 +117,11 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
 
 
 @pytest.fixture(scope="module")
-def failure_run(geom):
+def failure_run(geom, stage_settings):
     dp = _default_dp()
     ch = ChamberModel()
     return run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch,
-                       config=IntegratorConfig(), samples=300)
+                       **stage_settings("primary"))
 
 
 def test_pressure_rises_to_plateau(failure_run, geom):
@@ -139,9 +140,9 @@ def test_pressure_rises_to_plateau(failure_run, geom):
     assert abs(load - ch.j_w_max) / ch.j_w_max < 1.0e-3
 
 
-def test_failure_slows_drying_and_heats_product(failure_run, geom):
+def test_failure_slows_drying_and_heats_product(failure_run, geom, stage_settings):
     base = run_primary(235.0, _default_dp(), RadiationSpec(), geom,
-                       config=IntegratorConfig(), samples=100)
+                       **stage_settings("primary", samples=100))
     t_fail = failure_run.events["primary_drying_end_s"]
     t_base = base.events["primary_drying_end_s"]
     assert t_fail > t_base
@@ -162,7 +163,7 @@ def test_front_completes_under_failure(failure_run, geom):
     assert failure_run.series["ice_mass_kg"][-1] == 0.0
 
 
-def test_oversized_condenser_matches_fixed_pressure(geom):
+def test_oversized_condenser_matches_fixed_pressure(geom, stage_settings):
     # with ample capacity the chamber stays at the setpoint and the run
     # reduces to the uncoupled one; both run at tolerances whose integration
     # error stays well under the compared 1e-6, so a gap left is a gap
@@ -170,33 +171,33 @@ def test_oversized_condenser_matches_fixed_pressure(geom):
     dp = _default_dp()
     ch = ChamberModel(j_w_max=1.0)
     tight = IntegratorConfig(rtol=1.0e-9, atol=1.0e-12)
+    settings = stage_settings("primary", samples=50)
     coupled = run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch,
-                          config=tight, samples=50)
-    plain = run_primary(235.0, dp, RadiationSpec(), geom, config=tight, samples=50)
+                          config=tight, **settings)
+    plain = run_primary(235.0, dp, RadiationSpec(), geom, config=tight, **settings)
     p = coupled.series["chamber_water_pressure_Pa"]
     assert np.all(np.abs(p - 3.0) < 1e-9)
     assert coupled.events["primary_drying_end_s"] == pytest.approx(
         plain.events["primary_drying_end_s"], rel=1e-6)
 
 
-def test_more_vials_push_pressure_higher(geom):
+def test_more_vials_push_pressure_higher(geom, stage_settings):
     dp = _default_dp()
-    cfg = IntegratorConfig()
     p_peaks = []
     for n in (150, 300):
         traj = run_primary(235.0, dp, RadiationSpec(), geom,
-                           chamber=ChamberModel(n_vial=n), config=cfg, samples=50)
+                           chamber=ChamberModel(n_vial=n),
+                           **stage_settings("primary", samples=50))
         p_peaks.append(traj.series["chamber_water_pressure_Pa"].max())
     assert p_peaks[1] > p_peaks[0]
 
 
-def test_run_validations(geom):
+def test_run_validations(geom, stage_settings):
     dp = _default_dp()
     ch = ChamberModel()
     with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, samples=1)
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, S0=geom.H)
+        run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch,
+                    **stage_settings("primary", samples=1))
 
 
 def test_final_state_and_sublimed_mass_under_chamber(failure_run, geom):
@@ -214,18 +215,19 @@ def test_final_state_and_sublimed_mass_under_chamber(failure_run, geom):
     # above the ice saturation pressure at the shelf temperature: no flux
     (1000.0, "driving force is nonpositive"),
 ])
-def test_timeout_reports_stall_under_chamber(geom, p_setpoint, detail):
+def test_timeout_reports_stall_under_chamber(geom, stage_settings, p_setpoint, detail):
     with pytest.raises(StageTimeoutError, match=detail):
         run_primary(235.0, _default_dp(), RadiationSpec(), geom,
-                    chamber=ChamberModel(p_setpoint=p_setpoint), time_limit_s=60.0,
-                    config=IntegratorConfig(), samples=10)
+                    chamber=ChamberModel(p_setpoint=p_setpoint),
+                    **stage_settings("primary", time_limit_s=60.0, samples=10))
 
 
-def test_condenser_name_forwards_to_run_primary(geom):
+def test_condenser_name_forwards_to_run_primary(geom, stage_settings):
     dp = _default_dp()
     ch = ChamberModel()
-    old = run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch, samples=50)
-    new = run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, samples=50)
+    settings = stage_settings("primary", samples=50)
+    old = run_primary_with_condenser(235.0, dp, RadiationSpec(), geom, ch, **settings)
+    new = run_primary(235.0, dp, RadiationSpec(), geom, chamber=ch, **settings)
     assert np.array_equal(old.t, new.t)
     assert old.series.keys() == new.series.keys()
     for name, values in new.series.items():

@@ -36,10 +36,10 @@ def geom():
 
 
 @pytest.fixture(scope="module")
-def baseline(geom):
+def baseline(geom, stage_settings):
     dp = _default_dp()
     return run_primary(235.0, dp, RadiationSpec(), geom,
-                       config=IntegratorConfig(), samples=200)
+                       **stage_settings("primary", samples=200))
 
 
 # --- parameter validation -----------------------------------------------------
@@ -130,19 +130,20 @@ def test_rhs_front_cooling_from_sublimation(geom):
 
 # --- exact Jacobian -----------------------------------------------------------------
 
-def _primary_system(driver_system, geom, n_z, dp=None):
+def _primary_system(driver_system, settings, geom, n_z, dp=None):
     """(rhs, jac) that run_primary hands to the integrator."""
     dp = _default_dp() if dp is None else dp
     rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
-        235.0, dp, RadiationSpec(), geom, n_z=n_z))
+        235.0, dp, RadiationSpec(), geom, **settings("primary", n_z=n_z)))
     return rhs, jac
 
 
-def test_jacobian_sparsity_structure(driver_system, geom):
+def test_jacobian_sparsity_structure(driver_system, stage_settings, geom):
     n_z = 5
     for chamber in (None, ChamberModel()):
         rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
-            235.0, _default_dp(), RadiationSpec(), geom, chamber, n_z=n_z))
+            235.0, _default_dp(), RadiationSpec(), geom, chamber,
+            **stage_settings("primary", n_z=n_z)))
         y = np.concatenate([np.linspace(240.0, 250.0, n_z), [0.4 * geom.H]])
         if chamber is not None:
             y = np.append(y, 10.0)  # over the setpoint: p couples both ways
@@ -166,9 +167,9 @@ def test_jacobian_sparsity_structure(driver_system, geom):
 
 @pytest.mark.parametrize("n_z", [5, 51])
 @pytest.mark.parametrize("case", ["mid_drying", "gap_floor", "cold_front", "behind_top"])
-def test_jacobian_matches_central_differences(driver_system, jacobian_error, geom,
-                                              n_z, case):
-    rhs, jac = _primary_system(driver_system, geom, n_z)
+def test_jacobian_matches_central_differences(driver_system, stage_settings,
+                                              jacobian_error, geom, n_z, case):
+    rhs, jac = _primary_system(driver_system, stage_settings, geom, n_z)
     T = np.linspace(240.0, 255.0, n_z)
     S = 0.4 * geom.H
     steps = None
@@ -245,77 +246,60 @@ def test_solver_counters_in_meta(baseline):
     assert counts["nlu"] >= counts["njev"]
 
 
-def test_grid_doubling_changes_endpoint_under_one_percent(geom):
+def test_grid_doubling_changes_endpoint_under_one_percent(geom, stage_settings):
     dp = _default_dp()
-    cfg = IntegratorConfig()
     ends = []
     for n_z in (26, 51):
-        traj = run_primary(235.0, dp, RadiationSpec(), geom, n_z=n_z,
-                           config=cfg, samples=50)
+        traj = run_primary(235.0, dp, RadiationSpec(), geom,
+                           **stage_settings("primary", n_z=n_z, samples=50))
         ends.append(traj.events["primary_drying_end_s"])
     assert abs(ends[1] - ends[0]) / ends[1] < 0.01
 
 
-def test_rtol_halving_moves_endpoint_under_point1_percent(geom):
+def test_rtol_halving_moves_endpoint_under_point1_percent(geom, stage_settings):
     dp = _default_dp()
     ends = []
     for rtol in (1.0e-6, 5.0e-7):
         traj = run_primary(235.0, dp, RadiationSpec(), geom,
-                           config=IntegratorConfig(rtol=rtol), samples=50)
+                           config=IntegratorConfig(rtol=rtol),
+                           **stage_settings("primary", samples=50))
         ends.append(traj.events["primary_drying_end_s"])
     assert abs(ends[1] - ends[0]) / ends[1] < 1.0e-3
 
 
-def test_warmer_shelf_dries_faster(geom):
-    cfg = IntegratorConfig()
+def test_warmer_shelf_dries_faster(geom, stage_settings):
+    settings = stage_settings("primary", samples=50)
     t_cool = run_primary(235.0, _default_dp(shelf_temperature=Schedule.constant(262.0)),
-                         RadiationSpec(), geom, config=cfg, samples=50)
+                         RadiationSpec(), geom, **settings)
     t_warm = run_primary(235.0, _default_dp(shelf_temperature=Schedule.constant(278.0)),
-                         RadiationSpec(), geom, config=cfg, samples=50)
+                         RadiationSpec(), geom, **settings)
     assert t_warm.events["primary_drying_end_s"] < t_cool.events["primary_drying_end_s"]
 
 
-def test_partially_dried_start(geom):
+def test_profile_initial_condition_array(geom, stage_settings):
     dp = _default_dp()
-    S0 = 0.5 * geom.H
-    traj = run_primary(235.0, dp, RadiationSpec(), geom, S0=S0,
-                       config=IntegratorConfig(), samples=50)
-    S = traj.series["front_position_m"]
-    assert S[0] == pytest.approx(S0)
-    assert S[-1] == geom.H
-    full = run_primary(235.0, dp, RadiationSpec(), geom,
-                       config=IntegratorConfig(), samples=50)
-    assert traj.events["primary_drying_end_s"] < full.events["primary_drying_end_s"]
-
-
-def test_profile_initial_condition_array(geom):
-    dp = _default_dp()
-    T0 = np.linspace(233.0, 238.0, 51)
-    traj = run_primary(T0, dp, RadiationSpec(), geom, config=IntegratorConfig(),
-                       samples=50)
+    settings = stage_settings("primary", samples=50)
+    T0 = np.linspace(233.0, 238.0, settings["n_z"])
+    traj = run_primary(T0, dp, RadiationSpec(), geom, **settings)
     assert traj.fields["temperature_K"][0] == pytest.approx(T0)
 
 
-def test_run_validations(geom):
+def test_run_validations(geom, stage_settings):
     dp = _default_dp()
     rad = RadiationSpec()
+    with pytest.raises(ConfigurationError, match="2 trajectory samples"):
+        run_primary(235.0, dp, rad, geom, **stage_settings("primary", samples=1))
     with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, samples=1)
-    with pytest.raises(ConfigurationError):  # inside the front-completion margin
-        run_primary(235.0, dp, rad, geom, S0=geom.H * (1.0 - 0.5e-3))
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, S0=-1.0e-3)
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, S0=geom.H)
-    with pytest.raises(ConfigurationError):
-        run_primary(235.0, dp, rad, geom, n_z=2)
+        run_primary(235.0, dp, rad, geom, **stage_settings("primary", n_z=2))
+    with pytest.raises(ConfigurationError, match="initial temperature"):
+        run_primary(np.full(5, 235.0), dp, rad, geom, **stage_settings("primary"))
 
 
-def test_timeout_raises(geom):
+def test_timeout_raises(geom, stage_settings):
     dp = _default_dp()
     with pytest.raises(StageTimeoutError):
-        run_primary(235.0, dp, RadiationSpec(), geom, time_limit_s=60.0,
-                    config=IntegratorConfig(), samples=10)
+        run_primary(235.0, dp, RadiationSpec(), geom,
+                    **stage_settings("primary", time_limit_s=60.0, samples=10))
 
 
 def test_steady_residual_small_mid_drying(baseline, geom):

@@ -107,7 +107,7 @@ def test_rhs_desorption_sink_cools(geom):
 
 # --- full stage ----------------------------------------------------------------------
 
-def test_isothermal_decay_matches_closed_form(geom):
+def test_isothermal_decay_matches_closed_form(geom, stage_settings):
     # negligible desorption heat keeps the cake at the uniform environment
     # temperature, so c(t) = c0 exp(-k t) exactly
     kin = DesorptionKinetics(dH_des=1.0e-6)
@@ -115,7 +115,7 @@ def test_isothermal_decay_matches_closed_form(geom):
     k = kin.rate_constant(295.0)
     c0, c_target = 0.088, 0.01
     traj = run_secondary(295.0, c0, kin, RadiationSpec(), cond, geom,
-                         c_target=c_target, config=IntegratorConfig(), samples=100)
+                         **stage_settings("secondary", c_target=c_target, samples=100))
     t_expect = math.log(c0 / c_target) / k
     t_end = traj.events["secondary_drying_end_s"]
     assert t_end == pytest.approx(t_expect, rel=1e-5)
@@ -123,23 +123,26 @@ def test_isothermal_decay_matches_closed_form(geom):
     assert c == pytest.approx(c0 * np.exp(-k * traj.t), rel=1e-5)
 
 
-def test_event_localization_stable_under_rtol_halving(geom):
+def test_event_localization_stable_under_rtol_halving(geom, stage_settings):
     kin = DesorptionKinetics(dH_des=1.0e-6)
     cond = _conditions(295.0)
     ends = []
     for rtol in (1.0e-6, 5.0e-7):
         traj = run_secondary(295.0, 0.088, kin, RadiationSpec(), cond, geom,
-                             config=IntegratorConfig(rtol=rtol), samples=20)
+                             config=IntegratorConfig(rtol=rtol),
+                             **stage_settings("secondary", samples=20))
         ends.append(traj.events["secondary_drying_end_s"])
     assert abs(ends[1] - ends[0]) / ends[1] < 1.0e-3
 
 
 @pytest.mark.parametrize("n_z", [5, 51])
-def test_jacobian_matches_central_differences(driver_system, jacobian_error, geom, n_z):
+def test_jacobian_matches_central_differences(driver_system, stage_settings,
+                                              jacobian_error, geom, n_z):
     kin = DesorptionKinetics(c_eq=0.005)
     cond = _conditions(300.0, T_wall=290.0, T_upper=285.0)
     rhs, jac, _ = driver_system(drying_secondary, lambda: run_secondary(
-        273.15, 0.088, kin, RadiationSpec(), cond, geom, n_z=n_z))
+        273.15, 0.088, kin, RadiationSpec(), cond, geom,
+        **stage_settings("secondary", n_z=n_z)))
     rng = np.random.default_rng(7)
     y = np.concatenate([275.0 + 20.0 * rng.random(n_z), 0.02 + 0.06 * rng.random(n_z)])
     assert jacobian_error(rhs, jac, 500.0, y) < 1.0e-5
@@ -156,11 +159,11 @@ def test_jacobian_matches_central_differences(driver_system, jacobian_error, geo
 
 
 @pytest.fixture(scope="module")
-def heated_run(geom):
+def heated_run(geom, stage_settings):
     kin = DesorptionKinetics()
     cond = _conditions(295.0, T_wall=290.0, T_upper=290.0)
     return run_secondary(273.15, 0.088, kin, RadiationSpec(), cond, geom,
-                         config=IntegratorConfig(), samples=150)
+                         **stage_settings("secondary", samples=150))
 
 
 def test_bound_water_monotone_nonnegative(heated_run):
@@ -187,48 +190,49 @@ def test_cake_heats_toward_shelf(heated_run):
     assert np.all(T <= 295.0 + 1e-6)
 
 
-def test_grid_doubling_changes_endpoint_under_one_percent(geom):
+def test_grid_doubling_changes_endpoint_under_one_percent(geom, stage_settings):
     kin = DesorptionKinetics()
     cond = _conditions(295.0)
     ends = []
     for n_z in (26, 51):
         traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), cond, geom,
-                             n_z=n_z, config=IntegratorConfig(), samples=20)
+                             **stage_settings("secondary", n_z=n_z, samples=20))
         ends.append(traj.events["secondary_drying_end_s"])
     assert abs(ends[1] - ends[0]) / ends[1] < 0.01
 
 
-def test_profile_initial_conditions(geom):
+def test_profile_initial_conditions(geom, stage_settings):
     kin = DesorptionKinetics()
     cond = _conditions(295.0)
     T0 = np.linspace(270.0, 276.0, 31)
     c0 = np.linspace(0.080, 0.096, 31)
-    traj = run_secondary(T0, c0, kin, RadiationSpec(), cond, geom, n_z=31,
-                         config=IntegratorConfig(), samples=20)
+    settings = stage_settings("secondary", n_z=31, samples=20)
+    traj = run_secondary(T0, c0, kin, RadiationSpec(), cond, geom, **settings)
     assert traj.fields["temperature_K"][0] == pytest.approx(T0)
     assert traj.fields["bound_water_kg_per_kg"][0] == pytest.approx(c0)
+    with pytest.raises(ConfigurationError, match="initial temperature"):
+        run_secondary(T0[:5], 0.088, kin, RadiationSpec(), cond, geom, **settings)
+    with pytest.raises(ConfigurationError, match="initial bound water"):
+        run_secondary(T0, c0[:5], kin, RadiationSpec(), cond, geom, **settings)
     with pytest.raises(ConfigurationError):
-        run_secondary(T0[:5], 0.088, kin, RadiationSpec(), cond, geom, n_z=31,
-                      config=IntegratorConfig())
-    with pytest.raises(ConfigurationError):
-        run_secondary(273.15, -0.01, kin, RadiationSpec(), cond, geom,
-                      config=IntegratorConfig())
+        run_secondary(273.15, -0.01, kin, RadiationSpec(), cond, geom, **settings)
 
 
-def test_already_dry_returns_immediately(geom):
+def test_already_dry_returns_immediately(geom, stage_settings):
     kin = DesorptionKinetics()
     traj = run_secondary(280.0, 0.005, kin, RadiationSpec(), _conditions(295.0),
-                         geom, c_target=0.01, config=IntegratorConfig())
+                         geom, **stage_settings("secondary", c_target=0.01))
     assert traj.t.shape[0] == 1
     assert traj.events["secondary_drying_end_s"] == traj.t[0]
 
 
-def test_no_target_holds_for_time_limit(geom):
+def test_no_target_holds_for_time_limit(geom, stage_settings):
     # c_target=None is a fixed-duration hold: no event, no timeout
     kin = DesorptionKinetics()
     traj = run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0),
-                         geom, c_target=None, time_limit_s=500.0, stage_label="post_heat",
-                         config=IntegratorConfig(), samples=20)
+                         geom, stage_label="post_heat",
+                         **stage_settings("secondary", c_target=None, time_limit_s=500.0,
+                                          samples=20))
     assert traj.t[-1] == pytest.approx(500.0, rel=1e-12)
     assert traj.events == {"post_heat_end_s": traj.t[-1]}
     assert set(traj.stage) == {"post_heat"}
@@ -236,15 +240,39 @@ def test_no_target_holds_for_time_limit(geom):
     assert traj.series["bound_water_avg_kg_per_kg"][-1] > 0.01
 
 
-def test_unreached_target_times_out(geom):
+def test_unreached_target_times_out(geom, stage_settings):
     kin = DesorptionKinetics()
     with pytest.raises(StageTimeoutError, match="target 0.01"):
         run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
-                      time_limit_s=100.0, config=IntegratorConfig())
+                      **stage_settings("secondary", c_target=0.01, time_limit_s=100.0))
 
 
-def test_negative_target_rejected(geom):
+def test_negative_target_rejected(geom, stage_settings):
     kin = DesorptionKinetics()
     with pytest.raises(ConfigurationError):
         run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
-                      c_target=-1.0, config=IntegratorConfig())
+                      **stage_settings("secondary", c_target=-1.0))
+
+
+def test_schedules_run_on_stage_time(geom, stage_settings):
+    # a stage started at t0 reads its schedules from t0 on
+    ramp = Schedule(((0.0, 264.0), (5760.0, 312.0)))
+    cond = DryingConditions(shelf_temperature=ramp, wall_temperature=ramp,
+                            upper_temperature=ramp)
+    settings = stage_settings("secondary", samples=20)
+    kin = DesorptionKinetics()
+    at_zero = run_secondary(264.0, 0.088, kin, RadiationSpec(), cond, geom, **settings)
+    later = run_secondary(264.0, 0.088, kin, RadiationSpec(), cond, geom, t0=7043.0,
+                          **settings)
+    assert later.meta["duration_s"] == pytest.approx(at_zero.meta["duration_s"],
+                                                     rel=1.0e-6)
+    assert later.series["temperature_avg_K"] == pytest.approx(
+        at_zero.series["temperature_avg_K"], rel=1.0e-6)
+
+
+def test_too_few_samples_rejected(geom, stage_settings):
+    # one sample would collapse the stage onto its start time
+    kin = DesorptionKinetics()
+    with pytest.raises(ConfigurationError, match="2 trajectory samples"):
+        run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
+                      **stage_settings("secondary", samples=1))

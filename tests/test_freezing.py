@@ -323,7 +323,7 @@ def test_solidified_fraction_matches_protocol(controlled_run, mix):
     assert fs.m_i == pytest.approx(0.95 * m_w_nuc, rel=1e-9)
 
 
-def test_stop_after_truncates_stages(mix):
+def test_stop_after_truncates_stages(mix, stage_settings):
     proto = FreezingProtocol(
         gas_temperature=Schedule.constant(240.0),
         wall_temperature=Schedule.constant(240.0),
@@ -333,8 +333,8 @@ def test_stop_after_truncates_stages(mix):
         visf_start_s=None,
     )
     sys_ = FreezingSystem(mixture=mix, radiation=RadiationSpec(), protocol=proto)
-    traj = run_freezing(VialState(T=290.0, m_w=mix.m_w0), sys_,
-                        IntegratorConfig(), stop_after="solidification")
+    traj = run_freezing(VialState(T=290.0, m_w=mix.m_w0), sys_, IntegratorConfig(),
+                        stop_after="solidification", **stage_settings("freezing"))
     # the overall end marker coincides with the truncation point
     assert traj.events["freezing_end_s"] == traj.events["solidification_end_s"]
     assert traj.stage[-1] == "solidification"
@@ -364,9 +364,10 @@ def test_stochastic_runs_reproducible(mix):
     assert c.events["nucleation_s"] != a.events["nucleation_s"]
 
 
-def test_solver_counters_in_meta(controlled_run, mix):
+def test_solver_counters_in_meta(controlled_run, mix, stage_settings):
     stochastic = run_freezing(VialState(T=285.0, m_w=mix.m_w0),
-                              _stochastic_system(mix, 230.0, seed=3), IntegratorConfig())
+                              _stochastic_system(mix, 230.0, seed=3), IntegratorConfig(),
+                              **stage_settings("freezing"))
     for traj in (controlled_run, stochastic):
         counts = traj.meta["solver"]
         assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
@@ -376,7 +377,7 @@ def test_solver_counters_in_meta(controlled_run, mix):
         assert counts["wall_s"] > 0.0
 
 
-def test_solver_counters_merge_over_integrations(monkeypatch, mix):
+def test_solver_counters_merge_over_integrations(monkeypatch, mix, stage_settings):
     # counts and wall times add up over the stage's integrations; the
     # smallest step is the smallest of any of them
     results = []
@@ -387,7 +388,8 @@ def test_solver_counters_merge_over_integrations(monkeypatch, mix):
 
     monkeypatch.setattr(freezing, "integrate_adaptive", recording)
     traj = run_freezing(VialState(T=285.0, m_w=mix.m_w0),
-                        _stochastic_system(mix, 230.0, seed=3), IntegratorConfig())
+                        _stochastic_system(mix, 230.0, seed=3), IntegratorConfig(),
+                        **stage_settings("freezing"))
     counts = traj.meta["solver"]
     assert len(results) == 3  # cooldown to nucleation, solidification, final cooling
     for key in ("steps", "nfev", "njev", "nlu", "wall_s"):
@@ -419,15 +421,25 @@ def test_stochastic_nucleation_time_is_exact():
                         method="DOP853", rtol=1.0e-10, atol=1.0e-12, events=reach)
         t_ref = float(ref.t_events[0][0])
         traj = run_freezing(initial, sys_, params.integrator, stop_after="solidification",
+                            samples_per_stage=params.samples_per_stage,
                             rng=np.random.default_rng(seed))
         assert traj.events["nucleation_s"] == pytest.approx(t_ref, rel=1.0e-4)
 
 
-def test_stochastic_timeout_without_supercooling(mix):
+def test_stochastic_timeout_without_supercooling(mix, stage_settings):
     # the fill settles at 275 K, above its freezing point: the hazard stays
     # zero and the stage gives up at its horizon without walking it
     sys_ = _stochastic_system(mix, 275.0, seed=0)
     start = time.perf_counter()
     with pytest.raises(StageTimeoutError):
-        run_freezing(VialState(T=285.0, m_w=mix.m_w0), sys_, IntegratorConfig())
+        run_freezing(VialState(T=285.0, m_w=mix.m_w0), sys_, IntegratorConfig(),
+                     **stage_settings("freezing"))
     assert time.perf_counter() - start < 0.1
+
+
+def test_too_few_samples_rejected(mix, stage_settings):
+    # one sample per stage would end the run on a misleading domain error
+    sys_ = _stochastic_system(mix, 230.0, seed=3)
+    with pytest.raises(ConfigurationError, match="2 trajectory samples"):
+        run_freezing(VialState(T=285.0, m_w=mix.m_w0), sys_, IntegratorConfig(),
+                     **stage_settings("freezing", samples_per_stage=1))

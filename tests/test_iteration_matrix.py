@@ -48,7 +48,7 @@ def _captured_jac(module, run):
     return seen["jac"]
 
 
-def _primary_jacobian(case, chamber, n_z):
+def _primary_jacobian(stage_settings, case, chamber, n_z):
     """The primary-drying Jacobian at the states of the central-difference
     Jacobian tests, with a fixed pressure, a chamber under its setpoint
     clamp or an overloaded chamber."""
@@ -58,7 +58,7 @@ def _primary_jacobian(case, chamber, n_z):
     ch = {"fixed": None, "setpoint_clamp": ChamberModel(j_w_max=1.0),
           "overload": ChamberModel()}[chamber]
     jac = _captured_jac(drying_primary, lambda: run_primary(
-        235.0, dp, RadiationSpec(), _GEOM, ch, n_z=n_z))
+        235.0, dp, RadiationSpec(), _GEOM, ch, **stage_settings("primary", n_z=n_z)))
     T = np.linspace(240.0, 255.0, n_z)
     S = {"gap_floor": _GEOM.H * (1.0 - 0.25e-3), "behind_top": -1.0e-4}.get(case, 0.4 * _GEOM.H)
     if case == "cold_front":
@@ -69,13 +69,13 @@ def _primary_jacobian(case, chamber, n_z):
     return jac(1000.0, y)
 
 
-def _secondary_jacobian(n_z):
+def _secondary_jacobian(stage_settings, n_z):
     cond = DryingConditions(shelf_temperature=Schedule.constant(300.0),
                             wall_temperature=Schedule.constant(290.0),
                             upper_temperature=Schedule.constant(285.0))
     jac = _captured_jac(drying_secondary, lambda: run_secondary(
         273.15, 0.088, DesorptionKinetics(c_eq=0.005), RadiationSpec(), cond, _GEOM,
-        n_z=n_z))
+        **stage_settings("secondary", n_z=n_z)))
     rng = np.random.default_rng(7)
     return jac(500.0, np.concatenate([275.0 + 20.0 * rng.random(n_z),
                                       0.02 + 0.06 * rng.random(n_z)]))
@@ -106,8 +106,8 @@ _SEED = st.integers(0, 2**32 - 1)
 @pytest.mark.parametrize("case", ["mid_drying", "gap_floor", "cold_front", "behind_top"])
 @settings(max_examples=25, deadline=None)
 @given(n_z=_N_Z, c=_C, seed=_SEED)
-def test_primary_factor_solves_as_dense(case, chamber, n_z, c, seed):
-    J = _primary_jacobian(case, chamber, n_z)
+def test_primary_factor_solves_as_dense(stage_settings, case, chamber, n_z, c, seed):
+    J = _primary_jacobian(stage_settings, case, chamber, n_z)
     assert isinstance(J, BorderedTridiagonal)
     # under the gap floor the 1/gap^2 diffusion makes I - cJ so ill
     # conditioned (up to 1e18) that no double-precision solve, the dense
@@ -119,8 +119,8 @@ def test_primary_factor_solves_as_dense(case, chamber, n_z, c, seed):
 
 @settings(max_examples=50, deadline=None)
 @given(n_z=_N_Z, c=_C, seed=_SEED)
-def test_secondary_factor_solves_as_dense(n_z, c, seed):
-    J = _secondary_jacobian(n_z)
+def test_secondary_factor_solves_as_dense(stage_settings, n_z, c, seed):
+    J = _secondary_jacobian(stage_settings, n_z)
     assert isinstance(J, CoupledTridiagonal)
     _assert_solves_as_dense(J, c, seed)
 
@@ -196,24 +196,23 @@ def _dense_run(monkeypatch, module, run):
 
 
 @pytest.mark.parametrize("stage", ["fixed", "chamber", "secondary"])
-def test_drying_takes_the_steps_of_the_dense_jacobian(monkeypatch, stage):
+def test_drying_takes_the_steps_of_the_dense_jacobian(monkeypatch, stage_settings, stage):
     p = default_parameters()
-    n_z = 51
     if stage == "secondary":
         module = drying_secondary
 
         def run():
             return run_secondary(p.secondary_initial_T, p.bound_water_profile(),
                                  p.secondary, p.radiation, p.secondary_conditions,
-                                 p.geometry, c_target=p.bound_water_target, n_z=n_z,
-                                 config=p.integrator)
+                                 p.geometry, config=p.integrator,
+                                 **stage_settings("secondary"))
     else:
         module = drying_primary
         chamber = p.chamber if stage == "chamber" else None
 
         def run():
             return run_primary(p.primary_initial_T, p.primary, p.radiation, p.geometry,
-                               chamber, n_z=n_z, config=p.integrator)
+                               chamber, config=p.integrator, **stage_settings("primary"))
 
     structured, dense = run(), _dense_run(monkeypatch, module, run)
     counts = ("steps", "nfev", "njev", "nlu")

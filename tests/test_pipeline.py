@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from lyosim import default_parameters, load_scenario, run_full_cycle
+from lyosim import default_parameters, load_scenario, run_full_cycle, run_primary
 from lyosim.pipeline import consistent_parameters
 
 
@@ -104,6 +104,36 @@ def test_post_heat_stage_appended():
     assert cycle.stage_times["cycle_end_s"] == cycle.stage_times["post_heating_end_s"]
     assert cycle.combined.meta["post_heating"]["duration_s"] == pytest.approx(1800.0,
                                                                              rel=1e-6)
+
+
+def test_drying_schedules_run_on_stage_time():
+    # case4a ramps the shelf from the start of primary drying; inside the
+    # cycle the stage dries as a standalone run from the same start does
+    params = load_scenario("case4a_conventional").parameters()
+    cycle = run_full_cycle(params)
+    fs = cycle.freezing.meta["final_state"]
+    assert fs.t > 0.0
+    alone = run_primary(fs.T, params.primary, params.radiation, params.geometry,
+                        n_z=params.n_z, config=params.integrator,
+                        time_limit_s=params.primary_time_limit_s,
+                        samples=params.samples_per_stage)
+    assert cycle.primary.meta["duration_s"] == pytest.approx(alone.meta["duration_s"],
+                                                             rel=1.0e-5)
+
+
+def test_post_heating_holds_the_end_of_secondary_conditions():
+    # a slow secondary ramp still climbing when secondary drying ends: the
+    # hold keeps the value it had reached, and the cake settles there
+    ramp = [[0.0, 273.15], [1.0e5, 323.15]]
+    params = default_parameters({
+        "secondary": {"shelf_temperature_K": ramp, "wall_temperature_K": ramp,
+                      "upper_temperature_K": ramp},
+        "pipeline": {"post_heat_duration_s": 3600.0}})
+    cycle = run_full_cycle(params)
+    st = cycle.stage_times
+    held = params.secondary_conditions.shelf_temperature(
+        st["secondary_drying_end_s"] - st["primary_drying_end_s"])
+    assert cycle.combined.series["temperature_avg_K"][-1] == pytest.approx(held, abs=0.5)
 
 
 def test_combined_meta_namespaced_per_stage(cycle):

@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import inspect
 import json
 
 import pytest
@@ -21,6 +22,9 @@ from lyosim import (
     builtin_scenarios,
     default_parameters,
     load_scenario,
+    run_freezing,
+    run_primary,
+    run_secondary,
     validate_scenario,
 )
 from lyosim.cli import _transport_report
@@ -196,6 +200,21 @@ def test_dataclass_defaults_agree_with_the_table():
             if f.name == "rho_f" or not isinstance(f.default, (int, float)):
                 continue  # derived from the fill, or not a defaulted scalar
             assert getattr(built, f.name) == f.default, f"{type(built).__name__}.{f.name}"
+
+
+@pytest.mark.parametrize("driver, settings", [
+    (run_freezing, ["samples_per_stage"]),
+    (run_primary, ["n_z", "time_limit_s", "samples"]),
+    (run_secondary, ["c_target", "n_z", "time_limit_s", "samples"]),
+], ids=["freezing", "primary", "secondary"])
+def test_drivers_keep_no_copy_of_a_scenario_setting(driver, settings):
+    # the scenario table is the one source of these settings; a driver
+    # default would be a second copy free to drift from it
+    params = inspect.signature(driver).parameters
+    for name in settings:
+        assert params[name].kind is inspect.Parameter.KEYWORD_ONLY, name
+        assert params[name].default is inspect.Parameter.empty, name
+    assert "S0" not in params  # primary drying always starts at the product top
 
 
 _LOWER = ("minimum", "exclusiveMinimum")

@@ -176,7 +176,7 @@ def test_solver_failure_reports_last_state():
     assert "zero-length step" in str(err) and y_last > 1.0e6
 
 
-def test_each_stage_driver_fixes_its_method(monkeypatch):
+def test_each_stage_driver_fixes_its_method(monkeypatch, stage_settings):
     # freezing runs on LSODA without a Jacobian; drying on BDF with its exact
     # one in structured form
     calls = []
@@ -199,18 +199,22 @@ def test_each_stage_driver_fixes_its_method(monkeypatch):
 
     p = default_parameters()
     assert p.freezing.visf_start_s is not None  # controlled nucleation after VISF
+    freezing = stage_settings("freezing")
     assert methods(run_freezing, p.initial_vial_state(), p.freezing_system(),
-                   p.integrator) == {("LSODA", None)}
+                   p.integrator, **freezing) == {("LSODA", None)}
     ps = load_scenario("stochastic_freezing").parameters()
     assert methods(run_freezing, ps.initial_vial_state(), ps.freezing_system(),
-                   ps.integrator, rng=np.random.default_rng(3)) == {("LSODA", None)}
+                   ps.integrator, rng=np.random.default_rng(3), **freezing) \
+        == {("LSODA", None)}
     for chamber in (None, p.chamber):
         assert methods(run_primary, p.primary_initial_T, p.primary, p.radiation,
-                       p.geometry, chamber, n_z=11, config=p.integrator) \
+                       p.geometry, chamber, config=p.integrator,
+                       **stage_settings("primary", n_z=11)) \
             == {("BDF", "BorderedTridiagonal")}
     assert methods(run_secondary, p.secondary_initial_T, np.full(11, 0.088), p.secondary,
-                   p.radiation, p.secondary_conditions, p.geometry, n_z=11,
-                   config=p.integrator) == {("BDF", "CoupledTridiagonal")}
+                   p.radiation, p.secondary_conditions, p.geometry, config=p.integrator,
+                   **stage_settings("secondary", n_z=11)) \
+        == {("BDF", "CoupledTridiagonal")}
 
 
 # --- the step loop against solve_ivp -------------------------------------------
