@@ -22,7 +22,6 @@ class ReferenceSeries:
 
     t: np.ndarray
     value: np.ndarray
-    label: str = "reference"
 
     def __post_init__(self) -> None:
         t = np.asarray(self.t, dtype=float)
@@ -40,7 +39,7 @@ class ReferenceSeries:
 
     @classmethod
     def from_csv(cls, path: str | Path, *, time_column: str = "time_s",
-                 value_column: str = "value", label: str | None = None) -> "ReferenceSeries":
+                 value_column: str = "value") -> "ReferenceSeries":
         path = Path(path)
         try:
             with path.open(newline="") as fh:
@@ -58,7 +57,7 @@ class ReferenceSeries:
         if not rows:
             raise ComparisonError(f"{path}: no data rows")
         t, v = zip(*rows)
-        return cls(t=np.array(t), value=np.array(v), label=label or path.stem)
+        return cls(t=np.array(t), value=np.array(v))
 
 
 @dataclass

@@ -31,8 +31,8 @@ from .chamber import ChamberModel, chamber_pressure_gain, chamber_pressure_rhs
 from .errors import ConfigurationError, DomainError, StageTimeoutError
 from .schedules import Schedule
 from .solver import BorderedTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import (RadiationSpec, VialGeometry, as_profile, psat_sublimation,
-                     psat_sublimation_slope, trapezoid_weights)
+from .thermo import (STEFAN_BOLTZMANN, RadiationSpec, VialGeometry, as_profile,
+                     psat_sublimation, psat_sublimation_slope, trapezoid_weights)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -103,14 +103,14 @@ def cake_resistance(S: float, dp: DryingParams) -> float:
 
 
 def sublimation_flux(T_interface: float, S: float, dp: DryingParams,
-                     p_w_chamber: float | None = None) -> float:
-    """Sublimation mass flux N_w (kg/m^2/s) off the front.
+                     p_w_chamber: float) -> float:
+    """Sublimation mass flux N_w (kg/m^2/s) off the front against the
+    chamber water partial pressure ``p_w_chamber`` (Pa).
 
     Clamped at zero when the chamber partial pressure exceeds saturation
     at the front; vapor does not recondense onto the product.
     """
-    p_c = dp.p_w_chamber if p_w_chamber is None else p_w_chamber
-    driving = psat_sublimation(T_interface) - p_c
+    driving = psat_sublimation(T_interface) - p_w_chamber
     if driving <= 0.0:
         return 0.0
     return driving / cake_resistance(S, dp)
@@ -155,8 +155,8 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     k = dp.k_f
     rho_cp = dp.rho_f * dp.Cp_f
     drho = dp.rho_f - dp.rho_e
-    side_rad = rad.sigma * rad.F_side * 4.0 * H / geom.d  # A_r / (A_z H) folded in
-    top_rad = rad.sigma * rad.F_top
+    side_rad = STEFAN_BOLTZMANN * rad.F_side * 4.0 * H / geom.d  # A_r / (A_z H) folded in
+    top_rad = STEFAN_BOLTZMANN * rad.F_top
     gap_floor = 0.5 * _FRONT_EPSILON_REL * H
 
     def core(t: float, T: np.ndarray, S: float, p_w_c: float):

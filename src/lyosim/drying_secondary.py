@@ -20,8 +20,10 @@ import numpy as np
 from .bounds import NONNEG, POS, check_bounds
 from .errors import ConfigurationError, StageTimeoutError
 from .schedules import Schedule
-from .solver import CoupledTridiagonal, EventSpec, IntegratorConfig, integrate_adaptive
-from .thermo import GAS_CONSTANT, RadiationSpec, VialGeometry, as_profile, trapezoid_weights
+from .solver import (CoupledTridiagonal, EventSpec, IntegrationResult, IntegratorConfig,
+                     integrate_adaptive)
+from .thermo import (GAS_CONSTANT, STEFAN_BOLTZMANN, RadiationSpec, VialGeometry, as_profile,
+                     trapezoid_weights)
 from .trajectory import Trajectory
 
 __all__ = [
@@ -57,7 +59,6 @@ class DesorptionKinetics:
 
     f_a: float = field(default=1.5e-3, metadata=NONNEG)  # 1/s
     E_a: float = field(default=6500.0, metadata=NONNEG)  # J/mol
-    R: float = field(default=GAS_CONSTANT, metadata=POS)
     c_eq: float = field(default=0.0, metadata=NONNEG)  # kg/kg equilibrium bound water
     # kg/m^3 solid basis for the desorption heat source
     rho_d: float = field(default=212.21, metadata=POS)
@@ -71,7 +72,7 @@ class DesorptionKinetics:
 
     def rate_constant(self, T):
         """Arrhenius desorption rate constant k_d (1/s); accepts arrays."""
-        return self.f_a * np.exp(-self.E_a / (self.R * np.asarray(T, dtype=float)))
+        return self.f_a * np.exp(-self.E_a / (GAS_CONSTANT * np.asarray(T, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -114,9 +115,9 @@ def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditio
     a = kin.k_e / (rho_cp * dz**2)
     sink = kin.rho_d * kin.dH_des / rho_cp
     # lateral radiation: A_side / V_cake = 4 / d regardless of fill height
-    side_rad = rad.sigma * rad.F_side * 4.0 / (geom.d * rho_cp)
+    side_rad = STEFAN_BOLTZMANN * rad.F_side * 4.0 / (geom.d * rho_cp)
     # ghost nodes carry the top radiative flux and the bottom film condition
-    top_gain = (2.0 * dz / kin.k_e) * rad.sigma * rad.F_top
+    top_gain = (2.0 * dz / kin.k_e) * STEFAN_BOLTZMANN * rad.F_top
     film_gain = 2.0 * dz * cond.h_b / kin.k_e
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
@@ -138,7 +139,7 @@ def _make_core(kin: DesorptionKinetics, rad: RadiationSpec, cond: DryingConditio
     def jac(t: float, y: np.ndarray) -> CoupledTridiagonal:
         T = y[:n_z]
         k_d = kin.rate_constant(T)
-        dc_dT = -k_d * (kin.E_a / (kin.R * T**2)) * (y[n_z:] - kin.c_eq)
+        dc_dT = -k_d * (kin.E_a / (GAS_CONSTANT * T**2)) * (y[n_z:] - kin.c_eq)
         diag = -2.0 * a + sink * dc_dT - 4.0 * side_rad * T**3
         diag[0] -= a * 4.0 * top_gain * T[0] ** 3
         diag[-1] -= a * film_gain
@@ -164,7 +165,9 @@ def run_secondary(initial_temperature: float | np.ndarray,
     ``pipeline.samples_per_stage``; the schedules of ``cond`` run on stage
     time, t - t0.  Initial fields may be scalars (uniform) or
     length-``n_z`` arrays; the chained start copies the primary-drying
-    profile node by node.  A target not reached within ``time_limit_s``
+    profile node by node.  A start already below the target completes the
+    stage at t0: it takes no step and gives one row, and ``meta["solver"]``
+    reports zero counts.  A target not reached within ``time_limit_s``
     raises :class:`StageTimeoutError`.  With ``c_target=None`` the run has
     no target and lasts exactly ``time_limit_s`` (a fixed-duration hold).
     ``stage_label`` renames the stage column and end event, e.g. for
@@ -181,20 +184,16 @@ def run_secondary(initial_temperature: float | np.ndarray,
     w = trapezoid_weights(n_z)
     log.info("%s: start at t = %.6g s", stage_label, t0)
 
-    if c_target is not None and float(c0 @ w) <= c_target:
-        # nothing to remove; the stage completes instantly
-        traj = _package(np.array([t0]), T0[None, :], c0[None, :], w, stage_label)
-        traj.meta["final_state"] = SecondaryState(T=T0, c_w=c0, t=t0)
-        log.info("%s: end at t = %.6g s, bound water already at target", stage_label, t0)
-        return traj
-
-    events = None if c_target is None else [
-        EventSpec(lambda t, y: float(y[n_z:] @ w) - c_target, direction=-1.0,
-                  name="dry_enough")]
-    rhs, jac = _make_core(kin, rad, cond, geom, n_z, t0=t0)
-    res = integrate_adaptive(rhs, (t0, t0 + time_limit_s),
-                             np.concatenate([T0, c0]), config, events=events, jac=jac)
-    if c_target is not None and res.event is None:
+    y0 = np.concatenate([T0, c0])
+    done = None if c_target is None else EventSpec(
+        lambda t, y: float(y[n_z:] @ w) - c_target, direction=-1.0, name="dry_enough")
+    if done is not None and done.reached(t0, y0):
+        res = IntegrationResult.at_start(t0, y0, done)
+    else:
+        rhs, jac = _make_core(kin, rad, cond, geom, n_z, t0=t0)
+        res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
+                                 events=None if done is None else [done], jac=jac)
+    if done is not None and res.event is None:
         c_last = float(res.y_last[n_z:] @ w)
         raise StageTimeoutError(
             f"average bound water only fell to {c_last:.4g} kg/kg (target "
@@ -205,16 +204,6 @@ def run_secondary(initial_temperature: float | np.ndarray,
     t_end = float(ts[-1])
     T_hist = ys[:n_z, :].T
     c_hist = ys[n_z:, :].T
-    traj = _package(ts, T_hist, c_hist, w, stage_label)
-    traj.meta["final_state"] = SecondaryState(T=T_hist[-1].copy(), c_w=c_hist[-1].copy(),
-                                              t=t_end)
-    traj.meta["solver"] = res.counters()
-    log.info("%s: end at t = %.6g s, solver %s", stage_label, t_end, traj.meta["solver"])
-    return traj
-
-
-def _package(ts: np.ndarray, T_hist: np.ndarray, c_hist: np.ndarray,
-             w: np.ndarray, stage_label: str) -> Trajectory:
     traj = Trajectory(
         t=ts,
         stage=[stage_label] * ts.shape[0],
@@ -225,8 +214,12 @@ def _package(ts: np.ndarray, T_hist: np.ndarray, c_hist: np.ndarray,
             "bound_water_avg_kg_per_kg": c_hist @ w,
         },
         fields={"temperature_K": T_hist, "bound_water_kg_per_kg": c_hist},
-        events={f"{stage_label}_end_s": float(ts[-1])},
+        events={f"{stage_label}_end_s": t_end},
     )
     traj.meta["duration_s"] = float(ts[-1] - ts[0])
-    traj.meta["n_z"] = T_hist.shape[1]
+    traj.meta["n_z"] = n_z
+    traj.meta["final_state"] = SecondaryState(T=T_hist[-1].copy(), c_w=c_hist[-1].copy(),
+                                              t=t_end)
+    traj.meta["solver"] = res.counters()
+    log.info("%s: end at t = %.6g s, solver %s", stage_label, t_end, traj.meta["solver"])
     return traj

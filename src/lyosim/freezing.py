@@ -32,7 +32,6 @@ themselves if a stage turns stiff) at the configured tolerances.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
@@ -42,7 +41,7 @@ from scipy.optimize import brentq
 from .bounds import NONNEG, POS, check_bounds, nullable
 from .errors import ConfigurationError, DomainError, SimulationError, StageTimeoutError
 from .schedules import Schedule
-from .solver import EventSpec, IntegratorConfig, integrate_adaptive
+from .solver import EventSpec, IntegrationResult, IntegratorConfig, integrate_adaptive
 from .thermo import (
     MixtureProperties,
     RadiationSpec,
@@ -89,7 +88,14 @@ log = logging.getLogger(__name__)
 @dataclass
 class VialState:
     """Lumped product state during freezing: one temperature, the liquid
-    water mass, and the ice mass (kg).  ``t`` is model time (s)."""
+    water mass, and the ice mass (kg).
+
+    ``t`` (s) is model time in the state :func:`run_freezing` starts from
+    and ends on.  Inside the stage right-hand sides
+    (:func:`preconditioning_rhs`, :func:`visf_rhs`,
+    :func:`solidification_rhs`) it is stage time, measured from the start
+    of freezing: the clock on which the protocol's schedules run.
+    """
 
     T: float
     m_w: float
@@ -129,11 +135,13 @@ class StochasticNucleation:
 class FreezingProtocol:
     """Operating conditions and stage controls for the freezing chambers.
 
-    Temperature and pressure schedules are functions of time measured from
-    the start of freezing.  ``h_top``/``h_bottom``/``h_side`` are the gas
-    film coefficients of the exposed top, vial bottom, and lateral surface
-    (W/m^2/K); ``h_mass`` is the evaporative mass-transfer coefficient
-    (kg/m^2/s) active while the chamber is depressurized.
+    Temperature and pressure schedules are functions of stage time,
+    measured from the start of freezing: :func:`run_freezing` reads them at
+    t - initial.t, as the drying drivers read theirs at t - t0.
+    ``h_top``/``h_bottom``/``h_side`` are the gas film coefficients of the
+    exposed top, vial bottom, and lateral surface (W/m^2/K); ``h_mass`` is
+    the evaporative mass-transfer coefficient (kg/m^2/s) active while the
+    chamber is depressurized.
     ``visf_start_s`` schedules the depressurization; ``None`` disables the
     stage (nucleation then triggers directly on temperature, or
     stochastically).
@@ -190,7 +198,7 @@ def _plain_heat_total(state: VialState, sys: FreezingSystem) -> float:
     q = p.h_top * A_z * (p.upper_temperature(t) - T)
     q += p.h_bottom * A_z * (T_g - T)
     q += p.h_side * A_r * (T_g - T)
-    q += radiation_exchange(T, p.wall_temperature(t), rad.F_side, A_r, rad.sigma)
+    q += radiation_exchange(T, p.wall_temperature(t), rad.F_side, A_r)
     return q
 
 
@@ -384,16 +392,19 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     (``preconditioning_end_s``, ``visf_end_s``, ``nucleation_s``,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times,
     and whose stage column labels each stage's samples (the scenario's
-    ``pipeline.samples_per_stage`` per integrated stage); ``stage[-1]`` is
-    the stage the run stopped in.  The final state for chaining into drying
-    is stored under ``meta["final_state"]`` and the solver counters of the
-    stage's integrations under ``meta["solver"]`` (summed, except
-    ``min_step_s``, the smallest step of any of them).  Every integration
-    uses LSODA with the tolerances and ``max_step`` of ``config``.  Raises
-    :class:`StageTimeoutError` when a stage fails to reach its completion
-    event within the protocol's horizon.  ``stop_after="solidification"``
-    ends the run once the target ice fraction is reached, for protocols that
-    move the vial onward without the final cooling hold.
+    ``pipeline.samples_per_stage`` per integrated stage, one for a stage
+    whose start already completes it); ``stage[-1]`` is the stage the run
+    stopped in.  The protocol's schedules run on stage time,
+    t - ``initial.t``.  The final state for chaining into drying is stored
+    under ``meta["final_state"]`` and the solver counters of the stage's
+    integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
+    the smallest step of any of them, NaN when none took a step).  Every
+    integration uses LSODA with the tolerances and ``max_step`` of
+    ``config``.  Raises :class:`StageTimeoutError` when a stage fails to
+    reach its completion event within the protocol's horizon.
+    ``stop_after="solidification"`` ends the run once the target ice
+    fraction is reached, for protocols that move the vial onward without
+    the final cooling hold.
     """
     p, mx = sys.protocol, sys.mixture
     f = mx.formulation
@@ -404,14 +415,14 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         raise ConfigurationError("stop_after must be 'final_cooling' or 'solidification'")
     if initial.m_i != 0.0:
         raise ConfigurationError("freezing must start from an ice-free liquid fill")
-    t = float(initial.t)
+    t_start = t = float(initial.t)
     T = float(initial.T)
     m_w = float(initial.m_w)
     limit = p.stage_time_limit_s
     stages: dict[str, Trajectory] = {}
     events: dict[str, float] = {}
     solver: dict[str, int | float] = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0,
-                                      "min_step_s": math.inf, "wall_s": 0.0}
+                                      "min_step_s": np.nan, "wall_s": 0.0}
     meta: dict[str, Any] = {"solver": solver}
     log.info("freezing: start at t = %.6g s", t)
 
@@ -430,17 +441,22 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
         res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
         for key, count in res.counters().items():
-            solver[key] = min(solver[key], count) if key == "min_step_s" else solver[key] + count
+            # fmin skips the NaN of a run without steps
+            solver[key] = (float(np.fmin(solver[key], count)) if key == "min_step_s"
+                           else solver[key] + count)
         return res
 
     def advance(rhs, y0, done: EventSpec, stage: str, timeout: str, *,
                 cfg: IntegratorConfig = config,
                 guard: tuple[EventSpec, str] | None = None):
-        """Integrate from ``t`` to the terminal event ``done`` and resample
-        the stretch; returns ``(ts, ys)``.  A missing event raises
-        StageTimeoutError(``timeout``), formatted with the last temperature
-        ``T_last``; a ``guard`` (event, message) that fires raises
-        SimulationError(message) instead."""
+        """Integrate from ``t`` to the terminal event ``done``, unless the
+        start has already reached it, and resample the stretch; returns
+        ``(ts, ys)``.  A missing event raises StageTimeoutError(``timeout``),
+        formatted with the last temperature ``T_last``; a ``guard``
+        (event, message) that fires raises SimulationError(message)
+        instead."""
+        if done.reached(t, y0):
+            return IntegrationResult.at_start(t, y0, done).resample(samples_per_stage)
         res = integrate(rhs, y0, t + limit, cfg,
                         [done] if guard is None else [done, guard[0]])
         if guard is not None and res.event == guard[0].name:
@@ -451,7 +467,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         return res.resample(samples_per_stage)
 
     def precond_rhs(tt: float, y: np.ndarray):
-        return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys),)
+        return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt - t_start), sys),)
 
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
     if isinstance(nuc, ControlledNucleation):
@@ -466,30 +482,28 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                 T = float(ys[0, -1])
                 t = t1
             events["preconditioning_end_s"] = t
-            if T > T_n:
-                floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
-                                  name="water_depleted")
+            floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
+                              name="water_depleted")
 
-                def rhs2(tt: float, y: np.ndarray):
-                    s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt)
-                    return visf_rhs(s, sys)
+            def rhs2(tt: float, y: np.ndarray):
+                s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt - t_start)
+                return visf_rhs(s, sys)
 
-                ts, ys = advance(
-                    rhs2, [T, m_w], reach, STAGE_VISF,
-                    "depressurized cooling never reached the nucleation temperature",
-                    guard=(floor, "surface evaporation exhausted the liquid fill before "
-                                  "the nucleation temperature was reached"))
-                record(ts, ys[0], ys[1], 0.0, STAGE_VISF)
-                T, m_w = float(ys[0, -1]), float(ys[1, -1])
-                t = float(ts[-1])
+            ts, ys = advance(
+                rhs2, [T, m_w], reach, STAGE_VISF,
+                "depressurized cooling never reached the nucleation temperature",
+                guard=(floor, "surface evaporation exhausted the liquid fill before "
+                              "the nucleation temperature was reached"))
+            record(ts, ys[0], ys[1], 0.0, STAGE_VISF)
+            T, m_w = float(ys[0, -1]), float(ys[1, -1])
+            t = float(ts[-1])
             events["visf_end_s"] = t
         else:
-            if T > T_n:
-                ts, ys = advance(precond_rhs, [T], reach, STAGE_PRECONDITIONING,
-                                 "preconditioning never reached the nucleation temperature")
-                record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
-                T = float(ys[0, -1])
-                t = float(ts[-1])
+            ts, ys = advance(precond_rhs, [T], reach, STAGE_PRECONDITIONING,
+                             "preconditioning never reached the nucleation temperature")
+            record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
+            T = float(ys[0, -1])
+            t = float(ts[-1])
             events["preconditioning_end_s"] = t
             events["visf_end_s"] = t
     else:
@@ -499,7 +513,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         hazard = _hazard_rate(m_w, sys)
 
         def rhs1(tt: float, y: np.ndarray):
-            return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt), sys), hazard(y[0]))
+            s = VialState(T=y[0], m_w=m_w, t=tt - t_start)
+            return (preconditioning_rhs(s, sys), hazard(y[0]))
 
         hit = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
@@ -527,8 +542,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
 
     # ---- stage 4: solidification ------------------------------------------
     h_rad = linearized_radiation_htc(sys.radiation.F_side,
-                                     0.5 * (T + p.wall_temperature(t)),
-                                     sys.radiation.sigma)
+                                     0.5 * (T + p.wall_temperature(t - t_start)))
     # completion: total ice reaches the stated fraction of the water present
     # at nucleation
     m_target = p.solidification_fraction * m_w_nuc
@@ -537,7 +551,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     def rhs4(tt: float, y: np.ndarray):
         m_i = min(max(y[0], 0.0), m_w_nuc * (1.0 - 1.0e-12))
         m_rem = m_w_nuc - m_i
-        s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt)
+        s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt - t_start)
         return (solidification_rhs(s, sys, h_rad_side=h_rad)[0],)
 
     done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
@@ -554,14 +568,13 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     events["solidification_end_s"] = t
 
     # ---- stage 5: final cooling --------------------------------------------
-    target, tol = p.final_temperature_K, p.final_tolerance_K
-    if stop_after == "solidification":
-        pass
-    elif abs(T - target) > tol:
+    if stop_after == "final_cooling":
+        target, tol = p.final_temperature_K, p.final_tolerance_K
         falling = T > target  # approach direction decides the band edge crossed
 
         def rhs5(tt: float, y: np.ndarray):
-            return (_final_cooling_rhs(VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt), sys),)
+            s = VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt - t_start)
+            return (_final_cooling_rhs(s, sys),)
 
         # the crossing of the near band edge: one step may jump the whole band
         edge = target + tol if falling else target - tol
@@ -574,8 +587,6 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         record(ts, ys[0], m_w, m_i, STAGE_FINAL_COOLING)
         T = float(ys[0, -1])
         t = float(ts[-1])
-    else:
-        record(np.array([t]), T, m_w, m_i, STAGE_FINAL_COOLING)
     events["freezing_end_s"] = t
 
     meta["final_state"] = VialState(T=T, m_w=m_w, m_i=m_i, t=t)

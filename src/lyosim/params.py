@@ -88,7 +88,6 @@ _TABLE: dict[str, Any] = {
         "water_heat_capacity_J_per_kgK": _key(Formulation, "Cp_w"),
         "ice_heat_capacity_J_per_kgK": _key(Formulation, "Cp_i"),
         "solute_conductivity_W_per_mK": _key(Formulation, "k_s"),
-        "water_conductivity_W_per_mK": _key(Formulation, "k_w"),
         "ice_conductivity_W_per_mK": _key(Formulation, "k_i"),
         "solute_molar_mass_kg_per_mol": _key(Formulation, "M_s"),
         "water_molar_mass_kg_per_mol": _key(Formulation, "M_w"),

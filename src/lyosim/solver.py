@@ -39,6 +39,14 @@ and :meth:`IntegrationResult.resample` evaluates the dense output on the
 driver's uniform sample grid.  The loop keeps the last state only, not a
 mesh of every state.  The result reports the solver's step, RHS, Jacobian
 and LU counts, its smallest step and its wall time.
+
+A stage driver has one completion rule: its completion event is reached
+at (t, y) when direction * g(t, y) > 0 (:meth:`EventSpec.reached`).  A
+stage whose start has already reached it does not integrate; it takes
+:meth:`IntegrationResult.at_start`, a result with the one mesh point t0
+and no solver work, and resamples and packages that like any other.  The
+step loop itself keeps ``solve_ivp``'s semantics, where an event that
+starts past its zero waits for its next crossing.
 """
 
 from __future__ import annotations
@@ -92,11 +100,21 @@ class EventSpec:
     ``direction`` > 0 triggers only on rising zero crossings, < 0 only on
     falling ones, 0 on any.  ``name`` labels the event in results, logs
     and errors.
+
+    As a stage's completion event it is reached at (t, y) when
+    direction * g(t, y) > 0 (:meth:`reached`); a start at exactly zero is
+    not, and integrates to the root at that start.
     """
 
     func: Callable[[float, np.ndarray], float]
     direction: float = 0.0
     name: str = "event"
+
+    def reached(self, t: float, y: np.ndarray) -> bool:
+        """Whether the state y at t already lies past the zero in this
+        event's direction, so that a stage it completes is done before
+        it starts (never, for ``direction`` 0)."""
+        return self.direction * self.func(t, y) > 0.0
 
     def crossed(self, g: float, g_new: float) -> bool:
         """Whether the values g at the start and g_new at the end of a step
@@ -118,18 +136,26 @@ class IntegrationResult:
 
     ``event`` is the name of the terminal event that ended the
     integration, at time ``t[-1]``, or ``None`` when it reached the end of
-    ``t_span``.
+    ``t_span``.  ``sol`` is ``None`` for a result of :meth:`at_start`.
     """
 
     t: np.ndarray
     y_last: np.ndarray  # state at t[-1]
-    sol: OdeSolution
+    sol: OdeSolution | None
     event: str | None = None
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
     min_step_s: float = 0.0
     wall_s: float = 0.0
+
+    @classmethod
+    def at_start(cls, t0: float, y0: np.ndarray, done: EventSpec) -> "IntegrationResult":
+        """The result of a stage whose start (t0, y0) has already reached
+        its completion event ``done``: the mesh [t0], no steps, RHS,
+        Jacobian or LU evaluations, and ``min_step_s`` NaN (no step)."""
+        return cls(t=np.array([float(t0)]), y_last=np.asarray(y0, dtype=float), sol=None,
+                   event=done.name, min_step_s=np.nan)
 
     def counters(self) -> dict[str, int | float]:
         """Accepted steps (the mesh ``t``), the RHS, Jacobian and LU
@@ -140,10 +166,13 @@ class IntegrationResult:
                 "min_step_s": float(self.min_step_s), "wall_s": float(self.wall_s)}
 
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """``n`` uniform times over [t[0], t[-1]] (only t[0] for an empty
-        span) and the dense output there, shape (n_states, n_times)."""
+        """``n`` uniform times over [t[0], t[-1]] and the dense output
+        there, shape (n_states, n_times); an empty span gives t[0] and the
+        last state, without the interpolant."""
         t0, t1 = self.t[0], self.t[-1]
-        ts = self.t[:1] if t1 == t0 else np.linspace(t0, t1, n)
+        if t1 == t0:
+            return self.t[:1], self.y_last[:, None]
+        ts = np.linspace(t0, t1, n)
         return ts, np.atleast_2d(self.sol(ts))
 
 

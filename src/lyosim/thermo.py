@@ -107,8 +107,7 @@ def freezing_point(m_s: float, m_w: float, f: "Formulation") -> float:
     return T_FREEZE_WATER - (f.K_f / f.M_s) * (m_s / m_w)
 
 
-def radiation_exchange(T_self: float, T_other: float, F: float, area: float,
-                       sigma: float = STEFAN_BOLTZMANN) -> float:
+def radiation_exchange(T_self: float, T_other: float, F: float, area: float) -> float:
     """Net radiative heat flow (W) received by a surface at ``T_self``.
 
     Q = sigma * area * F * (T_other^4 - T_self^4); positive when the
@@ -119,10 +118,10 @@ def radiation_exchange(T_self: float, T_other: float, F: float, area: float,
         raise DomainError(f"transfer factor must lie in [0, 1], got {F}")
     if area < 0.0:
         raise DomainError("radiating area must be nonnegative")
-    return sigma * area * F * (T_other**4 - T_self**4)
+    return STEFAN_BOLTZMANN * area * F * (T_other**4 - T_self**4)
 
 
-def linearized_radiation_htc(F: float, T_ref: float, sigma: float = STEFAN_BOLTZMANN) -> float:
+def linearized_radiation_htc(F: float, T_ref: float) -> float:
     """Equivalent convective coefficient (W/m^2/K) for a radiative link.
 
     First-order expansion of the fourth-power law about ``T_ref``:
@@ -131,7 +130,7 @@ def linearized_radiation_htc(F: float, T_ref: float, sigma: float = STEFAN_BOLTZ
     """
     if T_ref <= 0.0:
         raise DomainError("linearization temperature must be positive")
-    return 4.0 * sigma * F * T_ref**3
+    return 4.0 * STEFAN_BOLTZMANN * F * T_ref**3
 
 
 def overall_htc_slab(h: float, thickness: float, k: float) -> float:
@@ -201,7 +200,6 @@ class Formulation:
     Cp_w: float = field(default=4187.0, metadata=POS)  # J/kg/K liquid water
     Cp_i: float = field(default=2108.0, metadata=POS)  # J/kg/K ice
     k_s: float = field(default=0.126, metadata=POS)  # W/m/K solute
-    k_w: float = field(default=0.598, metadata=POS)  # W/m/K liquid water
     k_i: float = field(default=2.25, metadata=POS)  # W/m/K ice
     M_s: float = field(default=0.3423, metadata=POS)  # kg/mol solute (sucrose)
     M_w: float = field(default=0.018, metadata=POS)  # kg/mol water
@@ -240,7 +238,6 @@ class RadiationSpec:
     F_top: float = field(default=0.8, metadata=UNIT)
     F_side: float = field(default=0.624, metadata=UNIT)
     eps_glass: float = field(default=0.8, metadata=FRACTION)
-    sigma: float = field(default=STEFAN_BOLTZMANN, metadata=POS)
 
     def __post_init__(self) -> None:
         check_bounds(self)

@@ -39,7 +39,7 @@ from lyosim.freezing import (STAGE_FINAL_COOLING, STAGE_SOLIDIFICATION,
 from lyosim.pipeline import run_full_cycle
 from lyosim.scenario import load_scenario
 from lyosim.solver import IntegratorConfig, integrate_adaptive
-from lyosim.thermo import (freezing_point, linearized_radiation_htc,
+from lyosim.thermo import (STEFAN_BOLTZMANN, freezing_point, linearized_radiation_htc,
                            mixture_properties, overall_htc_cylinder,
                            overall_htc_slab, psat_evaporation,
                            psat_sublimation, Formulation)
@@ -182,8 +182,7 @@ def _solidification_energy_residual(freeze, params) -> float:
     nuc = freeze.meta["nucleation"]
     t_nuc = freeze.events["nucleation_s"]
     h_rad = linearized_radiation_htc(
-        rad.F_side, 0.5 * (nuc["post_temperature_K"] + p.wall_temperature(t_nuc)),
-        rad.sigma)
+        rad.F_side, 0.5 * (nuc["post_temperature_K"] + p.wall_temperature(t_nuc)))
     h_fill = f.V_l / mx.A_z
     r_o = mx.d / 2.0
     Q = np.empty_like(t)
@@ -226,8 +225,8 @@ def _primary_energy_residual(primary, params) -> float:
     T_u = np.array([dp.upper_temperature(tk) for tk in t])
     T_c = np.array([dp.wall_temperature(tk) for tk in t])
     Q = A_z * (dp.h_b * (T_b - T[:, -1])
-               + rad.sigma * rad.F_top * (T_u**4 - T[:, 0]**4)
-               + rad.sigma * rad.F_side * (4.0 * H / geom.d)
+               + STEFAN_BOLTZMANN * rad.F_top * (T_u**4 - T[:, 0]**4)
+               + STEFAN_BOLTZMANN * rad.F_side * (4.0 * H / geom.d)
                * ((T_c[:, None]**4 - T**4) @ w)
                - N * dp.dH_sub)
     # enthalpy advected out with the receding front
@@ -253,8 +252,8 @@ def _secondary_energy_residual(secondary, params) -> float:
     T_u = np.array([cond.upper_temperature(tk) for tk in t])
     T_c = np.array([cond.wall_temperature(tk) for tk in t])
     Q = A_z * (cond.h_b * (T_b - T[:, -1])
-               + rad.sigma * rad.F_top * (T_u**4 - T[:, 0]**4)
-               + rad.sigma * rad.F_side * (4.0 * H / geom.d)
+               + STEFAN_BOLTZMANN * rad.F_top * (T_u**4 - T[:, 0]**4)
+               + STEFAN_BOLTZMANN * rad.F_side * (4.0 * H / geom.d)
                * ((T_c[:, None]**4 - T**4) @ w))
     E_in = float(np.trapezoid(Q, t))
     E_des = kin.rho_d * kin.dH_des * A_z * H * float((c[-1] - c[0]) @ w)

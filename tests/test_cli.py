@@ -18,9 +18,14 @@ from lyosim.cli import main
 from lyosim.trajectory import CSV_COLUMNS
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 def _read_json(path):
+    """The file as strict JSON: NaN and Infinity literals fail the test."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def test_freeze_writes_standard_outputs(tmp_path):
@@ -103,6 +108,43 @@ def test_summaries_carry_solver_counters(tmp_path, command):
         assert type(counters["min_step_s"]) is float and counters["min_step_s"] > 0.0
     if command in ("primary", "secondary", "failure"):
         assert type(summary["n_z"]) is int and summary["n_z"] == 51
+
+
+# stages that their start already completes: secondary drying at its
+# target, solidification past its ice target, and a freezing run where no
+# stage integrates
+_COMPLETE_AT_START = {
+    "secondary-at-target": ("secondary", "secondary:\n  initial_bound_water_kg_per_kg: 0.005\n"),
+    "freeze-past-target": ("freeze", "freezing:\n  depressurization_start_s: null\n"
+                           "  gas_temperature_K: 150\n  wall_temperature_K: 150\n"
+                           "  upper_temperature_K: 150\n  nucleation:\n"
+                           "    temperature_K: 190\n  solidification_fraction: 0.85\n"
+                           "  final_temperature_K: 160\n"),
+    "freeze-no-step": ("freeze", "freezing:\n  initial_temperature_K: 190\n"
+                       "  depressurization_start_s: null\n  nucleation:\n"
+                       "    temperature_K: 200\n  solidification_fraction: 0.85\n"
+                       "  final_temperature_K: 260\n  final_tolerance_K: 20\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COMPLETE_AT_START))
+def test_stages_complete_at_start_write_strict_summaries(tmp_path, case):
+    command, text = _COMPLETE_AT_START[case]
+    scn = tmp_path / "scn.yaml"
+    scn.write_text(text)
+    assert main([command, "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / f"scn_{command}_summary.json")
+    counters = summary["solver"]
+    assert set(counters) == COUNTERS
+    if case == "freeze-past-target":
+        events = summary["events"]
+        assert events["solidification_end_s"] == events["nucleation_s"]
+        assert counters["steps"] > 0 and counters["min_step_s"] > 0.0
+    else:
+        # a stage that took no step has no smallest step
+        assert [counters[k] for k in ("steps", "nfev", "njev", "nlu")] == [0, 0, 0, 0]
+        assert counters["min_step_s"] is None
+        assert summary["end_time_s"] == 0.0
 
 
 def test_cycle_diagnostics_flag_open_water_balance(tmp_path):

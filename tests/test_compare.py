@@ -32,12 +32,11 @@ def test_reference_from_csv(tmp_path):
     ref = ReferenceSeries.from_csv(p)
     assert ref.t.shape == (3,)
     assert ref.value[1] == 255.0
-    assert ref.label == "ref"
     # custom column names
     p2 = tmp_path / "ref2.csv"
     p2.write_text("t,T\n0.0,1.0\n1.0,2.0\n")
-    ref2 = ReferenceSeries.from_csv(p2, time_column="t", value_column="T", label="probe")
-    assert ref2.label == "probe"
+    ref2 = ReferenceSeries.from_csv(p2, time_column="t", value_column="T")
+    assert ref2.t.shape == (2,)
     with pytest.raises(ComparisonError):
         ReferenceSeries.from_csv(p2)  # wrong default columns
     p3 = tmp_path / "bad.csv"

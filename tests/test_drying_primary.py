@@ -76,22 +76,23 @@ def test_cake_resistance_oracle():
 
 def test_sublimation_flux_oracle():
     dp = _default_dp()
-    assert sublimation_flux(250.0, 0.0, dp) == pytest.approx(
+    p_c = dp.p_w_chamber
+    assert sublimation_flux(250.0, 0.0, dp, p_c) == pytest.approx(
         4.871059645883356e-3, rel=1e-12)
-    assert sublimation_flux(250.0, 3.6e-3, dp) == pytest.approx(
+    assert sublimation_flux(250.0, 3.6e-3, dp, p_c) == pytest.approx(
         2.8324381102535945e-3, rel=1e-12)
     # saturation below the chamber partial pressure: no recondensation
-    assert sublimation_flux(210.0, 0.0, dp) == 0.0
-    # explicit chamber pressure overrides the configured one
+    assert sublimation_flux(210.0, 0.0, dp, p_c) == 0.0
+    # the flux falls with the chamber partial pressure
     assert sublimation_flux(250.0, 0.0, dp, p_w_chamber=76.06589468825034) == 0.0
     assert sublimation_flux(250.0, 0.0, dp, p_w_chamber=0.0) > sublimation_flux(
-        250.0, 0.0, dp)
+        250.0, 0.0, dp, p_c)
 
 
 def test_flux_increases_with_front_temperature():
     dp = _default_dp()
     T = np.linspace(230.0, 260.0, 20)
-    N = np.array([sublimation_flux(float(x), 1.0e-3, dp) for x in T])
+    N = np.array([sublimation_flux(float(x), 1.0e-3, dp, dp.p_w_chamber) for x in T])
     assert np.all(np.diff(N) > 0.0)
 
 

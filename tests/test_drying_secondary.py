@@ -221,9 +221,14 @@ def test_profile_initial_conditions(geom, stage_settings):
 def test_already_dry_returns_immediately(geom, stage_settings):
     kin = DesorptionKinetics()
     traj = run_secondary(280.0, 0.005, kin, RadiationSpec(), _conditions(295.0),
-                         geom, **stage_settings("secondary", c_target=0.01))
+                         geom, t0=100.0, **stage_settings("secondary", c_target=0.01))
     assert traj.t.shape[0] == 1
-    assert traj.events["secondary_drying_end_s"] == traj.t[0]
+    assert traj.events["secondary_drying_end_s"] == traj.t[0] == 100.0
+    assert traj.meta["duration_s"] == 0.0
+    assert traj.meta["final_state"].t == 100.0
+    counts = traj.meta["solver"]
+    assert [counts[k] for k in ("steps", "nfev", "njev", "nlu")] == [0, 0, 0, 0]
+    assert math.isnan(counts["min_step_s"])
 
 
 def test_no_target_holds_for_time_limit(geom, stage_settings):

@@ -1,6 +1,8 @@
 """Five-stage freezing model: stage RHS oracles, events, and conservation."""
 
+import copy
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from lyosim import (
     StageTimeoutError,
     StochasticNucleation,
     VialState,
+    build_parameters,
+    builtin_scenarios,
     integrate_adaptive,
     load_scenario,
     mixture_properties,
@@ -395,6 +399,63 @@ def test_solver_counters_merge_over_integrations(monkeypatch, mix, stage_setting
     for key in ("steps", "nfev", "njev", "nlu", "wall_s"):
         assert counts[key] == sum(r.counters()[key] for r in results)
     assert counts["min_step_s"] == min(r.min_step_s for r in results)
+
+
+@pytest.mark.parametrize("name", builtin_scenarios())
+def test_schedules_run_on_stage_time(name):
+    # the protocol's schedules start with freezing: a later start shifts
+    # every event by the same time and changes nothing else
+    p = load_scenario(name).parameters()
+    initial = p.initial_vial_state()
+    runs = [run_freezing(replace(initial, t=t0), p.freezing_system(), p.integrator,
+                         samples_per_stage=p.samples_per_stage)
+            for t0 in (0.0, 1000.0)]
+    duration = runs[0].events["freezing_end_s"]
+    for event, t in runs[0].events.items():
+        assert runs[1].events[event] - 1000.0 == pytest.approx(t, abs=1.0e-6 * duration), event
+
+
+def test_nucleation_past_the_ice_target_ends_solidification():
+    # nucleation from 190 K freezes about 96 % of the water at once, past the
+    # 85 % target: solidification is complete when it starts
+    data = copy.deepcopy(load_scenario("defaults").data)
+    data["freezing"].update({
+        "depressurization_start_s": None, "gas_temperature_K": 150.0,
+        "wall_temperature_K": 150.0, "upper_temperature_K": 150.0,
+        "nucleation": {"mode": "controlled", "temperature_K": 190.0},
+        "solidification_fraction": 0.85, "final_temperature_K": 160.0})
+    p = build_parameters(data)
+    traj = run_freezing(p.initial_vial_state(), p.freezing_system(), p.integrator,
+                        samples_per_stage=p.samples_per_stage)
+    ev = traj.events
+    nuc = traj.meta["nucleation"]
+    assert nuc["ice_mass_kg"] > 0.85 * (nuc["ice_mass_kg"] + nuc["water_mass_kg"])
+    assert ev["solidification_end_s"] == ev["nucleation_s"]
+    assert traj.stage.count("solidification") == 1
+    assert ev["freezing_end_s"] > ev["solidification_end_s"]
+    assert traj.meta["final_state"].m_i == nuc["ice_mass_kg"]
+
+
+def test_stages_complete_at_start_take_no_step(mix, stage_settings):
+    # a fill that starts below the nucleation temperature and a final band
+    # that holds the post-nucleation temperature: no stage integrates
+    proto = FreezingProtocol(
+        gas_temperature=Schedule.constant(150.0),
+        wall_temperature=Schedule.constant(150.0),
+        upper_temperature=Schedule.constant(150.0),
+        total_pressure=Schedule.constant(1.0e5),
+        nucleation=ControlledNucleation(temperature_K=200.0),
+        visf_start_s=None, solidification_fraction=0.85,
+        final_temperature_K=260.0, final_tolerance_K=20.0,
+    )
+    sys_ = FreezingSystem(mixture=mix, radiation=RadiationSpec(), protocol=proto)
+    traj = run_freezing(VialState(T=190.0, m_w=mix.m_w0, t=50.0), sys_, IntegratorConfig(),
+                        **stage_settings("freezing"))
+    assert set(traj.events.values()) == {50.0}
+    assert traj.stage == ["preconditioning", "solidification", "final_cooling"]
+    counts = traj.meta["solver"]
+    assert [counts[k] for k in ("steps", "nfev", "njev", "nlu")] == [0, 0, 0, 0]
+    assert np.isnan(counts["min_step_s"])
 
 
 # --- exact stochastic nucleation ---------------------------------------------------

@@ -146,8 +146,6 @@ def test_radiation_spec_bounds():
         RadiationSpec(F_side=0.7, eps_glass=0.6)
     with pytest.raises(ConfigurationError):
         RadiationSpec(eps_glass=1.2)
-    with pytest.raises(ConfigurationError):
-        RadiationSpec(sigma=0.0)
 
 
 # --- series resistances -------------------------------------------------------
