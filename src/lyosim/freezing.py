@@ -398,7 +398,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     t - ``initial.t``.  The final state for chaining into drying is stored
     under ``meta["final_state"]`` and the solver counters of the stage's
     integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
-    the smallest step of any of them, NaN when none took a step).  Every
+    the smallest step of any of them, NaN when none took a step, and
+    ``rejected``, ``None``: LSODA does not report it).  Every
     integration uses LSODA with the tolerances and ``max_step`` of
     ``config``.  Raises :class:`StageTimeoutError` when a stage fails to
     reach its completion event within the protocol's horizon.
@@ -421,8 +422,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     limit = p.stage_time_limit_s
     stages: dict[str, Trajectory] = {}
     events: dict[str, float] = {}
-    solver: dict[str, int | float] = {"steps": 0, "nfev": 0, "njev": 0, "nlu": 0,
-                                      "min_step_s": np.nan, "wall_s": 0.0}
+    solver: dict[str, int | float | None] = {"steps": 0, "rejected": None, "nfev": 0,
+                                             "njev": 0, "nlu": 0, "min_step_s": np.nan,
+                                             "wall_s": 0.0}
     meta: dict[str, Any] = {"solver": solver}
     log.info("freezing: start at t = %.6g s", t)
 
@@ -441,9 +443,10 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
         res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
         for key, count in res.counters().items():
-            # fmin skips the NaN of a run without steps
-            solver[key] = (float(np.fmin(solver[key], count)) if key == "min_step_s"
-                           else solver[key] + count)
+            if key == "min_step_s":  # fmin skips the NaN of a run without steps
+                solver[key] = float(np.fmin(solver[key], count))
+            elif count is not None:  # LSODA does not count its rejected steps
+                solver[key] += count
         return res
 
     def advance(rhs, y0, done: EventSpec, stage: str, timeout: str, *,
@@ -478,9 +481,11 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             t1 = t + p.visf_start_s
             if p.visf_start_s > 0.0:
                 ts, ys = integrate(precond_rhs, [T], t1).resample(samples_per_stage)
-                record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
-                T = float(ys[0, -1])
-                t = t1
+            else:  # no time before VISF: one row at the start
+                ts, ys = np.array([t]), np.array([[T]])
+            record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
+            T = float(ys[0, -1])
+            t = t1
             events["preconditioning_end_s"] = t
             floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
                               name="water_depleted")

@@ -1,22 +1,24 @@
 """Adaptive integration to one terminal event.
 
-:func:`integrate_adaptive` runs its own step loop over one of scipy's
-``OdeSolver`` classes, named by the calling stage driver.  The distributed
-drying stages are stiff (thermal relaxation times from seconds to hours in
-one system, and a moving-front transform that becomes singular near
-completion), so they run on the default variable-order BDF family with
-their exact Jacobians, built in closed form in a structured form that
-factors the BDF iteration matrix I - cJ in O(n) (Shampine & Reichelt,
-SIAM J. Sci. Comput., 1997): a tridiagonal block with a few border states
-(:class:`BorderedTridiagonal`, primary drying) or a tridiagonal block
-coupled diagonally to a diagonal block (:class:`CoupledTridiagonal`,
+:func:`integrate_adaptive` runs its own step loop over the integrator the
+calling stage driver names.  The distributed drying stages are stiff
+(thermal relaxation times from seconds to hours in one system, and a
+moving-front transform that becomes singular near completion), so they run
+on :class:`BDF`, lyosim's own variable-order NDF/BDF (Shampine & Reichelt,
+SIAM J. Sci. Comput., 1997).  It is scipy's ``BDF`` algorithm with its
+constants and its order of floating-point operations, so it takes scipy's
+steps to the last bit, without scipy's per-step Python machinery; it also
+counts the step attempts it turns down.  The drying stages hand it their
+exact Jacobians, built in closed form in a structured form that factors
+the iteration matrix I - cJ in O(n): a tridiagonal block with a few border
+states (:class:`BorderedTridiagonal`, primary drying) or a tridiagonal
+block coupled diagonally to a diagonal block (:class:`CoupledTridiagonal`,
 secondary drying).  Both factor with LAPACK's tridiagonal ``dgttrf`` and
-solve with ``dgttrs``.  scipy's BDF still takes the steps and Newton
-iterations; only the factor and solve behind them change, so a structured
-Jacobian takes exactly the steps of its dense form.  A matrix Jacobian runs
-on scipy's own factor and solve.  The lumped freezing stages are not stiff
-and run on LSODA, whose compiled Adams steps switch to BDF by themselves
-where a problem turns stiff.
+solve with ``dgttrs``.  A square ndarray Jacobian factors with LAPACK's
+dense ``dgetrf``/``dgetrs``, as scipy's does; without a Jacobian BDF forms
+scipy's forward-difference one.  The lumped freezing stages are not stiff
+and run on scipy's LSODA, whose compiled Adams steps switch to BDF by
+themselves where a problem turns stiff.
 
 After each accepted step the loop keeps the step's dense output and checks
 the terminal events (:class:`EventSpec`) for a zero crossing in their
@@ -28,8 +30,9 @@ the last bit.  Two cases where it does not complete end here instead: a
 crossing that the step's end states show but the interpolant misses by
 rounding (LSODA's interpolant at the step start) is taken at the nearer
 end, and LSODA's zero-length steps past a blow-up raise
-:class:`SolverError`.  So does a structured iteration matrix that is
-exactly singular.
+:class:`SolverError`.  So does an iteration matrix that is exactly
+singular, a BDF step size that turns NaN and an RHS that is not finite
+at the initial state, where scipy's BDF would halve a NaN step forever.
 
 Every stage driver ends, resamples and packages through the
 :class:`IntegrationResult`: its ``event`` names the terminal event that
@@ -37,8 +40,8 @@ ended the integration (``None`` at the end of ``t_span``, which a driver
 reports as a timeout), the event's time is the last mesh point ``t[-1]``,
 and :meth:`IntegrationResult.resample` evaluates the dense output on the
 driver's uniform sample grid.  The loop keeps the last state only, not a
-mesh of every state.  The result reports the solver's step, RHS, Jacobian
-and LU counts, its smallest step and its wall time.
+mesh of every state.  The result reports the solver's step, rejected-step,
+RHS, Jacobian and LU counts, its smallest step and its wall time.
 
 A stage driver has one completion rule: its completion event is reached
 at (t, y) when direction * g(t, y) > 0 (:meth:`EventSpec.reached`).  A
@@ -52,20 +55,20 @@ starts past its zero waits for its next crossing.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
-from functools import partial
 from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import BDF, LSODA, OdeSolution
+from scipy.integrate import LSODA, OdeSolution
 from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .bounds import POS, check_bounds
-from .errors import SolverError
+from .errors import ConfigurationError, SolverError
 
-__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult",
+__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "BDF",
            "BorderedTridiagonal", "CoupledTridiagonal", "integrate_adaptive"]
 
 log = logging.getLogger(__name__)
@@ -146,23 +149,27 @@ class IntegrationResult:
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
+    rejected: int | None = 0
     min_step_s: float = 0.0
     wall_s: float = 0.0
 
     @classmethod
     def at_start(cls, t0: float, y0: np.ndarray, done: EventSpec) -> "IntegrationResult":
         """The result of a stage whose start (t0, y0) has already reached
-        its completion event ``done``: the mesh [t0], no steps, RHS,
-        Jacobian or LU evaluations, and ``min_step_s`` NaN (no step)."""
+        its completion event ``done``: the mesh [t0], no steps, step
+        attempts, RHS, Jacobian or LU evaluations, and ``min_step_s`` NaN
+        (no step)."""
         return cls(t=np.array([float(t0)]), y_last=np.asarray(y0, dtype=float), sol=None,
                    event=done.name, min_step_s=np.nan)
 
-    def counters(self) -> dict[str, int | float]:
-        """Accepted steps (the mesh ``t``), the RHS, Jacobian and LU
+    def counters(self) -> dict[str, int | float | None]:
+        """Accepted steps (the mesh ``t``), rejected step attempts (``None``
+        from LSODA, which does not report them), the RHS, Jacobian and LU
         counts, the smallest step the solver took and the wall time of the
         integration."""
-        return {"steps": int(self.t.shape[0] - 1), "nfev": int(self.nfev),
-                "njev": int(self.njev), "nlu": int(self.nlu),
+        return {"steps": int(self.t.shape[0] - 1),
+                "rejected": None if self.rejected is None else int(self.rejected),
+                "nfev": int(self.nfev), "njev": int(self.njev), "nlu": int(self.nlu),
                 "min_step_s": float(self.min_step_s), "wall_s": float(self.wall_s)}
 
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,7 +201,10 @@ class BorderedTridiagonal:
         self.border = np.asarray(border)
         self.cols, self.rows = cols, rows
         n = cols.shape[0]
-        self.inner = np.delete(np.arange(n), self.border)
+        self.inner = i = np.delete(np.arange(n), self.border)
+        # the inner states as a slice where they are contiguous (primary
+        # drying's T_1 ... T_{n_z-1}), which indexes without a copy
+        self.take = slice(i[0], i[-1] + 1) if i.size and i[-1] - i[0] == i.size - 1 else i
         self.shape = (n, n)
 
     def toarray(self) -> np.ndarray:
@@ -214,12 +224,12 @@ class BorderedTridiagonal:
 
 class _BorderedFactor:
     def __init__(self, J: BorderedTridiagonal, c: float) -> None:
-        self.inner, self.border = J.inner, J.border
+        self.take, self.border = J.take, J.border
         self.tri = _TridiagonalLU(-c * J.lower, 1.0 - c * J.diag, -c * J.upper)
         self.row = -c * J.rows
         # the inner block's solve of the border columns, and the Schur
         # complement of the border states over it
-        self.fill = self.tri.solve(-c * J.cols[self.inner])
+        self.fill = self.tri.solve(-c * J.cols[self.take])
         schur = np.eye(self.border.shape[0]) - c * J.cols[self.border] - self.row @ self.fill
         self.schur_lu, self.schur_piv, info = dgetrf(schur)
         if info > 0:
@@ -227,10 +237,10 @@ class _BorderedFactor:
                               f"zero pivot at border state {self.border[info - 1]}")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        z = self.tri.solve(b[self.inner])
+        z = self.tri.solve(b[self.take])
         y_border, _ = dgetrs(self.schur_lu, self.schur_piv, b[self.border] - self.row @ z)
         x = np.empty_like(b)
-        x[self.inner] = z - self.fill @ y_border
+        x[self.take] = z - self.fill @ y_border
         x[self.border] = y_border
         return x
 
@@ -314,76 +324,471 @@ class _TridiagonalLU:
         return x[:self.m]
 
 
-class _Deferred:
-    """A structured Jacobian as scipy's BDF step uses it, in ``lu(I - c * J)``:
-    ``c * J`` defers the iteration matrix to ``J.factor(c)``, and
-    :data:`_PASS_IDENTITY` passes it on to ``lu``."""
+class _DenseJacobian:
+    """A square matrix Jacobian, with the factor interface of the
+    structured ones: LAPACK's ``dgetrf``/``dgetrs``, as scipy's
+    ``lu_factor``/``lu_solve`` call them."""
 
-    __array_ufunc__ = None  # numpy's scalar c hands c * J to __rmul__
+    __slots__ = ("J",)
 
-    def __init__(self, J: BorderedTridiagonal | CoupledTridiagonal) -> None:
+    def __init__(self, J: np.ndarray) -> None:
         self.J = J
 
-    def __rmul__(self, c: float) -> Callable[[], object]:
-        return partial(self.J.factor, c)
+    def factor(self, c: float) -> "_DenseFactor":
+        """LU of I - cJ; raises :class:`SolverError` if it is singular."""
+        return _DenseFactor(self.J, c)
 
 
-class _PassIdentity:
-    def __sub__(self, factor: Callable[[], object]) -> Callable[[], object]:
-        return factor
+class _DenseFactor:
+    __slots__ = ("lu", "piv")
+
+    def __init__(self, J: np.ndarray, c: float) -> None:
+        self.lu, self.piv, info = dgetrf(np.identity(J.shape[0]) - c * J, overwrite_a=1)
+        if info > 0:
+            raise SolverError(f"singular iteration matrix: zero pivot in row {info - 1}")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x, _ = dgetrs(self.lu, self.piv, b, overwrite_b=1)
+        return x
 
 
-_PASS_IDENTITY = _PassIdentity()
-_STRUCTURED = (BorderedTridiagonal, CoupledTridiagonal)
+# scipy's BDF constants (scipy.integrate._ivp.bdf): the order range, the
+# Newton iterations per attempt and the bounds of a step-size change
+_MAX_ORDER = 5
+_NEWTON_MAXITER = 4
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_EPS = np.finfo(float).eps
+# the NDF coefficients kappa of Shampine & Reichelt, Table 1, and the BDF
+# coefficients derived from them, per order 0 ... 5
+_KAPPA = np.array([0, -0.1850, -1 / 9, -0.0823, -0.0415, 0])
+_GAMMA = np.hstack((0, np.cumsum(1 / np.arange(1, _MAX_ORDER + 1))))
+_ALPHA = (1 - _KAPPA) * _GAMMA
+_ERROR_CONST = _KAPPA * _GAMMA + 1 / np.arange(1, _MAX_ORDER + 2)
+# scipy's num_jac: the bounds of a usable difference, relative to the RHS
+# scale, and the adaptation of each column's step factor
+_DIFF_REJECT = _EPS ** 0.875
+_DIFF_SMALL = _EPS ** 0.75
+_DIFF_BIG = _EPS ** 0.25
+_MIN_FACTOR_FD = 1e3 * _EPS
+_FACTOR_INCREASE = 10
+_FACTOR_DECREASE = 0.1
+# 0 ... order - 1 and 1 ... order, per order, for the dense output
+_ARANGE = [np.arange(order, dtype=float) for order in range(_MAX_ORDER + 1)]
+_ARANGE1 = [np.arange(1, order + 1, dtype=float) for order in range(_MAX_ORDER + 1)]
 
 
-class _BDF(BDF):
-    """scipy's BDF, which lets a structured Jacobian factor I - cJ.
+# the row and column indices 1 ... order of _compute_R, per order
+_RANGES = [(np.arange(1, order + 1)[:, None], np.arange(1, order + 1))
+           for order in range(_MAX_ORDER + 1)]
 
-    The steps, Newton iterations and counters are scipy's.  When ``jac``
-    returns a :class:`BorderedTridiagonal` or :class:`CoupledTridiagonal`,
-    the factor and solve of each iteration matrix are the Jacobian's own,
-    and a singular one raises :class:`SolverError` at the step's start
-    time.  A matrix Jacobian (or none) runs on scipy's own factor and solve.
+
+def _compute_R(order: int, factor: float) -> np.ndarray:
+    """The matrix that rescales the difference array to a step ``factor``
+    times longer."""
+    I, J = _RANGES[order]
+    M = np.zeros((order + 1, order + 1))
+    M[1:, 1:] = (I - 1 - factor * J) / I
+    M[0] = 1
+    return np.multiply.accumulate(M, axis=0)  # np.cumprod without its wrapper
+
+
+_U = [_compute_R(order, 1) for order in range(_MAX_ORDER + 1)]
+
+
+def _change_D(D: np.ndarray, order: int, factor: float) -> None:
+    """Rescale the differences ``D`` in place to a step ``factor`` times
+    longer."""
+    RU = _compute_R(order, factor).dot(_U[order])
+    D[:order + 1] = np.dot(RU.T, D[:order + 1])
+
+
+class _StepInterpolant:
+    """Dense output of one BDF step: the interpolating polynomial of the
+    backward differences ``D`` over the last ``order`` + 1 mesh points, as
+    scipy's ``BdfDenseOutput`` evaluates it.  Order 0 is the constant
+    D[0]."""
+
+    __slots__ = ("t_shift", "denom", "D")
+
+    def __init__(self, t: float, h: float, order: int, D: np.ndarray) -> None:
+        self.t_shift = t - h * _ARANGE[order]
+        self.denom = h * _ARANGE1[order]
+        self.D = D
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        if t.ndim == 0:
+            p = np.cumprod((t - self.t_shift) / self.denom)
+        else:
+            p = np.cumprod((t - self.t_shift[:, None]) / self.denom[:, None], axis=0)
+        y = np.dot(self.D[1:].T, p)
+        if y.ndim == 1:
+            y += self.D[0]
+        else:
+            y += self.D[0, :, None]
+        return y
+
+
+class BDF:
+    """Variable-order (1 to 5) NDF/BDF with quasi-constant step size
+    (Shampine & Reichelt, SIAM J. Sci. Comput., 1997).
+
+    The algorithm, its constants and the order of its floating-point
+    operations are those of scipy's ``BDF``, so it takes scipy's steps to
+    the last bit: the initial step of Hairer, Norsett & Wanner, the Newton
+    iteration with its convergence-rate test, the refresh of a stale
+    Jacobian before a step is cut, the error test and the choice of the
+    next order and step.  ``jac(t, y)`` returns a
+    :class:`BorderedTridiagonal` or :class:`CoupledTridiagonal`, which
+    factors each iteration matrix I - cJ itself, or an n x n ndarray,
+    factored by LAPACK's dense LU; anything else raises
+    :class:`ConfigurationError`, and a singular iteration matrix raises
+    :class:`SolverError` at the step's start time.  Without ``jac`` it
+    forms scipy's forward-difference Jacobian.  ``fun(t, y)`` returns a
+    float ndarray of the state's shape.
+
+    It steps as scipy's ``OdeSolver`` does: :meth:`step` advances one
+    accepted step and sets ``status`` to ``"finished"`` at ``t_bound`` or
+    ``"failed"`` when the step would fall below 10 ulps of t, and
+    :meth:`dense_output` interpolates the last step.  ``nfev``, ``njev``
+    and ``nlu`` count the RHS, Jacobian and LU evaluations, and
+    ``rejected`` the step attempts that a Newton failure or the error test
+    turned down.
     """
 
-    def __init__(self, fun, t0, y0, t_bound, **options) -> None:
-        super().__init__(fun, t0, y0, t_bound, **options)
-        if isinstance(self.J, _Deferred):
-            self.I = _PASS_IDENTITY  # and drop the dense identity scipy built
-            self.lu = self._factor
-            self.solve_lu = _solve
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def _validate_jac(self, jac, sparsity):
-        if not callable(jac):
-            return super()._validate_jac(jac, sparsity)
-        J = jac(self.t, self.y)
-        if not isinstance(J, _STRUCTURED):
-            # scipy evaluates the matrix at t0 itself: hand it the one in hand
-            first = [J]
-            return super()._validate_jac(
-                lambda t, y: first.pop() if first else jac(t, y), sparsity)
+    def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
+                 y0: np.ndarray, t_bound: float, *, rtol: float,
+                 atol: float | np.ndarray, max_step: float,
+                 jac: Callable[[float, np.ndarray], object] | None = None) -> None:
+        if jac is None:
+            jac = self._difference_jacobian
+        elif not callable(jac):
+            raise ConfigurationError("BDF takes jac(t, y), a callable returning a "
+                                     "BorderedTridiagonal, a CoupledTridiagonal or a square "
+                                     "ndarray")
+        self.fun, self.jac = fun, jac
+        self._fd_factor = None
+        self.t_old: float | None = None
+        self.t = t0
+        self.y = y = np.asarray(y0, dtype=float)
+        if y.ndim != 1 or not np.isfinite(y).all():
+            raise ConfigurationError("the initial state must be a finite 1-D array")
+        self.n = n = y.shape[0]
+        self.t_bound = t_bound
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = self.rejected = 0
+        self.max_step = max_step
+        self.rtol = rtol = max(rtol, 100 * _EPS)
+        atol = np.asarray(atol, dtype=float)
+        if atol.ndim > 0 and atol.shape != (n,):
+            raise ConfigurationError(f"atol has shape {atol.shape}, the state ({n},)")
+        self.atol = float(atol) if atol.ndim == 0 else atol
+        self._sqrt_n = n ** 0.5
+        self.nfev += 1
+        f = fun(t0, y)
+        if not np.isfinite(f).all():
+            raise SolverError("the right-hand side is not finite at the initial state", t=t0)
+        self.h_abs = self._initial_step(f)
+        self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
+        self.J = self._jacobian(t0, y)
+        self.D = D = np.empty((_MAX_ORDER + 3, n))
+        D[0] = y
+        D[1] = f * self.h_abs * self.direction
+        self.order = 1
+        self.n_equal_steps = 0
+        self.LU = None
+
+    def _norm(self, x: np.ndarray) -> float:
+        """RMS norm, as ``np.linalg.norm(x) / sqrt(n)`` computes it."""
+        return math.sqrt(x.dot(x)) / self._sqrt_n
+
+    def _jacobian(self, t: float, y: np.ndarray):
+        J = self.jac(t, y)
         self.njev += 1
+        n = self.n
+        if isinstance(J, (BorderedTridiagonal, CoupledTridiagonal)) and J.shape == (n, n):
+            return J
+        if isinstance(J, np.ndarray) and J.shape == (n, n):
+            return _DenseJacobian(np.asarray(J, dtype=float))
+        raise ConfigurationError(
+            f"jac returned {type(J).__name__} of shape {getattr(J, 'shape', None)}; BDF "
+            f"needs a BorderedTridiagonal, a CoupledTridiagonal or an ndarray of shape "
+            f"({n}, {n})")
 
-        def deferred(t: float, y: np.ndarray) -> _Deferred:
-            self.njev += 1
-            return _Deferred(jac(t, y))
+    def _difference_jacobian(self, t: float, y: np.ndarray) -> np.ndarray:
+        """Forward-difference Jacobian with adaptive per-column steps, as
+        scipy's ``num_jac`` computes it for a dense matrix; its RHS calls
+        are not counted in ``nfev``."""
+        fun = self.fun
+        f = fun(t, y)
+        factor = (np.full(self.n, _EPS ** 0.5) if self._fd_factor is None
+                  else self._fd_factor.copy())
 
-        return deferred, _Deferred(J)
+        def columns(Y: np.ndarray) -> np.ndarray:
+            out = np.empty_like(Y)
+            for i, yi in enumerate(Y.T):
+                out[:, i] = fun(t, yi)
+            return out
 
-    def _factor(self, factor: Callable[[], object]) -> object:
+        # step each state the way its derivative points
+        f_sign = 2 * (f >= 0).astype(float) - 1
+        y_scale = f_sign * np.maximum(self.atol, np.abs(y))
+        h = (y + factor * y_scale) - y
+        for i in np.nonzero(h == 0)[0]:
+            while h[i] == 0:
+                factor[i] *= 10
+                h[i] = (y[i] + factor[i] * y_scale[i]) - y[i]
+
+        n = self.n
+        h_vecs = np.diag(h)
+        f_new = columns(y[:, None] + h_vecs)
+        diff = f_new - f[:, None]
+        max_ind = np.argmax(np.abs(diff), axis=0)
+        r = np.arange(n)
+        max_diff = np.abs(diff[max_ind, r])
+        scale = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
+        # columns whose difference drowns in rounding: retry with a 10x step
+        # and keep it where the difference is relatively larger
+        diff_too_small = max_diff < _DIFF_REJECT * scale
+        if np.any(diff_too_small):
+            ind, = np.nonzero(diff_too_small)
+            new_factor = _FACTOR_INCREASE * factor[ind]
+            h_new = (y[ind] + new_factor * y_scale[ind]) - y[ind]
+            h_vecs[ind, ind] = h_new
+            f_new = columns(y[:, None] + h_vecs[:, ind])
+            diff_new = f_new - f[:, None]
+            max_ind = np.argmax(np.abs(diff_new), axis=0)
+            r = np.arange(ind.shape[0])
+            max_diff_new = np.abs(diff_new[max_ind, r])
+            scale_new = np.maximum(np.abs(f[max_ind]), np.abs(f_new[max_ind, r]))
+            update = max_diff[ind] * scale_new < max_diff_new * scale[ind]
+            if np.any(update):
+                update, = np.nonzero(update)
+                update_ind = ind[update]
+                factor[update_ind] = new_factor[update]
+                h[update_ind] = h_new[update]
+                diff[:, update_ind] = diff_new[:, update]
+                scale[update_ind] = scale_new[update]
+                max_diff[update_ind] = max_diff_new[update]
+        diff /= h
+        factor[max_diff < _DIFF_SMALL * scale] *= _FACTOR_INCREASE
+        factor[max_diff > _DIFF_BIG * scale] *= _FACTOR_DECREASE
+        self._fd_factor = np.maximum(factor, _MIN_FACTOR_FD)
+        return diff
+
+    def _factor(self, J, c: float):
         self.nlu += 1
         try:
-            return factor()
+            return J.factor(c)
         except SolverError as err:
             raise SolverError(str(err), t=self.t) from None
 
+    def _initial_step(self, f0: np.ndarray) -> float:
+        """The first step of Hairer, Norsett & Wanner (Solving Ordinary
+        Differential Equations I, Sec. II.4) for an order-1 error
+        estimate, as scipy's ``select_initial_step``; one RHS call."""
+        t0, y0, direction = self.t, self.y, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = self._norm(y0 / scale)
+        d1 = self._norm(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        self.nfev += 1
+        f1 = self.fun(t0 + h0 * direction, y1)
+        d2 = self._norm((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.5  # 1 / (order + 1)
+        return min(100 * h0, h1, interval_length, self.max_step)
 
-def _solve(factor, b: np.ndarray) -> np.ndarray:
-    return factor.solve(b)
+    def step(self) -> str | None:
+        """Take one accepted step; returns the failure message, if any."""
+        t = self.t
+        if t == self.t_bound:
+            self.t_old = t
+            self.status = "finished"
+            return None
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+    def dense_output(self) -> _StepInterpolant:
+        """Interpolant over the last step."""
+        if self.t == self.t_old:
+            return _StepInterpolant(self.t, 0.0, 0, self.y[None])
+        return _StepInterpolant(self.t, self.h_abs * self.direction, self.order,
+                           self.D[:self.order + 1].copy())
+
+    def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray,
+                LU, scale: np.ndarray) -> tuple[bool, int, np.ndarray, np.ndarray]:
+        """scipy's ``solve_bdf_system``: at most NEWTON_MAXITER simplified
+        Newton iterations, stopped early when the rate test predicts no
+        convergence or when the predicted remaining change is below
+        ``newton_tol``."""
+        tol = self.newton_tol
+        d = 0
+        y = y_predict.copy()
+        dy_norm_old = None
+        converged = False
+        for k in range(_NEWTON_MAXITER):
+            self.nfev += 1
+            f = self.fun(t_new, y)
+            if not np.isfinite(f).all():
+                break
+            dy = LU.solve(c * f - psi - d)
+            dy_norm = self._norm(dy / scale)
+            if dy_norm_old is None:
+                rate = None
+            else:
+                rate = dy_norm / dy_norm_old
+            if (rate is not None and (rate >= 1 or
+                    rate ** (_NEWTON_MAXITER - k) / (1 - rate) * dy_norm > tol)):
+                break
+            y += dy
+            d += dy
+            if (dy_norm == 0 or
+                    rate is not None and rate / (1 - rate) * dy_norm < tol):
+                converged = True
+                break
+            dy_norm_old = dy_norm
+        return converged, k + 1, y, d
+
+    def _step_impl(self) -> str | None:
+        t = self.t
+        D = self.D
+        max_step = self.max_step
+        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
+        if self.h_abs > max_step:
+            h_abs = max_step
+            _change_D(D, self.order, max_step / self.h_abs)
+            self.n_equal_steps = 0
+        elif self.h_abs < min_step:
+            h_abs = min_step
+            _change_D(D, self.order, min_step / self.h_abs)
+            self.n_equal_steps = 0
+        else:
+            h_abs = self.h_abs
+
+        atol, rtol, order = self.atol, self.rtol, self.order
+        J = self.J
+        LU = self.LU
+        current_jac = False
+
+        while True:
+            if not h_abs >= min_step:  # a NaN step fails here too
+                return self.TOO_SMALL_STEP
+            h = h_abs * self.direction
+            t_new = t + h
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+                _change_D(D, order, abs(t_new - t) / h_abs)
+                self.n_equal_steps = 0
+                LU = None
+            h = t_new - t
+            h_abs = abs(h)
+
+            y_predict = D[:order + 1].sum(axis=0)
+            scale = atol + rtol * np.abs(y_predict)
+            psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1]) / _ALPHA[order]
+
+            converged = False
+            c = h / _ALPHA[order]
+            while not converged:
+                if LU is None:
+                    LU = self._factor(J, c)
+                converged, n_iter, y_new, d = self._newton(t_new, y_predict, c, psi, LU,
+                                                           scale)
+                if not converged:
+                    if current_jac:
+                        break
+                    J = self._jacobian(t_new, y_predict)
+                    LU = None
+                    current_jac = True
+
+            if not converged:
+                self.rejected += 1
+                factor = 0.5
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+                LU = None
+                continue
+
+            safety = 0.9 * (2 * _NEWTON_MAXITER + 1) / (2 * _NEWTON_MAXITER + n_iter)
+            scale = atol + rtol * np.abs(y_new)
+            error = _ERROR_CONST[order] * d
+            error_norm = self._norm(error / scale)
+            if error_norm > 1:
+                # the Newton iteration converged: the step is cut, its LU kept
+                self.rejected += 1
+                factor = max(_MIN_FACTOR, safety * error_norm ** (-1 / (order + 1)))
+                h_abs *= factor
+                _change_D(D, order, factor)
+                self.n_equal_steps = 0
+            else:
+                break
+
+        self.n_equal_steps += 1
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        self.J = J
+        self.LU = LU
+
+        # d = D^{k+1} y_n: the differences of the new interpolating
+        # polynomial follow from D^{j+1} y_n = D^j y_n - D^j y_{n-1}
+        D[order + 2] = d - D[order + 1]
+        D[order + 1] = d
+        for i in reversed(range(order + 1)):
+            D[i] += D[i + 1]
+
+        if self.n_equal_steps < order + 1:
+            return None
+
+        if order > 1:
+            error_m = _ERROR_CONST[order - 1] * D[order]
+            error_m_norm = self._norm(error_m / scale)
+        else:
+            error_m_norm = np.inf
+        if order < _MAX_ORDER:
+            error_p = _ERROR_CONST[order + 1] * D[order + 2]
+            error_p_norm = self._norm(error_p / scale)
+        else:
+            error_p_norm = np.inf
+
+        error_norms = np.array([error_m_norm, error_norm, error_p_norm])
+        with np.errstate(divide="ignore"):
+            factors = error_norms ** (-1 / np.arange(order, order + 3))
+        order += int(factors.argmax()) - 1
+        self.order = order
+
+        factor = min(_MAX_FACTOR, safety * factors.max())
+        self.h_abs *= factor
+        _change_D(D, order, factor)
+        self.n_equal_steps = 0
+        self.LU = None
+        return None
 
 
-_METHODS = {"BDF": _BDF, "LSODA": LSODA}
+_METHODS = {"BDF": BDF, "LSODA": LSODA}
+
 
 def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        t_span: tuple[float, float],
@@ -395,14 +800,17 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        ) -> IntegrationResult:
     """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
 
-    ``method`` names a scipy ``OdeSolver`` class: ``BDF`` (the default)
-    or ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy, a dense
-    or sparse matrix, or for ``BDF`` a :class:`BorderedTridiagonal` or
-    :class:`CoupledTridiagonal`, which then factors each iteration matrix
-    itself.  The integration stops at the earliest zero crossing of any
+    ``method`` names the integrator: ``BDF`` (the default, :class:`BDF`)
+    or scipy's ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy.
+    ``BDF`` requires it, as a :class:`BorderedTridiagonal` or
+    :class:`CoupledTridiagonal`, which factors each iteration matrix
+    itself, or as a square ndarray; without it, or with anything else, it
+    raises :class:`ConfigurationError`.  ``LSODA`` takes none or a square
+    ndarray.  The integration stops at the earliest zero crossing of any
     of ``events``, which the result's ``event`` names, or at the end of
-    ``t_span``.  Returns an :class:`IntegrationResult`; raises :class:`SolverError` when the
-    integrator fails (the error reports the last reached time and state).
+    ``t_span``.  Returns an :class:`IntegrationResult`; raises
+    :class:`SolverError` when the integrator fails (the error reports the
+    last reached time and state).
     """
     wall0 = perf_counter()
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
@@ -456,6 +864,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
         nfev=solver.nfev,
         njev=solver.njev,
         nlu=solver.nlu,
+        rejected=getattr(solver, "rejected", None),  # LSODA does not count them
         min_step_s=min_step,
         wall_s=perf_counter() - wall0,
     )

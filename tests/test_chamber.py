@@ -152,7 +152,7 @@ def test_failure_slows_drying_and_heats_product(failure_run, geom, stage_setting
 
 def test_solver_counters_in_meta(failure_run):
     counts = failure_run.meta["solver"]
-    assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+    assert set(counts) == {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
     assert 0 < counts["njev"] < counts["steps"] < counts["nfev"]
 
 

@@ -89,7 +89,7 @@ def test_cycle_summary_contents(tmp_path):
 
 
 # the counters without wall_s, which differs run to run
-COUNTERS = {"steps", "nfev", "njev", "nlu", "min_step_s"}
+COUNTERS = {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s"}
 
 
 @pytest.mark.parametrize("command", ["freeze", "primary", "secondary", "failure", "cycle"])
@@ -108,6 +108,17 @@ def test_summaries_carry_solver_counters(tmp_path, command):
         assert type(counters["min_step_s"]) is float and counters["min_step_s"] > 0.0
     if command in ("primary", "secondary", "failure"):
         assert type(summary["n_z"]) is int and summary["n_z"] == 51
+
+
+def test_summaries_report_rejected_steps(tmp_path):
+    # the drying stages' BDF counts the step attempts it turns down; LSODA,
+    # which runs freezing, does not report them
+    assert main(["cycle", "--out", str(tmp_path)]) == 0
+    per_stage = _read_json(tmp_path / "defaults_cycle_summary.json")["solver"]
+    assert per_stage["freezing"]["rejected"] is None
+    for stage in ("primary_drying", "secondary_drying"):
+        rejected = per_stage[stage]["rejected"]
+        assert type(rejected) is int and 0 <= rejected < per_stage[stage]["steps"]
 
 
 # stages that their start already completes: secondary drying at its

@@ -238,7 +238,7 @@ def test_event_and_duration(baseline):
 
 def test_solver_counters_in_meta(baseline):
     counts = baseline.meta["solver"]
-    assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+    assert set(counts) == {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
     assert all(isinstance(counts[k], int) for k in ("steps", "nfev", "njev", "nlu"))
     assert 0.0 < counts["min_step_s"] < baseline.meta["duration_s"]
     assert counts["wall_s"] > 0.0

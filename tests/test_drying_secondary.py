@@ -178,7 +178,7 @@ def test_bound_water_monotone_nonnegative(heated_run):
 
 def test_solver_counters_in_meta(heated_run):
     counts = heated_run.meta["solver"]
-    assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+    assert set(counts) == {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
     # the Jacobian does not depend on time and changes slowly with the state
     assert 0 < counts["njev"] < counts["steps"] < counts["nfev"]
 

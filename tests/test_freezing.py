@@ -374,7 +374,7 @@ def test_solver_counters_in_meta(controlled_run, mix, stage_settings):
                               **stage_settings("freezing"))
     for traj in (controlled_run, stochastic):
         counts = traj.meta["solver"]
-        assert set(counts) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+        assert set(counts) == {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
         assert all(isinstance(counts[k], int) for k in ("steps", "nfev", "njev", "nlu"))
         assert counts["steps"] > 0
         assert 0.0 < counts["min_step_s"] < traj.t_end - traj.t[0]
@@ -456,6 +456,30 @@ def test_stages_complete_at_start_take_no_step(mix, stage_settings):
     counts = traj.meta["solver"]
     assert [counts[k] for k in ("steps", "nfev", "njev", "nlu")] == [0, 0, 0, 0]
     assert np.isnan(counts["min_step_s"])
+
+
+def test_visf_from_the_start_records_one_preconditioning_row(mix, stage_settings):
+    # depressurization at the start of freezing leaves preconditioning no
+    # time: it gives one row at the start, like every stage that takes none
+    proto = FreezingProtocol(
+        gas_temperature=Schedule.constant(230.0),
+        wall_temperature=Schedule.constant(240.0),
+        upper_temperature=Schedule.constant(240.0),
+        total_pressure=Schedule.constant(1.0e4),
+        visf_start_s=0.0,
+        final_temperature_K=235.0,
+        final_tolerance_K=0.5,
+    )
+    sys_ = FreezingSystem(mixture=mix, radiation=RadiationSpec(), protocol=proto)
+    traj = run_freezing(VialState(T=298.15, m_w=mix.m_w0, t=50.0), sys_, IntegratorConfig(),
+                        **stage_settings("freezing"))
+    assert list(dict.fromkeys(traj.stage)) \
+        == ["preconditioning", "visf", "solidification", "final_cooling"]
+    assert traj.stage.count("preconditioning") == 1
+    assert traj.t[0] == traj.events["preconditioning_end_s"] == 50.0
+    assert traj.series["temperature_avg_K"][0] == 298.15
+    assert traj.series["water_mass_kg"][0] == mix.m_w0
+    assert traj.meta["solver"]["rejected"] is None  # LSODA does not report it
 
 
 # --- exact stochastic nucleation ---------------------------------------------------

@@ -5,8 +5,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from lyosim import (
     ChamberModel,
@@ -33,19 +35,25 @@ class _Captured(Exception):
     pass
 
 
-def _captured_jac(module, run):
-    """The ``jac`` that the stage driver ``run()`` of ``module`` hands to
+def _captured_call(module, run):
+    """The arguments that the stage driver ``run()`` of ``module`` hands to
     the integrator, without integrating."""
     seen = {}
 
     def fake(rhs, t_span, y0, config, *, events=None, method="BDF", jac=None):
-        seen["jac"] = jac
+        seen.update(rhs=rhs, t_span=t_span, y0=y0, config=config, events=events, jac=jac)
         raise _Captured
 
     with mock.patch.object(module, "integrate_adaptive", fake), \
             pytest.raises(_Captured):
         run()
-    return seen["jac"]
+    return seen
+
+
+def _captured_jac(module, run):
+    """The ``jac`` that the stage driver ``run()`` of ``module`` hands to
+    the integrator, without integrating."""
+    return _captured_call(module, run)["jac"]
 
 
 def _primary_jacobian(stage_settings, case, chamber, n_z):
@@ -220,3 +228,57 @@ def test_drying_takes_the_steps_of_the_dense_jacobian(monkeypatch, stage_setting
         == [dense.meta["solver"][k] for k in counts]
     assert structured.meta["duration_s"] == pytest.approx(dense.meta["duration_s"],
                                                           rel=1.0e-9)
+
+
+# --- the steps of scipy's BDF ---------------------------------------------------
+
+def _defaults_stage(stage, stage_settings):
+    """``(module, run)``: the ``defaults`` drying stage, primary drying at a
+    fixed pressure or under the chamber, or secondary drying, at n_z = 51."""
+    p = default_parameters()
+    if stage == "secondary":
+        return drying_secondary, lambda: run_secondary(
+            p.secondary_initial_T, p.bound_water_profile(), p.secondary, p.radiation,
+            p.secondary_conditions, p.geometry, config=p.integrator,
+            **stage_settings("secondary"))
+    return drying_primary, lambda: run_primary(
+        p.primary_initial_T, p.primary, p.radiation, p.geometry,
+        p.chamber if stage == "chamber" else None, config=p.integrator,
+        **stage_settings("primary"))
+
+
+@pytest.mark.parametrize("stage", ["fixed", "chamber", "secondary"])
+def test_dense_jacobian_takes_the_mesh_of_scipys_bdf(stage_settings, stage):
+    # lyosim's BDF on the dense Jacobian: solve_ivp's mesh and counts, to
+    # the last bit
+    call = _captured_call(*_defaults_stage(stage, stage_settings))
+    rhs, t_span, y0, config = call["rhs"], call["t_span"], call["y0"], call["config"]
+
+    def dense(t, y):
+        return call["jac"](t, y).toarray()
+
+    def terminal(spec):
+        def event(t, y):
+            return spec.func(t, y)
+
+        event.terminal, event.direction = True, spec.direction
+        return event
+
+    res = integrate_adaptive(rhs, t_span, y0, config, events=call["events"], jac=dense)
+    ref = solve_ivp(rhs, t_span, y0, method="BDF", rtol=config.rtol, atol=config.atol,
+                    max_step=config.max_step, jac=dense,
+                    events=[terminal(spec) for spec in call["events"] or ()])
+    assert ref.status == 1 and res.event is not None
+    assert np.array_equal(res.t, ref.t)
+    assert (res.nfev, res.njev, res.nlu) == (ref.nfev, ref.njev, ref.nlu)
+
+
+@pytest.mark.parametrize("stage", ["fixed", "chamber", "secondary"])
+def test_drying_runs_without_scipys_bdf(monkeypatch, stage_settings, stage):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("scipy's BDF was constructed")
+
+    monkeypatch.setattr(scipy.integrate.BDF, "__init__", refuse)
+    _, run = _defaults_stage(stage, stage_settings)
+    counts = run().meta["solver"]
+    assert counts["steps"] > 0 and counts["rejected"] >= 0

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.sparse import csc_matrix
+from scipy.sparse import csr_matrix
 
 from lyosim import (
     ConfigurationError,
@@ -27,6 +27,10 @@ _A = np.array([[-1000.0, 0.0], [1.0, -1.0]])
 
 def _stiff_rhs(t, y):
     return _A @ y
+
+
+def _stiff_jac(t, y):
+    return _A
 
 
 def _stiff_exact(t):
@@ -92,7 +96,7 @@ def test_jac_forwarded_to_implicit_methods():
 
     def jac(t, y):
         calls.append(t)
-        return csc_matrix(_A)
+        return _A
 
     y0 = np.array([1.0, 0.0])
     cfg = IntegratorConfig(rtol=1.0e-8, atol=1.0e-12)
@@ -101,6 +105,47 @@ def test_jac_forwarded_to_implicit_methods():
     # a constant exact Jacobian is evaluated once and never by differences
     assert len(calls) == res.njev == 1
     assert res.nlu >= 1 and res.nfev > 0
+
+
+def test_rejected_steps_are_counted(monkeypatch):
+    y0 = np.array([1.0, 0.0])
+    cfg = IntegratorConfig(rtol=1.0e-6, atol=1.0e-12)
+    # from its own first step BDF never turns a step down on the stiff pair
+    res = integrate_adaptive(_stiff_rhs, (0.0, 5.0), y0, cfg, jac=_stiff_jac)
+    assert res.counters()["rejected"] == 0
+
+    # started with a 1 s step, a thousand of its fast time constants, the
+    # error test turns down the first attempts, and each attempt cuts the
+    # step at most five-fold
+    class TooLarge(solver.BDF):
+        def _initial_step(self, f0):
+            return 1.0
+
+    monkeypatch.setitem(solver._METHODS, "BDF", TooLarge)
+    res = integrate_adaptive(_stiff_rhs, (0.0, 5.0), y0, cfg, jac=_stiff_jac)
+    first = res.t[1] - res.t[0]
+    assert res.counters()["rejected"] >= math.log(1.0 / first) / math.log(5.0) > 1.0
+    assert np.allclose(res.sol(5.0), _stiff_exact(5.0), atol=1.0e-8)
+
+
+def test_lsoda_reports_no_rejected_count():
+    res = integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), IntegratorConfig(),
+                             method="LSODA")
+    assert res.counters()["rejected"] is None
+
+
+@pytest.mark.parametrize("jac", [
+    pytest.param(_A, id="matrix-not-callable"),
+    pytest.param(lambda t, y: csr_matrix(_A), id="sparse"),
+    pytest.param(lambda t, y: _A.tolist(), id="list"),
+    pytest.param(lambda t, y: np.eye(3), id="wrong-shape"),
+    pytest.param(lambda t, y: solver.CoupledTridiagonal(*[np.zeros(k) for k in (1, 2, 1, 2, 2, 2)]),
+                 id="structured-wrong-shape"),
+])
+def test_bdf_rejects_a_jacobian_it_cannot_factor(jac):
+    with pytest.raises(ConfigurationError):
+        integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), IntegratorConfig(),
+                           jac=jac)
 
 
 def test_terminal_event_stops_at_known_time():
@@ -174,6 +219,20 @@ def test_solver_failure_reports_last_state():
     err, y_last = failure("LSODA")
     assert 0.9 < err.t < 1.0
     assert "zero-length step" in str(err) and y_last > 1.0e6
+
+
+def test_bdf_refuses_a_start_it_cannot_step_from():
+    def jac(t, y):
+        return -np.eye(1)
+
+    with pytest.raises(ConfigurationError):
+        integrate_adaptive(lambda t, y: -y, (0.0, 1.0), np.array([np.nan]),
+                           IntegratorConfig(), jac=jac)
+    # a NaN derivative would make a NaN first step
+    with pytest.raises(SolverError, match="not finite") as info:
+        integrate_adaptive(lambda t, y: np.full(1, np.nan), (2.0, 3.0), np.array([1.0]),
+                           IntegratorConfig(), jac=jac)
+    assert info.value.t == 2.0
 
 
 def test_each_stage_driver_fixes_its_method(monkeypatch, stage_settings):
@@ -266,6 +325,19 @@ _LOOP_METHODS = [pytest.param("BDF", _osc_jac, id="bdf-jac"),
                  pytest.param("LSODA", None, id="lsoda")]
 
 
+def test_difference_jacobian_matches_solve_ivp():
+    # without jac, BDF forms scipy's forward-difference Jacobian, also where
+    # the van der Pol oscillator (mu = 10) makes it form it again and again
+    _matches_solve_ivp(_stiff_rhs, (0.0, 5.0), np.array([1.0, 0.0]), [], "BDF")
+
+    def van_der_pol(t, y):
+        return np.array([y[1], 10.0 * (1.0 - y[0] ** 2) * y[1] - y[0]])
+
+    spec = EventSpec(lambda t, y: y[0] + 1.5, direction=-1.0, name="swing")
+    res = _matches_solve_ivp(van_der_pol, (0.0, 30.0), np.array([2.0, 0.0]), [spec], "BDF")
+    assert res.event == "swing" and res.njev > 1
+
+
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
 @pytest.mark.parametrize("direction", [1.0, -1.0, 0.0])
 def test_loop_matches_solve_ivp_on_direction_filters(method, jac, direction):
@@ -348,7 +420,7 @@ def test_counters_report_smallest_step_and_wall_time():
     assert n == 6 and np.array_equal(res.t[:-1], free.t[:n])
     assert res.min_step_s == np.min(np.diff(free.t)[:n]) > res.t[-1] - res.t[-2]
     counters = res.counters()
-    assert set(counters) == {"steps", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
+    assert set(counters) == {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s", "wall_s"}
     assert counters["steps"] == n and 0.0 < counters["wall_s"] < 1.0
 
 
