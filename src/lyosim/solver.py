@@ -373,12 +373,8 @@ _DIFF_BIG = _EPS ** 0.25
 _MIN_FACTOR_FD = 1e3 * _EPS
 _FACTOR_INCREASE = 10
 _FACTOR_DECREASE = 0.1
-# 0 ... order - 1 and 1 ... order, per order, for the dense output
-_ARANGE = [np.arange(order, dtype=float) for order in range(_MAX_ORDER + 1)]
-_ARANGE1 = [np.arange(1, order + 1, dtype=float) for order in range(_MAX_ORDER + 1)]
-
-
-# the row and column indices 1 ... order of _compute_R, per order
+# 1 ... order as a column and a row, per order, for _compute_R and the
+# dense output
 _RANGES = [(np.arange(1, order + 1)[:, None], np.arange(1, order + 1))
            for order in range(_MAX_ORDER + 1)]
 
@@ -412,8 +408,9 @@ class _StepInterpolant:
     __slots__ = ("t_shift", "denom", "D")
 
     def __init__(self, t: float, h: float, order: int, D: np.ndarray) -> None:
-        self.t_shift = t - h * _ARANGE[order]
-        self.denom = h * _ARANGE1[order]
+        J = _RANGES[order][1]
+        self.t_shift = t - h * (J - 1)
+        self.denom = h * J
         self.D = D
 
     def __call__(self, t) -> np.ndarray:
