@@ -402,8 +402,7 @@ def _change_D(D: np.ndarray, order: int, factor: float) -> None:
 class _StepInterpolant:
     """Dense output of one BDF step: the interpolating polynomial of the
     backward differences ``D`` over the last ``order`` + 1 mesh points, as
-    scipy's ``BdfDenseOutput`` evaluates it.  Order 0 is the constant
-    D[0]."""
+    scipy's ``BdfDenseOutput`` evaluates it."""
 
     __slots__ = ("t_shift", "denom", "D")
 
@@ -425,6 +424,20 @@ class _StepInterpolant:
         else:
             y += self.D[0, :, None]
         return y
+
+
+class _Constant:
+    """Dense output of a zero-length integration: the state, as scipy's
+    ``ConstantDenseOutput`` gives it."""
+
+    __slots__ = ("y",)
+
+    def __init__(self, y: np.ndarray) -> None:
+        self.y = y
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        return self.y if t.ndim == 0 else np.repeat(self.y[:, None], t.shape[0], axis=1)
 
 
 class BDF:
@@ -626,12 +639,12 @@ class BDF:
                 self.status = "finished"
         return message
 
-    def dense_output(self) -> _StepInterpolant:
+    def dense_output(self) -> _StepInterpolant | _Constant:
         """Interpolant over the last step."""
         if self.t == self.t_old:
-            return _StepInterpolant(self.t, 0.0, 0, self.y[None])
+            return _Constant(self.y)
         return _StepInterpolant(self.t, self.h_abs * self.direction, self.order,
-                           self.D[:self.order + 1].copy())
+                                self.D[:self.order + 1].copy())
 
     def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray,
                 LU, scale: np.ndarray) -> tuple[bool, int, np.ndarray, np.ndarray]:

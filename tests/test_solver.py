@@ -406,6 +406,12 @@ def test_loop_matches_solve_ivp_on_root_at_previous_mesh_point(method, jac):
     assert res.event == "touch" and res.t[-1] == c
 
 
+def test_loop_matches_solve_ivp_on_a_zero_length_span():
+    res = _matches_solve_ivp(_osc_rhs, (1.0, 1.0), np.array([1.0, -0.0]), [], "BDF",
+                             _osc_jac)
+    assert res.t.tolist() == [1.0, 1.0] and np.signbit(res.sol(1.0)[1])
+
+
 def test_counters_report_smallest_step_and_wall_time():
     y0 = np.array([1.0, 0.0])
     cfg = IntegratorConfig(rtol=1.0e-7, atol=1.0e-10)
