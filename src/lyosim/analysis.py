@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j0, j1, jn_zeros
 
 from .bounds import OPEN_FRACTION, POS, check_bounds
 from .errors import DomainError
+from .solver import _brentq
 
 __all__ = [
     "PorousMedium", "EffectiveDiffusivity", "TimeScales",
@@ -46,6 +45,8 @@ def cylinder_eigenvalues(Bi: float, n: int) -> np.ndarray:
         raise DomainError("transient-conduction eigenvalues need Bi > 0")
     if n < 1:
         raise DomainError("need at least one eigenvalue")
+    # scipy.special is imported here, off the import path of the simulator
+    from scipy.special import j0, j1, jn_zeros
 
     def f(lam: float) -> float:
         return lam * j1(lam) - Bi * j0(lam)
@@ -55,7 +56,7 @@ def cylinder_eigenvalues(Bi: float, n: int) -> np.ndarray:
     brackets += [(zeros[k], zeros[k + 1]) for k in range(n - 1)]
     lams = np.empty(n)
     for k, (lo, hi) in enumerate(brackets):
-        lams[k] = brentq(f, lo, hi, xtol=1.0e-14, rtol=8.881784197001252e-16)
+        lams[k] = _brentq(f, lo, hi, 1.0e-14, 8.881784197001252e-16)
     return lams
 
 
@@ -70,6 +71,8 @@ def cylinder_transient_theta(Bi: float, Fo, n_terms: int = 20):
     Fo_arr = np.asarray(Fo, dtype=float)
     if np.any(Fo_arr < 0.0):
         raise DomainError("Fourier number must be nonnegative")
+    from scipy.special import j0, j1
+
     lams = cylinder_eigenvalues(Bi, n_terms)
     w0, w1 = j0(lams), j1(lams)
     coef = 4.0 * w1**2 / (lams**2 * (w0**2 + w1**2))

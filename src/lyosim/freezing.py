@@ -25,8 +25,11 @@ Lambda = E (time rescaling: Lambda at the first event is Exp(1)).
 
 Each stage has one or two states and time constants of 1e2-1e3 s against
 stage lengths of about 1e3 s, so the stages are not stiff: every stage is
-integrated with LSODA (compiled Adams steps that switch to BDF by
-themselves if a stage turns stiff) at the configured tolerances.
+integrated with the explicit Dormand-Prince 5(4) pair
+(:class:`~lyosim.solver.DormandPrince`) at the configured tolerances.  The
+protocol's schedules are piecewise linear, and the RHS kinks where they
+do; every step ends on their breakpoints, so that the pair's error
+estimate never spans a kink.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bounds import NONNEG, POS, check_bounds, nullable
 from .errors import ConfigurationError, DomainError, SimulationError, StageTimeoutError
 from .schedules import Schedule
-from .solver import EventSpec, IntegrationResult, IntegratorConfig, integrate_adaptive
+from .solver import EventSpec, IntegrationResult, IntegratorConfig, _brentq, integrate_adaptive
 from .thermo import (
     MixtureProperties,
     RadiationSpec,
@@ -274,7 +276,7 @@ def nucleate_controlled(state: VialState, sys: FreezingSystem) -> tuple[float, f
 
     # g(0) > 0 by the supercooling check and g -> -inf as m_i -> m_w
     m_hi = m_w * (1.0 - 1.0e-12)
-    m_i_n = float(brentq(g, 0.0, m_hi, xtol=1.0e-25, rtol=8.881784197001252e-16))
+    m_i_n = _brentq(g, 0.0, m_hi, 1.0e-25, 8.881784197001252e-16)
     T_eq = T_FREEZE_WATER - D / (m_w - m_i_n)
     return T_eq, m_i_n
 
@@ -398,10 +400,13 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     t - ``initial.t``.  The final state for chaining into drying is stored
     under ``meta["final_state"]`` and the solver counters of the stage's
     integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
-    the smallest step of any of them, NaN when none took a step, and
-    ``rejected``, ``None``: LSODA does not report it).  Every
-    integration uses LSODA with the tolerances and ``max_step`` of
-    ``config``.  Raises :class:`StageTimeoutError` when a stage fails to
+    the smallest step of any of them, NaN when none took a step).  Every
+    integration runs on the Dormand-Prince pair (``RK45``) with the
+    tolerances and ``max_step`` of ``config``, and ends a step on every
+    breakpoint of the protocol's four schedules.  From nucleation on, the
+    ice mass is written as the nucleation inventory less the water mass,
+    so that water and ice add up to the inventory exactly.  Raises
+    :class:`StageTimeoutError` when a stage fails to
     reach its completion event within the protocol's horizon.
     ``stop_after="solidification"`` ends the run once the target ice
     fraction is reached, for protocols that move the vial onward without
@@ -422,9 +427,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     limit = p.stage_time_limit_s
     stages: dict[str, Trajectory] = {}
     events: dict[str, float] = {}
-    solver: dict[str, int | float | None] = {"steps": 0, "rejected": None, "nfev": 0,
-                                             "njev": 0, "nlu": 0, "min_step_s": np.nan,
-                                             "wall_s": 0.0}
+    solver: dict[str, int | float] = {"steps": 0, "rejected": 0, "nfev": 0, "njev": 0,
+                                      "nlu": 0, "min_step_s": np.nan, "wall_s": 0.0}
     meta: dict[str, Any] = {"solver": solver}
     log.info("freezing: start at t = %.6g s", t)
 
@@ -440,12 +444,18 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             "ice_mass_kg": np.broadcast_to(mis, (n,)),
         })
 
+    # the schedules' breakpoints on model time, where the RHS kinks
+    knots = t_start + np.unique(np.concatenate([
+        s.knots for s in (p.gas_temperature, p.wall_temperature, p.upper_temperature,
+                          p.total_pressure)]))
+
     def integrate(rhs, y0, t_end: float, cfg: IntegratorConfig = config, watch=None):
-        res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="LSODA")
+        res = integrate_adaptive(rhs, (t, t_end), y0, cfg, events=watch, method="RK45",
+                                 knots=knots)
         for key, count in res.counters().items():
             if key == "min_step_s":  # fmin skips the NaN of a run without steps
                 solver[key] = float(np.fmin(solver[key], count))
-            elif count is not None:  # LSODA does not count its rejected steps
+            else:
                 solver[key] += count
         return res
 
@@ -536,11 +546,15 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     T_post, m_i_n = nucleate_controlled(VialState(T=T, m_w=m_w, t=t), sys)
     events["nucleation_s"] = t
     m_w_nuc = m_w  # liquid water at the nucleation instant, before the jump
+    # from here on the ice mass is the inventory less the water mass: the
+    # two then add up to m_w_nuc exactly (Sterbenz's lemma), which
+    # (m_w_nuc - m_i) + m_i need not
+    m_w_post = m_w_nuc - m_i_n
     meta["nucleation"] = {
         "trigger_temperature_K": T,
         "post_temperature_K": T_post,
-        "ice_mass_kg": m_i_n,
-        "water_mass_kg": m_w_nuc - m_i_n,
+        "ice_mass_kg": m_w_nuc - m_w_post,
+        "water_mass_kg": m_w_post,
     }
     meta["visf_water_loss_kg"] = float(initial.m_w) - m_w
     T = T_post
@@ -562,13 +576,12 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
     ts, ys = advance(rhs4, [m_i_n], done, STAGE_SOLIDIFICATION,
                      "solidification did not reach the target ice fraction")
-    m_is = np.clip(ys[0], 0.0, m_w_nuc)
-    m_ws = m_w_nuc - m_is
+    m_ws = m_w_nuc - np.clip(ys[0], 0.0, m_w_nuc)
     Ts = T_FREEZE_WATER - D / m_ws
-    record(ts, Ts, m_ws, m_is, STAGE_SOLIDIFICATION)
+    record(ts, Ts, m_ws, m_w_nuc - m_ws, STAGE_SOLIDIFICATION)
     t = float(ts[-1])
-    m_i = float(m_is[-1])
-    m_w = m_w_nuc - m_i
+    m_w = float(m_ws[-1])
+    m_i = m_w_nuc - m_w
     T = T_FREEZE_WATER - D / m_w
     events["solidification_end_s"] = t
 

@@ -8,6 +8,7 @@ interpolating linearly between breakpoints and clamping outside the table.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +29,8 @@ class Schedule:
     """
 
     points: tuple[tuple[float, float], ...]
-    _t: np.ndarray = field(init=False, repr=False, compare=False)
-    _v: np.ndarray = field(init=False, repr=False, compare=False)
+    _t: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _v: tuple[float, ...] = field(init=False, repr=False, compare=False)
     _const: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -41,8 +42,8 @@ class Schedule:
             raise ConfigurationError("schedule breakpoints must be finite numbers")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise ConfigurationError("schedule times must be strictly increasing")
-        object.__setattr__(self, "_t", t)
-        object.__setattr__(self, "_v", v)
+        object.__setattr__(self, "_t", tuple(t.tolist()))
+        object.__setattr__(self, "_v", tuple(v.tolist()))
         const = float(v[0]) if np.all(v == v[0]) else None
         object.__setattr__(self, "_const", const)
 
@@ -50,10 +51,27 @@ class Schedule:
     def constant(cls, value: float) -> "Schedule":
         return cls(((0.0, float(value)),))
 
+    @property
+    def knots(self) -> tuple[float, ...]:
+        """The breakpoint times, where the profile may kink; none for a
+        constant profile."""
+        return () if self._const is not None else self._t
+
     def __call__(self, t: float) -> float:
+        """The value at the finite time ``t``: ``np.interp``'s arithmetic on
+        one point, without its array overhead."""
         if self._const is not None:
             return self._const
-        return float(np.interp(t, self._t, self._v))
+        ts, vs = self._t, self._v
+        j = bisect_right(ts, t)
+        if j == len(ts):
+            return vs[-1]
+        if j == 0:
+            return vs[0]
+        t0, v0 = ts[j - 1], vs[j - 1]
+        if t == t0:
+            return v0
+        return float((vs[j] - v0) / (ts[j] - t0) * (t - t0) + v0)
 
 
 def as_schedule(value: "Schedule | float | int | list | tuple") -> Schedule:

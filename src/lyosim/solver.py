@@ -16,32 +16,38 @@ block coupled diagonally to a diagonal block (:class:`CoupledTridiagonal`,
 secondary drying).  Both factor with LAPACK's tridiagonal ``dgttrf`` and
 solve with ``dgttrs``.  A square ndarray Jacobian factors with LAPACK's
 dense ``dgetrf``/``dgetrs``, as scipy's does; without a Jacobian BDF forms
-scipy's forward-difference one.  The lumped freezing stages are not stiff
-and run on scipy's LSODA, whose compiled Adams steps switch to BDF by
-themselves where a problem turns stiff.
+scipy's forward-difference one.
+
+The lumped freezing stages are not stiff and run on :class:`DormandPrince`,
+the explicit Runge-Kutta pair of order 5(4) of Dormand & Prince (J. Comput.
+Appl. Math., 1980) with the tableau, error norm, step control and
+4th-order dense output of scipy's ``RK45``, taken to the last bit.  Its
+steps also end on given knots, the breakpoints of piecewise-linear
+schedules, so that no step straddles a kink of a ramp.
 
 After each accepted step the loop keeps the step's dense output and checks
 the terminal events (:class:`EventSpec`) for a zero crossing in their
-direction; the earliest crossing, located on the dense output, ends the
-integration.  Steps, root search, mesh and interpolant are those of
+direction; the earliest crossing, located on the dense output by
+:func:`_brentq` (a port of scipy's ``brentq``), ends the integration.
+Steps, root search, mesh and interpolant are those of
 ``scipy.integrate.solve_ivp`` with ``dense_output=True`` and terminal
 events, so wherever ``solve_ivp`` completes the results agree with it to
-the last bit.  Two cases where it does not complete end here instead: a
+the last bit.  Where it does not, the loop ends cleanly instead: a
 crossing that the step's end states show but the interpolant misses by
-rounding (LSODA's interpolant at the step start) is taken at the nearer
-end, and LSODA's zero-length steps past a blow-up raise
-:class:`SolverError`.  So does an iteration matrix that is exactly
-singular, a BDF step size that turns NaN and an RHS that is not finite
-at the initial state, where scipy's BDF would halve a NaN step forever.
+rounding is taken at the nearer end, and an iteration matrix that is
+exactly singular, a BDF step size that turns NaN and an RHS that is not
+finite at the initial state raise :class:`SolverError`, where scipy's BDF
+would halve a NaN step forever.
 
 Every stage driver ends, resamples and packages through the
 :class:`IntegrationResult`: its ``event`` names the terminal event that
 ended the integration (``None`` at the end of ``t_span``, which a driver
 reports as a timeout), the event's time is the last mesh point ``t[-1]``,
-and :meth:`IntegrationResult.resample` evaluates the dense output on the
-driver's uniform sample grid.  The loop keeps the last state only, not a
-mesh of every state.  The result reports the solver's step, rejected-step,
-RHS, Jacobian and LU counts, its smallest step and its wall time.
+and :meth:`IntegrationResult.resample` evaluates the dense output
+(:class:`DenseSolution`) on the driver's uniform sample grid.  The loop
+keeps the last state only, not a mesh of every state.  The result reports
+the solver's step, rejected-step, RHS, Jacobian and LU counts, its
+smallest step and its wall time.
 
 A stage driver has one completion rule: its completion event is reached
 at (t, y) when direction * g(t, y) > 0 (:meth:`EventSpec.reached`).  A
@@ -61,15 +67,14 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import LSODA, OdeSolution
 from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
-from scipy.optimize import brentq
 
 from .bounds import POS, check_bounds
 from .errors import ConfigurationError, SolverError
 
-__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "BDF",
-           "BorderedTridiagonal", "CoupledTridiagonal", "integrate_adaptive"]
+__all__ = ["IntegratorConfig", "EventSpec", "IntegrationResult", "DenseSolution", "BDF",
+           "DormandPrince", "BorderedTridiagonal", "CoupledTridiagonal",
+           "integrate_adaptive"]
 
 log = logging.getLogger(__name__)
 
@@ -144,12 +149,12 @@ class IntegrationResult:
 
     t: np.ndarray
     y_last: np.ndarray  # state at t[-1]
-    sol: OdeSolution | None
+    sol: DenseSolution | None
     event: str | None = None
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
-    rejected: int | None = 0
+    rejected: int = 0
     min_step_s: float = 0.0
     wall_s: float = 0.0
 
@@ -162,13 +167,11 @@ class IntegrationResult:
         return cls(t=np.array([float(t0)]), y_last=np.asarray(y0, dtype=float), sol=None,
                    event=done.name, min_step_s=np.nan)
 
-    def counters(self) -> dict[str, int | float | None]:
-        """Accepted steps (the mesh ``t``), rejected step attempts (``None``
-        from LSODA, which does not report them), the RHS, Jacobian and LU
-        counts, the smallest step the solver took and the wall time of the
-        integration."""
-        return {"steps": int(self.t.shape[0] - 1),
-                "rejected": None if self.rejected is None else int(self.rejected),
+    def counters(self) -> dict[str, int | float]:
+        """Accepted steps (the mesh ``t``), rejected step attempts, the RHS,
+        Jacobian and LU counts, the smallest step the solver took and the
+        wall time of the integration."""
+        return {"steps": int(self.t.shape[0] - 1), "rejected": int(self.rejected),
                 "nfev": int(self.nfev), "njev": int(self.njev), "nlu": int(self.nlu),
                 "min_step_s": float(self.min_step_s), "wall_s": float(self.wall_s)}
 
@@ -181,6 +184,44 @@ class IntegrationResult:
             return self.t[:1], self.y_last[:, None]
         ts = np.linspace(t0, t1, n)
         return ts, np.atleast_2d(self.sol(ts))
+
+
+class DenseSolution:
+    """Dense output of an integration: one interpolant per mesh segment
+    [ts[i], ts[i + 1]] of the ascending mesh ``ts``.
+
+    A time is looked up as scipy's ``OdeSolution`` looks it up with
+    ``alt_segment=True``: a mesh point belongs to the segment that starts
+    there, and times outside the mesh to the nearest end segment.  Sorted
+    times that fall in one segment go to its interpolant in one call, so the
+    values are those of ``OdeSolution`` to the last bit, in its memory
+    layout.  Returns shape (n_states,) for a scalar time and (n_states,
+    n_times) for a 1-D array.
+    """
+
+    __slots__ = ("ts", "interpolants")
+
+    def __init__(self, ts: np.ndarray, interpolants: list) -> None:
+        self.ts, self.interpolants = ts, interpolants
+
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t)
+        last = len(self.interpolants) - 1
+        if t.ndim == 0:
+            i = int(np.searchsorted(self.ts, t, side="right")) - 1
+            return self.interpolants[min(max(i, 0), last)](t)
+        order = np.argsort(t)
+        t_sorted = t[order]
+        segments = np.searchsorted(self.ts, t_sorted, side="right") - 1
+        np.clip(segments, 0, last, out=segments)
+        cuts = [0, *(np.flatnonzero(np.diff(segments)) + 1).tolist(), t.shape[0]]
+        ys = np.hstack([self.interpolants[segments[a]](t_sorted[a:b])
+                        for a, b in zip(cuts[:-1], cuts[1:])])
+        # back to the order of t by fancy indexing, which gives the
+        # column-major result whose layout later dot products see
+        reverse = np.empty_like(order)
+        reverse[order] = np.arange(order.shape[0])
+        return ys[:, reverse]
 
 
 class BorderedTridiagonal:
@@ -440,7 +481,99 @@ class _Constant:
         return self.y if t.ndim == 0 else np.repeat(self.y[:, None], t.shape[0], axis=1)
 
 
-class BDF:
+class _Stepper:
+    """The stepping interface both integrators share with scipy's
+    ``OdeSolver``: :meth:`step` advances one accepted step and sets
+    ``status`` to ``"finished"`` at ``t_bound`` or ``"failed"`` when the step
+    would fall below 10 ulps of t; ``nfev``, ``njev`` and ``nlu`` count the
+    RHS, Jacobian and LU evaluations and ``rejected`` the step attempts
+    turned down.  A subclass defines ``_step_impl``, which takes one step
+    and returns a failure message or ``None``, and ``_ERROR_ORDER``, the
+    order of the error estimate that sets the first step."""
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    _ERROR_ORDER: int
+
+    def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
+                 y0: np.ndarray, t_bound: float, rtol: float, atol: float | np.ndarray,
+                 max_step: float) -> None:
+        self.fun = fun
+        self.t_old: float | None = None
+        self.t = t0
+        self.y = y = np.asarray(y0, dtype=float)
+        if y.ndim != 1 or not np.isfinite(y).all():
+            raise ConfigurationError("the initial state must be a finite 1-D array")
+        self.n = n = y.shape[0]
+        self.t_bound = t_bound
+        self.direction = 1.0 if t_bound >= t0 else -1.0
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = self.rejected = 0
+        self.max_step = max_step
+        self.rtol = max(rtol, 100 * _EPS)
+        atol = np.asarray(atol, dtype=float)
+        if atol.ndim > 0 and atol.shape != (n,):
+            raise ConfigurationError(f"atol has shape {atol.shape}, the state ({n},)")
+        self.atol = float(atol) if atol.ndim == 0 else atol
+        self._sqrt_n = n ** 0.5
+
+    def _norm(self, x: np.ndarray) -> float:
+        """RMS norm, as ``np.linalg.norm(x) / sqrt(n)`` computes it."""
+        return math.sqrt(x.dot(x)) / self._sqrt_n
+
+    def _rhs_at_start(self) -> np.ndarray:
+        """The RHS at the initial state; raises :class:`SolverError` if it is
+        not finite, which would make a NaN first step."""
+        self.nfev += 1
+        f = np.asarray(self.fun(self.t, self.y), dtype=float)
+        if not np.isfinite(f).all():
+            raise SolverError("the right-hand side is not finite at the initial state",
+                              t=self.t)
+        return f
+
+    def _initial_step(self, f0: np.ndarray) -> float:
+        """The first step of Hairer, Norsett & Wanner (Solving Ordinary
+        Differential Equations I, Sec. II.4) for an error estimate of order
+        ``_ERROR_ORDER``, as scipy's ``select_initial_step``; one RHS call."""
+        t0, y0, direction = self.t, self.y, self.direction
+        interval_length = abs(self.t_bound - t0)
+        if interval_length == 0.0:
+            return 0.0
+        scale = self.atol + np.abs(y0) * self.rtol
+        d0 = self._norm(y0 / scale)
+        d1 = self._norm(f0 / scale)
+        if d0 < 1e-5 or d1 < 1e-5:
+            h0 = 1e-6
+        else:
+            h0 = 0.01 * d0 / d1
+        h0 = min(h0, interval_length)
+        y1 = y0 + h0 * direction * f0
+        self.nfev += 1
+        f1 = self.fun(t0 + h0 * direction, y1)
+        d2 = self._norm((f1 - f0) / scale) / h0
+        if d1 <= 1e-15 and d2 <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** (1 / (self._ERROR_ORDER + 1))
+        return min(100 * h0, h1, interval_length, self.max_step)
+
+    def step(self) -> str | None:
+        """Take one accepted step; returns the failure message, if any."""
+        t = self.t
+        if t == self.t_bound:
+            self.t_old = t
+            self.status = "finished"
+            return None
+        message = self._step_impl()
+        if message is not None:
+            self.status = "failed"
+        else:
+            self.t_old = t
+            if self.direction * (self.t - self.t_bound) >= 0:
+                self.status = "finished"
+        return message
+
+
+class BDF(_Stepper):
     """Variable-order (1 to 5) NDF/BDF with quasi-constant step size
     (Shampine & Reichelt, SIAM J. Sci. Comput., 1997).
 
@@ -458,16 +591,12 @@ class BDF:
     forms scipy's forward-difference Jacobian.  ``fun(t, y)`` returns a
     float ndarray of the state's shape.
 
-    It steps as scipy's ``OdeSolver`` does: :meth:`step` advances one
-    accepted step and sets ``status`` to ``"finished"`` at ``t_bound`` or
-    ``"failed"`` when the step would fall below 10 ulps of t, and
-    :meth:`dense_output` interpolates the last step.  ``nfev``, ``njev``
-    and ``nlu`` count the RHS, Jacobian and LU evaluations, and
-    ``rejected`` the step attempts that a Newton failure or the error test
-    turned down.
+    It steps as scipy's ``OdeSolver`` does (:class:`_Stepper`), and
+    :meth:`dense_output` interpolates the last step; ``rejected`` counts the
+    step attempts that a Newton failure or the error test turned down.
     """
 
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+    _ERROR_ORDER = 1
 
     def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
                  y0: np.ndarray, t_bound: float, *, rtol: float,
@@ -479,42 +608,20 @@ class BDF:
             raise ConfigurationError("BDF takes jac(t, y), a callable returning a "
                                      "BorderedTridiagonal, a CoupledTridiagonal or a square "
                                      "ndarray")
-        self.fun, self.jac = fun, jac
+        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step)
+        self.jac = jac
         self._fd_factor = None
-        self.t_old: float | None = None
-        self.t = t0
-        self.y = y = np.asarray(y0, dtype=float)
-        if y.ndim != 1 or not np.isfinite(y).all():
-            raise ConfigurationError("the initial state must be a finite 1-D array")
-        self.n = n = y.shape[0]
-        self.t_bound = t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
-        self.status = "running"
-        self.nfev = self.njev = self.nlu = self.rejected = 0
-        self.max_step = max_step
-        self.rtol = rtol = max(rtol, 100 * _EPS)
-        atol = np.asarray(atol, dtype=float)
-        if atol.ndim > 0 and atol.shape != (n,):
-            raise ConfigurationError(f"atol has shape {atol.shape}, the state ({n},)")
-        self.atol = float(atol) if atol.ndim == 0 else atol
-        self._sqrt_n = n ** 0.5
-        self.nfev += 1
-        f = fun(t0, y)
-        if not np.isfinite(f).all():
-            raise SolverError("the right-hand side is not finite at the initial state", t=t0)
+        f = self._rhs_at_start()
         self.h_abs = self._initial_step(f)
+        rtol = self.rtol
         self.newton_tol = max(10 * _EPS / rtol, min(0.03, rtol ** 0.5))
-        self.J = self._jacobian(t0, y)
-        self.D = D = np.empty((_MAX_ORDER + 3, n))
-        D[0] = y
+        self.J = self._jacobian(t0, self.y)
+        self.D = D = np.empty((_MAX_ORDER + 3, self.n))
+        D[0] = self.y
         D[1] = f * self.h_abs * self.direction
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
-
-    def _norm(self, x: np.ndarray) -> float:
-        """RMS norm, as ``np.linalg.norm(x) / sqrt(n)`` computes it."""
-        return math.sqrt(x.dot(x)) / self._sqrt_n
 
     def _jacobian(self, t: float, y: np.ndarray):
         J = self.jac(t, y)
@@ -596,48 +703,6 @@ class BDF:
             return J.factor(c)
         except SolverError as err:
             raise SolverError(str(err), t=self.t) from None
-
-    def _initial_step(self, f0: np.ndarray) -> float:
-        """The first step of Hairer, Norsett & Wanner (Solving Ordinary
-        Differential Equations I, Sec. II.4) for an order-1 error
-        estimate, as scipy's ``select_initial_step``; one RHS call."""
-        t0, y0, direction = self.t, self.y, self.direction
-        interval_length = abs(self.t_bound - t0)
-        if interval_length == 0.0:
-            return 0.0
-        scale = self.atol + np.abs(y0) * self.rtol
-        d0 = self._norm(y0 / scale)
-        d1 = self._norm(f0 / scale)
-        if d0 < 1e-5 or d1 < 1e-5:
-            h0 = 1e-6
-        else:
-            h0 = 0.01 * d0 / d1
-        h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
-        self.nfev += 1
-        f1 = self.fun(t0 + h0 * direction, y1)
-        d2 = self._norm((f1 - f0) / scale) / h0
-        if d1 <= 1e-15 and d2 <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.5  # 1 / (order + 1)
-        return min(100 * h0, h1, interval_length, self.max_step)
-
-    def step(self) -> str | None:
-        """Take one accepted step; returns the failure message, if any."""
-        t = self.t
-        if t == self.t_bound:
-            self.t_old = t
-            self.status = "finished"
-            return None
-        message = self._step_impl()
-        if message is not None:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
 
     def dense_output(self) -> _StepInterpolant | _Constant:
         """Interpolant over the last step."""
@@ -797,7 +862,163 @@ class BDF:
         return None
 
 
-_METHODS = {"BDF": BDF, "LSODA": LSODA}
+# the Dormand-Prince 5(4) tableau as scipy's RK45 writes it: the nodes, the
+# stage coefficients, the 5th-order weights, the error weights and the
+# coefficients of the 4th-order dense output (Shampine's optimum c_6, Math.
+# Comp., 1986)
+_DP_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# scipy's RK step control: the safety factor, the bounds of a step-size
+# change and the exponent of the error norm, -1 / (error order + 1)
+_RK_SAFETY = 0.9
+_RK_MIN_FACTOR = 0.2
+_RK_MAX_FACTOR = 10
+_RK_EXPONENT = -1 / 5
+
+
+class _RKInterpolant:
+    """Dense output of one Dormand-Prince step: y_old + h Q (x, x^2, x^3,
+    x^4) with x = (t - t_old) / h, as scipy's ``RkDenseOutput`` evaluates
+    it; the powers are the running products that its ``np.cumprod``
+    forms."""
+
+    __slots__ = ("t_old", "h", "y_old", "Q")
+
+    def __init__(self, t_old: float, t: float, y_old: np.ndarray, Q: np.ndarray) -> None:
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+
+    def __call__(self, t) -> np.ndarray:
+        x = (t - self.t_old) / self.h
+        if np.ndim(x) == 0:
+            x2 = x * x
+            x3 = x2 * x
+            y = self.h * np.dot(self.Q, (x, x2, x3, x3 * x))
+            y += self.y_old
+            return y
+        p = np.empty((4, x.shape[0]))
+        p[0] = x
+        for k in range(1, 4):
+            np.multiply(p[k - 1], x, out=p[k])
+        y = self.h * np.dot(self.Q, p)
+        y += self.y_old[:, None]
+        return y
+
+
+class DormandPrince(_Stepper):
+    """Explicit Runge-Kutta pair of order 5(4) (Dormand & Prince, J. Comput.
+    Appl. Math., 1980), stepping on given knots.
+
+    The tableau, the first step, the error norm, the step control and the
+    4th-order dense output are those of scipy's ``RK45``, with its order of
+    floating-point operations, so between knots it takes scipy's steps to
+    the last bit.  A step that would pass the next of ``knots`` (in any
+    order; those outside (t0, t_bound) are ignored) ends on it, as a step
+    ends on ``t_bound``; the breakpoints of a
+    piecewise-linear schedule are where the RHS has a kink, across which
+    the error estimate of one step does not hold.  ``t_bound`` must not lie
+    before t0.
+
+    ``fun(t, y)`` returns the derivative as any sequence of floats of the
+    state's length, written straight into the array of stages.
+    ``rejected`` counts the step attempts that the error test turned
+    down; ``njev`` and ``nlu`` stay 0.
+    """
+
+    _ERROR_ORDER = 4
+
+    def __init__(self, fun: Callable[[float, np.ndarray], Sequence[float]], t0: float,
+                 y0: np.ndarray, t_bound: float, *, rtol: float,
+                 atol: float | np.ndarray, max_step: float,
+                 knots: Sequence[float] = ()) -> None:
+        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step)
+        # the stages in rows; row 0 holds the derivative at the step start
+        self.K = K = np.empty((7, self.n))
+        self._stages = [(s, float(_DP_C[s]), _DP_A[s, :s], K[:s].T) for s in range(1, 6)]
+        K[0] = self._rhs_at_start()
+        self.h_abs = self._initial_step(K[0])
+        # the knots inside the span and t_bound: where the steps must end,
+        # and the index of the next one
+        self._stops = sorted(float(k) for k in knots if t0 < k < t_bound) + [t_bound]
+        self._next = 0
+        self.y_old: np.ndarray | None = None
+        self.Q: np.ndarray | None = None
+
+    def _step_impl(self) -> str | None:
+        t, y, K = self.t, self.y, self.K
+        fun, atol, rtol = self.fun, self.atol, self.rtol
+        max_step = self.max_step
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if self.h_abs > max_step:
+            h_abs = max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        stop = self._stops[self._next]
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return self.TOO_SMALL_STEP
+            t_new = t + h_abs
+            if t_new - stop > 0:
+                t_new = stop
+            h = t_new - t
+            h_abs = abs(h)
+            for s, c, a, KT in self._stages:
+                K[s] = fun(t + c * h, y + np.dot(KT, a) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[6] = fun(t + h, y_new)
+            self.nfev += 6
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = self._norm(np.dot(K.T, _DP_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _RK_MAX_FACTOR
+                else:
+                    factor = min(_RK_MAX_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            self.rejected += 1
+            h_abs *= max(_RK_MIN_FACTOR, _RK_SAFETY * error_norm ** _RK_EXPONENT)
+            rejected = True
+
+        if t_new == stop and self._next < len(self._stops) - 1:
+            self._next += 1
+        self.Q = K.T.dot(_DP_P)
+        self.y_old = y
+        self.t = t_new
+        self.y = y_new
+        self.h_abs = h_abs
+        K[0] = K[6]
+        return None
+
+    def dense_output(self) -> _RKInterpolant | _Constant:
+        """Interpolant over the last step."""
+        if self.t == self.t_old:
+            return _Constant(self.y)
+        return _RKInterpolant(self.t_old, self.t, self.y_old, self.Q)
+
+
+_METHODS = {"BDF": BDF, "RK45": DormandPrince}
 
 
 def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
@@ -806,18 +1027,20 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                        config: IntegratorConfig = IntegratorConfig(), *,
                        events: Sequence[EventSpec] | None = None,
                        method: str = "BDF",
-                       jac: Callable[[float, np.ndarray], object] | None = None
+                       jac: Callable[[float, np.ndarray], object] | None = None,
+                       knots: Sequence[float] = ()
                        ) -> IntegrationResult:
-    """Integrate ``y' = rhs(t, y)`` over ``t_span`` with dense output.
+    """Integrate ``y' = rhs(t, y)`` forward over ``t_span`` with dense output.
 
-    ``method`` names the integrator: ``BDF`` (the default, :class:`BDF`)
-    or scipy's ``LSODA``.  ``jac(t, y)`` is the exact Jacobian d rhs / dy.
-    ``BDF`` requires it, as a :class:`BorderedTridiagonal` or
+    ``method`` names the integrator: ``BDF`` (the default, :class:`BDF`) or
+    ``RK45`` (:class:`DormandPrince`).  ``jac(t, y)``, for ``BDF`` only, is
+    the exact Jacobian d rhs / dy, as a :class:`BorderedTridiagonal` or
     :class:`CoupledTridiagonal`, which factors each iteration matrix
-    itself, or as a square ndarray; without it, or with anything else, it
-    raises :class:`ConfigurationError`.  ``LSODA`` takes none or a square
-    ndarray.  The integration stops at the earliest zero crossing of any
-    of ``events``, which the result's ``event`` names, or at the end of
+    itself, or as a square ndarray; anything else raises
+    :class:`ConfigurationError`, and without it BDF forms a difference
+    Jacobian.  ``knots``, for ``RK45`` only, are times on which a step must
+    end.  The integration stops at the earliest zero crossing of any of
+    ``events``, which the result's ``event`` names, or at the end of
     ``t_span``.  Returns an :class:`IntegrationResult`; raises
     :class:`SolverError` when the integrator fails (the error reports the
     last reached time and state).
@@ -825,7 +1048,11 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     wall0 = perf_counter()
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     t0, tf = map(float, t_span)
+    if tf < t0:
+        raise ConfigurationError(f"t_span {t_span} runs backwards")
     kwargs = {} if jac is None else {"jac": jac}
+    if len(knots):
+        kwargs["knots"] = knots
     solver = _METHODS[method](rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
                               max_step=config.max_step, **kwargs)
     events = list(events or ())
@@ -838,10 +1065,8 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     while event is None and solver.status == "running":
         message = solver.step()
         t_old, t, y = solver.t_old, solver.t, solver.y
-        # past a blow-up LSODA returns zero-length steps without failing
-        stalled = t == t_old and solver.status == "running"
-        if solver.status == "failed" or stalled:
-            raise SolverError(f"integration failed: {message or 'zero-length step'}; "
+        if solver.status == "failed":
+            raise SolverError(f"integration failed: {message}; "
                               f"last state {np.array2string(y_last, precision=6)}", t=ts[-1])
         min_step = min(min_step, t - t_old)
         sol = solver.dense_output()
@@ -869,12 +1094,12 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     return IntegrationResult(
         t=ts_arr,
         y_last=y_last,
-        sol=OdeSolution(ts_arr, interpolants, alt_segment=True),
+        sol=DenseSolution(ts_arr, interpolants),
         event=event,
         nfev=solver.nfev,
         njev=solver.njev,
         nlu=solver.nlu,
-        rejected=getattr(solver, "rejected", None),  # LSODA does not count them
+        rejected=solver.rejected,
         min_step_s=min_step,
         wall_s=perf_counter() - wall0,
     )
@@ -888,11 +1113,72 @@ def _root(func: Callable[[float, np.ndarray], float], sol: Callable[[float], np.
         return func(s, sol(s))
 
     try:
-        return brentq(f, t_old, t, xtol=_ROOT_TOL, rtol=_ROOT_TOL)
+        return _brentq(f, t_old, t, _ROOT_TOL, _ROOT_TOL)
     except ValueError:
         f_old, f_new = f(t_old), f(t)
         if f_old * f_new <= 0.0:  # not the bracket: the event's own error
             raise
         # the end states touch zero where the interpolant misses it by
-        # rounding (LSODA's at t_old): the root is the end nearer zero
+        # rounding (an interpolant need not meet both ends of its step
+        # exactly): the root is the end nearer zero
         return t_old if abs(f_old) <= abs(f_new) else t
+
+
+def _brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+            maxiter: int = 100) -> float:
+    """A zero of ``f`` in [a, b] by Brent's method (Brent, Algorithms for
+    Minimization without Derivatives, 1973, ch. 4), with the floating-point
+    operations of scipy's ``brentq`` (its C ``brentq`` and the NaN check of
+    its Python wrapper), so that it returns scipy's root to the last bit.
+
+    Converged when the bracket is narrower than xtol + rtol |x|.  Raises
+    ``ValueError`` when f(a) and f(b) have the same sign or f returns NaN,
+    and :class:`SolverError` when ``maxiter`` iterations do not converge.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError(f"root search did not converge in {maxiter} iterations; "
+                      f"last iterate {xcur!r}")

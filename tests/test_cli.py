@@ -111,12 +111,11 @@ def test_summaries_carry_solver_counters(tmp_path, command):
 
 
 def test_summaries_report_rejected_steps(tmp_path):
-    # the drying stages' BDF counts the step attempts it turns down; LSODA,
-    # which runs freezing, does not report them
+    # every stage's integrator counts the step attempts it turns down: the
+    # Dormand-Prince pair of freezing and the BDF of the drying stages
     assert main(["cycle", "--out", str(tmp_path)]) == 0
     per_stage = _read_json(tmp_path / "defaults_cycle_summary.json")["solver"]
-    assert per_stage["freezing"]["rejected"] is None
-    for stage in ("primary_drying", "secondary_drying"):
+    for stage in ("freezing", "primary_drying", "secondary_drying"):
         rejected = per_stage[stage]["rejected"]
         assert type(rejected) is int and 0 <= rejected < per_stage[stage]["steps"]
 
@@ -449,3 +448,29 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "defaults_analyze.json").is_file()
+
+
+def test_import_path_leaves_out_heavy_scipy_modules(tmp_path):
+    # a fresh interpreter that loads the CLI and builds a scenario imports no
+    # scipy.integrate, scipy.optimize, scipy.special or scipy.sparse; the
+    # analysis imports scipy.special itself, and its report is the one this
+    # process writes
+    src = str(Path(lyosim.__file__).resolve().parents[1])
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import lyosim.cli\n"
+        "from lyosim.scenario import load_scenario\n"
+        "load_scenario('defaults').parameters()\n"
+        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.sparse')\n"
+        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        f"code = lyosim.cli.main(['analyze', '--scenario', 'visf_study', '--out', "
+        f"{str(tmp_path / 'child')!r}])\n"
+        "assert code == 0\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "[]"
+    assert main(["analyze", "--scenario", "visf_study", "--out", str(tmp_path / "here")]) == 0
+    child, here = (tmp_path / d / "visf_study_analyze.json" for d in ("child", "here"))
+    assert child.read_bytes() == here.read_bytes()

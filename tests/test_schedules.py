@@ -1,5 +1,6 @@
 """Piecewise-linear schedules."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -76,3 +77,18 @@ def test_ramp_value_always_within_range(t):
 def test_non_finite_breakpoints_rejected(points):
     with pytest.raises(ConfigurationError, match="finite"):
         Schedule(points)
+
+
+def test_values_are_those_of_np_interp():
+    # random tables, at their breakpoints, between them and outside them
+    rng = np.random.default_rng(3)
+    for _ in range(300):
+        n = int(rng.integers(2, 7))
+        ts = np.unique(rng.uniform(-1.0e4, 1.0e4, n))
+        vs = rng.uniform(-300.0, 300.0, ts.size)
+        s = Schedule(tuple(zip(ts.tolist(), vs.tolist())))
+        probes = np.concatenate([ts, rng.uniform(ts[0] - 50.0, ts[-1] + 50.0, 20)])
+        for t in probes:
+            want = float(np.interp(t, ts, vs))
+            assert s(float(t)) == want and s(t) == want
+            assert type(s(t)) is float

@@ -1,18 +1,24 @@
-"""Stiff integrator wrapper: tolerances, events, Jacobians and failures."""
+"""The integrators and their step loop: tolerances, events, Jacobians,
+knots and failures."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
+from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 
 from lyosim import (
     ConfigurationError,
     EventSpec,
     IntegratorConfig,
+    Schedule,
     SolverError,
+    analysis,
     default_parameters,
+    drying_primary,
+    freezing,
     integrate_adaptive,
     load_scenario,
     run_freezing,
@@ -20,6 +26,8 @@ from lyosim import (
     run_secondary,
     solver,
 )
+
+EPS = np.finfo(float).eps
 
 # stiff linear test system: y0' = -1000 y0, y1' = y0 - y1
 _A = np.array([[-1000.0, 0.0], [1.0, -1.0]])
@@ -49,11 +57,9 @@ def test_config_defaults_and_validation():
             IntegratorConfig(**bad)
 
 
-@pytest.mark.parametrize("method, factor", [pytest.param("BDF", 10.0, id="bdf-10.0"),
-                                            pytest.param("LSODA", 20.0, id="lsoda-20.0")])
+@pytest.mark.parametrize("method, factor", [pytest.param("BDF", 10.0, id="bdf-10.0")])
 def test_stiff_linear_system_matches_closed_form(method, factor):
-    # 10*rtol for the default stiff method; LSODA uses a lower-order dense
-    # interpolant and gets a correspondingly looser bound
+    # 10*rtol for the default stiff method
     cfg = IntegratorConfig(rtol=1.0e-6, atol=1.0e-12)
     res = integrate_adaptive(_stiff_rhs, (0.0, 5.0), np.array([1.0, 0.0]), cfg,
                              method=method)
@@ -128,10 +134,18 @@ def test_rejected_steps_are_counted(monkeypatch):
     assert np.allclose(res.sol(5.0), _stiff_exact(5.0), atol=1.0e-8)
 
 
-def test_lsoda_reports_no_rejected_count():
-    res = integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), IntegratorConfig(),
-                             method="LSODA")
-    assert res.counters()["rejected"] is None
+def test_pair_counts_rejected_steps():
+    # the explicit pair on the stiff pair: its error test turns down the
+    # steps that leave the stability region, as many as scipy's RK45 takes
+    # beyond its accepted ones
+    cfg = IntegratorConfig(rtol=1.0e-6, atol=1.0e-12)
+    res = integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), cfg,
+                             method="RK45")
+    ref = solve_ivp(_stiff_rhs, (0.0, 1.0), [1.0, 0.0], method="RK45", rtol=cfg.rtol,
+                    atol=cfg.atol)
+    rejected = res.counters()["rejected"]
+    assert type(rejected) is int and rejected > 0
+    assert res.nfev == ref.nfev == 2 + 6 * (res.counters()["steps"] + rejected)
 
 
 @pytest.mark.parametrize("jac", [
@@ -179,12 +193,12 @@ def test_event_direction_filter():
     cfg = IntegratorConfig(rtol=1.0e-9, atol=1.0e-12)
     up = EventSpec(lambda t, y: y[0], direction=1.0, name="up")
     res = integrate_adaptive(rhs, (0.1, 10.0), np.array([math.sin(0.1)]), cfg,
-                             events=[up], method="LSODA")
+                             events=[up], method="RK45")
     assert res.event == "up"
     assert res.t[-1] == pytest.approx(2.0 * math.pi, rel=1.0e-6)
     down = EventSpec(lambda t, y: y[0], direction=-1.0, name="down")
     res = integrate_adaptive(rhs, (0.1, 10.0), np.array([math.sin(0.1)]), cfg,
-                             events=[down], method="LSODA")
+                             events=[down], method="RK45")
     assert res.event == "down"
     assert res.t[-1] == pytest.approx(math.pi, rel=1.0e-6)
 
@@ -207,18 +221,16 @@ def test_solver_failure_reports_last_state():
         err = info.value
         return err, float(str(err).split("last state [")[1].split("]")[0])
 
-    # finite-time blow-up at t = 1 for y0 = 1: BDF gives up just short of it
-    # at the last mesh point of solve_ivp's failed run, and the message
-    # carries that state
-    err, y_last = failure("BDF")
-    ref = solve_ivp(blows_up, (0.0, 2.0), [1.0], method="BDF", rtol=1.0e-6, atol=1.0e-9)
-    assert ref.status == -1
-    assert 0.9 < err.t < 1.0 and err.t == ref.t[-1]
-    assert y_last == pytest.approx(ref.y[0, -1], rel=1.0e-6)
-    # LSODA never fails there: it takes zero-length steps, which end the run
-    err, y_last = failure("LSODA")
-    assert 0.9 < err.t < 1.0
-    assert "zero-length step" in str(err) and y_last > 1.0e6
+    # finite-time blow-up at t = 1 for y0 = 1: each integrator gives up at
+    # it (BDF just short of it, the explicit pair a step past it) at the last
+    # mesh point of solve_ivp's failed run, and the message carries that
+    # state
+    for method in ("BDF", "RK45"):
+        err, y_last = failure(method)
+        ref = solve_ivp(blows_up, (0.0, 2.0), [1.0], method=method, rtol=1.0e-6, atol=1.0e-9)
+        assert ref.status == -1
+        assert 0.9 < err.t < 1.001 and err.t == ref.t[-1]
+        assert y_last == pytest.approx(ref.y[0, -1], rel=1.0e-6) and y_last > 1.0e6
 
 
 def test_bdf_refuses_a_start_it_cannot_step_from():
@@ -236,15 +248,16 @@ def test_bdf_refuses_a_start_it_cannot_step_from():
 
 
 def test_each_stage_driver_fixes_its_method(monkeypatch, stage_settings):
-    # freezing runs on LSODA without a Jacobian; drying on BDF with its exact
-    # one in structured form
+    # freezing runs on the Dormand-Prince pair with the schedules' knots and
+    # without a Jacobian; drying on BDF with its exact one in structured form
     calls = []
 
     def recording(name, cls):
         class Recorded(cls):
             def __init__(self, fun, t0, y0, t_bound, **kwargs):
                 jac = kwargs.get("jac")
-                calls.append((name, None if jac is None else type(jac(t0, y0)).__name__))
+                calls.append((name, None if jac is None else type(jac(t0, y0)).__name__,
+                              "knots" in kwargs))
                 super().__init__(fun, t0, y0, t_bound, **kwargs)
         return Recorded
 
@@ -260,20 +273,21 @@ def test_each_stage_driver_fixes_its_method(monkeypatch, stage_settings):
     assert p.freezing.visf_start_s is not None  # controlled nucleation after VISF
     freezing = stage_settings("freezing")
     assert methods(run_freezing, p.initial_vial_state(), p.freezing_system(),
-                   p.integrator, **freezing) == {("LSODA", None)}
+                   p.integrator, **freezing) == {("RK45", None, True)}
+    # constant schedules have no knots
     ps = load_scenario("stochastic_freezing").parameters()
     assert methods(run_freezing, ps.initial_vial_state(), ps.freezing_system(),
                    ps.integrator, rng=np.random.default_rng(3), **freezing) \
-        == {("LSODA", None)}
+        == {("RK45", None, False)}
     for chamber in (None, p.chamber):
         assert methods(run_primary, p.primary_initial_T, p.primary, p.radiation,
                        p.geometry, chamber, config=p.integrator,
                        **stage_settings("primary", n_z=11)) \
-            == {("BDF", "BorderedTridiagonal")}
+            == {("BDF", "BorderedTridiagonal", False)}
     assert methods(run_secondary, p.secondary_initial_T, np.full(11, 0.088), p.secondary,
                    p.radiation, p.secondary_conditions, p.geometry, config=p.integrator,
                    **stage_settings("secondary", n_z=11)) \
-        == {("BDF", "CoupledTridiagonal")}
+        == {("BDF", "CoupledTridiagonal", False)}
 
 
 # --- the step loop against solve_ivp -------------------------------------------
@@ -315,14 +329,18 @@ def _matches_solve_ivp(rhs, t_span, y0, specs, method, jac=None):
     for _, te in fired:
         assert te.tolist() == [res.t[-1]]
     samples = np.concatenate([np.linspace(ref.t[0], ref.t[-1], 37), ref.t])
-    assert np.array_equal(res.sol(samples), ref.sol(samples))
+    # a mesh point takes the interpolant of the step it starts, as solve_ivp
+    # has it for BDF (alt_segment=True; for RK45 solve_ivp takes the step
+    # that ends there)
+    ref_sol = OdeSolution(ref.t, ref.sol.interpolants, alt_segment=True)
+    assert np.array_equal(res.sol(samples), ref_sol(samples))
     assert np.array_equal(res.y_last, ref.y[:, -1])
     assert (res.nfev, res.njev, res.nlu) == (ref.nfev, ref.njev, ref.nlu)
     return res
 
 
 _LOOP_METHODS = [pytest.param("BDF", _osc_jac, id="bdf-jac"),
-                 pytest.param("LSODA", None, id="lsoda")]
+                 pytest.param("RK45", None, id="rk45")]
 
 
 def test_difference_jacobian_matches_solve_ivp():
@@ -373,17 +391,7 @@ def test_loop_matches_solve_ivp_on_event_at_zero_at_start(method, jac):
     # on a mesh of one zero-length segment; a falling one waits for the fall
     y0 = np.array([0.0, 1.0])
     rising = EventSpec(lambda t, y: y[0], direction=1.0, name="rising")
-    if method == "LSODA":
-        # LSODA's interpolant reads 9e-17 at t0, so solve_ivp's root search
-        # finds no sign change and raises; the loop takes the root at t0
-        with pytest.raises(ValueError, match="different signs"):
-            solve_ivp(_osc_rhs, (1.0, 20.0), y0, method=method, rtol=1.0e-7, atol=1.0e-10,
-                      dense_output=True, events=[_as_solve_ivp_event(rising)])
-        res = integrate_adaptive(_osc_rhs, (1.0, 20.0), y0,
-                                 IntegratorConfig(rtol=1.0e-7, atol=1.0e-10),
-                                 events=[rising], method=method)
-    else:
-        res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [rising], method, jac)
+    res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [rising], method, jac)
     assert res.t.tolist() == [1.0, 1.0] and res.event == "rising"
     falling = EventSpec(lambda t, y: y[0], direction=-1.0, name="falling")
     res = _matches_solve_ivp(_osc_rhs, (1.0, 20.0), y0, [falling], method, jac)
@@ -453,3 +461,127 @@ def test_resample_of_an_empty_span_is_one_point():
                              IntegratorConfig())
     ts, ys = res.resample(3)
     assert ys.shape == (1, 3) and ys[0, 0] == 1.0
+
+
+# --- knots ----------------------------------------------------------------------
+
+def test_pair_steps_end_on_knots():
+    # y' = r(t) for a ramp r with kinks at 3 and 3.5: every knot inside the
+    # span is a mesh point, knots outside it are ignored, and the result
+    # integrates the ramp to rounding
+    ramp = Schedule(((3.0, 0.0), (3.5, 1.0)))
+    knots = [-1.0, 3.0, 3.5, 40.0]
+    cfg = IntegratorConfig(rtol=1.0e-6, atol=1.0e-9)
+    res = integrate_adaptive(lambda t, y: (ramp(t),), (0.0, 10.0), np.zeros(1), cfg,
+                             method="RK45", knots=knots)
+    assert {3.0, 3.5} <= set(res.t.tolist()) and res.t[-1] == 10.0
+    assert res.y_last[0] == pytest.approx(0.25 + 6.5, rel=1.0e-12)
+    # without knots the pair takes the steps of scipy's RK45
+    free = integrate_adaptive(lambda t, y: (ramp(t),), (0.0, 10.0), np.zeros(1), cfg,
+                              method="RK45")
+    ref = solve_ivp(lambda t, y: [ramp(t)], (0.0, 10.0), [0.0], method="RK45",
+                    rtol=cfg.rtol, atol=cfg.atol)
+    assert np.array_equal(free.t, ref.t) and free.nfev == ref.nfev
+
+
+def test_backward_span_is_refused():
+    with pytest.raises(ConfigurationError, match="backwards"):
+        integrate_adaptive(_stiff_rhs, (1.0, 0.0), np.array([1.0, 0.0]), IntegratorConfig())
+
+
+# --- the ports of scipy's brentq and OdeSolution --------------------------------
+
+def _checked_brentq(monkeypatch, module, calls):
+    """Replace ``module._brentq`` by a wrapper that asserts scipy's brentq
+    returns the same root, to the last bit, and records each call."""
+    original = module._brentq
+
+    def both(f, a, b, xtol, rtol, maxiter=100):
+        x = original(f, a, b, xtol, rtol, maxiter)
+        assert x == brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+        calls.append(x)
+        return x
+
+    monkeypatch.setattr(module, "_brentq", both)
+
+
+@pytest.mark.parametrize("name", ["defaults", "stochastic_freezing", "visf_study"])
+def test_brentq_matches_scipy_on_freezing_roots(monkeypatch, name):
+    # the stage events on the pair's dense output (nucleation temperature,
+    # Lambda = E, target ice, target band) and the nucleation jump's residual
+    events, jumps = [], []
+    _checked_brentq(monkeypatch, solver, events)
+    _checked_brentq(monkeypatch, freezing, jumps)
+    p = load_scenario(name).parameters()
+    run_freezing(p.initial_vial_state(), p.freezing_system(), p.integrator,
+                 samples_per_stage=p.samples_per_stage, rng=np.random.default_rng(5))
+    assert len(events) >= 3 and len(jumps) == 1
+
+
+def test_brentq_matches_scipy_on_cylinder_eigenvalues(monkeypatch):
+    calls = []
+    _checked_brentq(monkeypatch, analysis, calls)
+    for Bi in (1.0e-3, 0.04, 0.35, 2.0, 50.0):
+        analysis.cylinder_eigenvalues(Bi, 6)
+    assert len(calls) == 30
+
+
+def test_brentq_end_points_and_errors():
+    def line(x):
+        return x - 0.25
+
+    # a root at either end point is returned as it is
+    for a, b in ((0.25, 1.0), (-1.0, 0.25)):
+        assert solver._brentq(line, a, b, 1e-12, 4 * EPS) == brentq(line, a, b) == 0.25
+    # no sign change: the ValueError that _root relies on, as scipy's
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(line, 0.5, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        solver._brentq(line, 0.5, 1.0, 1e-12, 4 * EPS)
+    with pytest.raises(ValueError, match="NaN"):
+        solver._brentq(lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-12, 4 * EPS)
+
+
+def test_brentq_iteration_limit():
+    def f(x):
+        return math.exp(x) - 2.0
+
+    root, info = brentq(f, 0.0, 3.0, xtol=1e-15, full_output=True)
+    n = info.iterations
+    assert solver._brentq(f, 0.0, 3.0, 1e-15, 8.881784197001252e-16, maxiter=n) == root
+    # one iteration short: scipy reports no convergence at the iterate where
+    # _brentq raises
+    last, info = brentq(f, 0.0, 3.0, xtol=1e-15, maxiter=n - 1, full_output=True,
+                        disp=False)
+    assert not info.converged
+    with pytest.raises(SolverError, match="did not converge") as err:
+        solver._brentq(f, 0.0, 3.0, 1e-15, 8.881784197001252e-16, maxiter=n - 1)
+    assert float(str(err.value).split("last iterate ")[1]) == last
+
+
+def test_dense_solution_matches_ode_solution(monkeypatch, stage_settings):
+    # a primary-drying run's BDF interpolants, looked up as OdeSolution does
+    # with alt_segment=True, at unsorted, repeated and mesh-point times
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(drying_primary, "integrate_adaptive", recording)
+    p = default_parameters()
+    run_primary(p.primary_initial_T, p.primary, p.radiation, p.geometry, config=p.integrator,
+                **stage_settings("primary", n_z=11))
+    res, = results
+    ref = OdeSolution(res.t, res.sol.interpolants, alt_segment=True)
+    rng = np.random.default_rng(0)
+    inside = rng.uniform(res.t[0], res.t[-1], 300)
+    times = np.concatenate([inside, inside[:40], res.t, rng.permutation(res.t),
+                            [res.t[0] - 1.0, res.t[-1] + 1.0]])
+    rng.shuffle(times)
+    got, want = res.sol(times), ref(times)
+    # the same values in the same memory layout, which decides the rounding
+    # of the drivers' later dot products
+    assert np.array_equal(got, want) and got.strides == want.strides
+    for t in (res.t[0], res.t[7], inside[3], res.t[-1]):
+        assert np.array_equal(res.sol(t), ref(t))
