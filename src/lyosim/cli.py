@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import os
 import sys
@@ -35,7 +36,10 @@ from .scenario import Scenario, builtin_scenarios, load_scenario, validate_scena
 from .trajectory import Trajectory, json_safe, trajectory_json_dict, write_trajectory_csv
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and its help lists the built-in scenarios."""
     parser = argparse.ArgumentParser(
         prog="lyosim",
         description="Process simulator for continuous lyophilization of "

@@ -307,11 +307,11 @@ def run_primary(initial_temperature: float | np.ndarray,
             return np.full(y.shape[1:], dp.p_w_chamber)
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            dT, dS, _ = core(t, y[:n_z], y[n_z], dp.p_w_chamber)
+            dT, dS, _ = core(t, y[:n_z], float(y[n_z]), dp.p_w_chamber)
             return np.concatenate([dT, [dS]])
 
         def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
-            return core_jac(t, y[:n_z], y[n_z], dp.p_w_chamber)
+            return core_jac(t, y[:n_z], float(y[n_z]), dp.p_w_chamber)
 
         y0 = np.concatenate([T0, [0.0]])
     else:
@@ -322,18 +322,19 @@ def run_primary(initial_temperature: float | np.ndarray,
             return np.maximum(y[n_z + 1], chamber.p_setpoint)
 
         def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            p = max(y[n_z + 1], chamber.p_setpoint)
-            dT, dS, N_w = core(t, y[:n_z], y[n_z], p)
+            p = max(float(y[n_z + 1]), chamber.p_setpoint)
+            dT, dS, N_w = core(t, y[:n_z], float(y[n_z]), p)
             return np.concatenate([dT, [dS, chamber_pressure_rhs(p, load * N_w, chamber)]])
 
         def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
-            p = max(y[n_z + 1], chamber.p_setpoint)
-            dp_dy = 1.0 if y[n_z + 1] >= chamber.p_setpoint else 0.0
+            p_w_c = float(y[n_z + 1])
+            p = max(p_w_c, chamber.p_setpoint)
+            dp_dy = 1.0 if p_w_c >= chamber.p_setpoint else 0.0
 
             def load_gain(N_w: float) -> float:
                 return load * chamber_pressure_gain(p, load * N_w, chamber)
 
-            return core_jac(t, y[:n_z], y[n_z], p, dp_dy=dp_dy, load_gain=load_gain)
+            return core_jac(t, y[:n_z], float(y[n_z]), p, dp_dy=dp_dy, load_gain=load_gain)
 
         y0 = np.concatenate([T0, [0.0, chamber.p_setpoint]])
 

@@ -480,7 +480,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         return res.resample(samples_per_stage)
 
     def precond_rhs(tt: float, y: np.ndarray):
-        return (preconditioning_rhs(VialState(T=y[0], m_w=m_w, t=tt - t_start), sys),)
+        return (preconditioning_rhs(VialState(T=float(y[0]), m_w=m_w, t=tt - t_start), sys),)
 
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
     if isinstance(nuc, ControlledNucleation):
@@ -501,7 +501,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                               name="water_depleted")
 
             def rhs2(tt: float, y: np.ndarray):
-                s = VialState(T=max(y[0], _VISF_T_FLOOR), m_w=max(y[1], 0.0), t=tt - t_start)
+                s = VialState(T=max(float(y[0]), _VISF_T_FLOOR), m_w=max(float(y[1]), 0.0),
+                              t=tt - t_start)
                 return visf_rhs(s, sys)
 
             ts, ys = advance(
@@ -528,8 +529,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         hazard = _hazard_rate(m_w, sys)
 
         def rhs1(tt: float, y: np.ndarray):
-            s = VialState(T=y[0], m_w=m_w, t=tt - t_start)
-            return (preconditioning_rhs(s, sys), hazard(y[0]))
+            T = float(y[0])
+            return (preconditioning_rhs(VialState(T=T, m_w=m_w, t=tt - t_start), sys),
+                    hazard(T))
 
         hit = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
@@ -568,7 +570,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     D = f.K_f * mx.m_s / f.M_s
 
     def rhs4(tt: float, y: np.ndarray):
-        m_i = min(max(y[0], 0.0), m_w_nuc * (1.0 - 1.0e-12))
+        m_i = min(max(float(y[0]), 0.0), m_w_nuc * (1.0 - 1.0e-12))
         m_rem = m_w_nuc - m_i
         s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt - t_start)
         return (solidification_rhs(s, sys, h_rad_side=h_rad)[0],)
@@ -591,7 +593,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         falling = T > target  # approach direction decides the band edge crossed
 
         def rhs5(tt: float, y: np.ndarray):
-            s = VialState(T=y[0], m_w=m_w, m_i=m_i, t=tt - t_start)
+            s = VialState(T=float(y[0]), m_w=m_w, m_i=m_i, t=tt - t_start)
             return (_final_cooling_rhs(s, sys),)
 
         # the crossing of the near band edge: one step may jump the whole band

@@ -16,7 +16,11 @@ block coupled diagonally to a diagonal block (:class:`CoupledTridiagonal`,
 secondary drying).  Both factor with LAPACK's tridiagonal ``dgttrf`` and
 solve with ``dgttrs``.  A square ndarray Jacobian factors with LAPACK's
 dense ``dgetrf``/``dgetrs``, as scipy's does; without a Jacobian BDF forms
-scipy's forward-difference one.
+scipy's forward-difference one.  The four LAPACK routines are imported
+when a process first factors an iteration matrix, not with this module:
+``scipy.linalg`` is about half the import time of ``lyosim.cli``, and a
+process that only freezes (a vial-population Monte Carlo, ``lyosim
+freeze``) never factors, so it loads no scipy at all.
 
 The lumped freezing stages are not stiff and run on :class:`DormandPrince`,
 the explicit Runge-Kutta pair of order 5(4) of Dormand & Prince (J. Comput.
@@ -67,7 +71,6 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 from .bounds import POS, check_bounds
 from .errors import ConfigurationError, SolverError
@@ -80,6 +83,17 @@ log = logging.getLogger(__name__)
 
 # the root-search tolerance of solve_ivp
 _ROOT_TOL = 4.0 * np.finfo(float).eps
+
+# LAPACK's LU routines, bound by _bind_lapack when a process first factors
+dgetrf = dgetrs = dgttrf = dgttrs = None
+
+
+def _bind_lapack() -> None:
+    """Import LAPACK's ``dgetrf``, ``dgetrs``, ``dgttrf`` and ``dgttrs``
+    into this module's namespace; the factors call it in their
+    constructors until it has run once."""
+    global dgetrf, dgetrs, dgttrf, dgttrs
+    from scipy.linalg.lapack import dgetrf, dgetrs, dgttrf, dgttrs
 
 
 @dataclass(frozen=True)
@@ -265,6 +279,8 @@ class BorderedTridiagonal:
 
 class _BorderedFactor:
     def __init__(self, J: BorderedTridiagonal, c: float) -> None:
+        if dgetrf is None:
+            _bind_lapack()
         self.take, self.border = J.take, J.border
         self.tri = _TridiagonalLU(-c * J.lower, 1.0 - c * J.diag, -c * J.upper)
         self.row = -c * J.rows
@@ -344,6 +360,8 @@ class _TridiagonalLU:
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
+        if dgttrf is None:
+            _bind_lapack()
         self.m = diag.shape[0]
         self.pad = max(3 - self.m, 0)
         if self.pad:
@@ -384,6 +402,8 @@ class _DenseFactor:
     __slots__ = ("lu", "piv")
 
     def __init__(self, J: np.ndarray, c: float) -> None:
+        if dgetrf is None:
+            _bind_lapack()
         self.lu, self.piv, info = dgetrf(np.identity(J.shape[0]) - c * J, overwrite_a=1)
         if info > 0:
             raise SolverError(f"singular iteration matrix: zero pivot in row {info - 1}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -113,17 +114,28 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     """Write the trajectory table in the fixed column order.
 
     Floats use their shortest round-tripping representation, so identical
-    runs produce byte-identical files.
+    runs produce byte-identical files.  The bytes are those of a
+    ``csv.writer`` with LF line ends, which quotes a stage label holding a
+    comma, a double quote or a newline.  Rows are streamed, so the table
+    is never held as one string.
     """
     # each column is converted to Python floats once; repr of a Python
-    # float is the shortest round-tripping decimal
-    cols = [traj.stage if c == "stage" else
+    # float is the shortest round-tripping decimal, which needs no quotes
+    quoted = {s: _csv_field(s) for s in set(traj.stage)}
+    cols = [[quoted[s] for s in traj.stage] if c == "stage" else
             list(map(repr, np.asarray(traj.column(c), dtype=float).tolist()))
             for c in CSV_COLUMNS]
     with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*cols))
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as the trajectory's ``csv.writer`` writes it in a row of
+    several fields (a lone empty field it would quote)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(("", text))
+    return buf.getvalue()[1:-1]
 
 
 def json_safe(obj):

@@ -451,26 +451,37 @@ def test_module_entry_point(tmp_path):
 
 
 def test_import_path_leaves_out_heavy_scipy_modules(tmp_path):
-    # a fresh interpreter that loads the CLI and builds a scenario imports no
-    # scipy.integrate, scipy.optimize, scipy.special or scipy.sparse; the
-    # analysis imports scipy.special itself, and its report is the one this
-    # process writes
+    # a fresh interpreter that loads the CLI, builds every built-in scenario
+    # and freezes a stochastic vial imports no scipy module at all; its
+    # first primary drying binds LAPACK; the analysis imports
+    # scipy.special itself, and its report is the one this process writes
     src = str(Path(lyosim.__file__).resolve().parents[1])
     code = (
         "import sys\n"
         f"sys.path.insert(0, {src!r})\n"
         "import lyosim.cli\n"
-        "from lyosim.scenario import load_scenario\n"
-        "load_scenario('defaults').parameters()\n"
-        "heavy = ('scipy.integrate', 'scipy.optimize', 'scipy.special', 'scipy.sparse')\n"
-        "print(sorted(m for m in heavy if m in sys.modules))\n"
+        "from lyosim.drying_primary import run_primary\n"
+        "from lyosim.scenario import builtin_scenarios, load_scenario\n"
+        "built = [load_scenario(n).parameters() for n in builtin_scenarios()]\n"
+        "assert len(built) == 12\n"
+        f"code = lyosim.cli.main(['freeze', '--scenario', 'stochastic_freezing', '--out', "
+        f"{str(tmp_path / 'freeze')!r}])\n"
+        "assert code == 0\n"
+        "print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "p = built[builtin_scenarios().index('defaults')]\n"
+        "traj = run_primary(p.primary_initial_T, p.primary, p.radiation, p.geometry,\n"
+        "                   n_z=p.n_z, config=p.integrator,\n"
+        "                   time_limit_s=p.primary_time_limit_s, samples=p.samples_per_stage)\n"
+        "assert traj.meta['solver']['nlu'] > 0\n"
+        "print('lapack:', 'scipy.linalg.lapack' in sys.modules)\n"
         f"code = lyosim.cli.main(['analyze', '--scenario', 'visf_study', '--out', "
         f"{str(tmp_path / 'child')!r}])\n"
         "assert code == 0\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "[]"
+    lines = [line for line in proc.stdout.splitlines() if line.startswith(("scipy:", "lapack:"))]
+    assert lines == ["scipy: []", "lapack: True"], proc.stdout
     assert main(["analyze", "--scenario", "visf_study", "--out", str(tmp_path / "here")]) == 0
     child, here = (tmp_path / d / "visf_study_analyze.json" for d in ("child", "here"))
     assert child.read_bytes() == here.read_bytes()

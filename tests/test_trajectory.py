@@ -1,13 +1,15 @@
 """Trajectory records, CSV export, and concatenation."""
 
 import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lyosim import ConfigurationError, Trajectory, write_trajectory_csv
+from lyosim import ConfigurationError, Trajectory, default_parameters, run_full_cycle, \
+    write_trajectory_csv
 from lyosim.trajectory import CSV_COLUMNS, trajectory_json_dict
 
 
@@ -84,6 +86,44 @@ def test_csv_cells_are_float_reprs_of_the_source(tmp_path):
     assert written[1:] == expected
     assert {r[1] for r in written[1:]} == {"freezing", "primary_drying"}
     assert "nan" in written[-1] and "inf" in written[5]
+
+
+def _csv_writer_bytes(traj):
+    """The table as ``csv.writer`` writes the float reprs and stage labels."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([v if isinstance(v, str) else repr(float(v)) for v in row]
+                     for row in traj.rows())
+    return buf.getvalue().encode()
+
+
+@pytest.fixture(scope="module")
+def cycle_table():
+    """The combined table of a ``defaults`` cycle."""
+    table = run_full_cycle(default_parameters()).combined
+    assert {"visf", "primary_drying", "secondary_drying"} <= set(table.stage)
+    return table
+
+
+@pytest.mark.parametrize("rename", [
+    None,
+    {"primary_drying": "primary, drying"},
+    {"secondary_drying": 'secondary "drying"', "visf": ""},
+    {"primary_drying": "primary\ndrying", "secondary_drying": "secondary\r\ndrying"},
+])
+def test_csv_bytes_are_those_of_csv_writer(tmp_path, cycle_table, rename):
+    # the streamed rows quote a stage label as csv.writer does, also one
+    # holding a delimiter, quotes or a line break
+    traj = cycle_table
+    if rename is not None:
+        traj = Trajectory(t=traj.t, stage=[rename.get(s, s) for s in traj.stage],
+                          series=traj.series)
+    path = tmp_path / "cycle.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _csv_writer_bytes(traj)
+    with path.open(newline="") as fh:
+        assert [row[1] for row in csv.reader(fh)][1:] == traj.stage
 
 
 def test_json_dict_nan_to_null():
