@@ -354,7 +354,7 @@ def run_primary(initial_temperature: float | np.ndarray,
 
     # extrapolate removal of the last ice sliver at the terminal front speed
     t_end = float(res.t[-1])
-    y_end = res.sol(t_end)
+    y_end = res.y_last
     T_end = y_end[:n_z].copy()
     p_end = float(pressure(y_end))
     dS_end = sublimation_flux(T_end[0], S_stop, dp, p_end) / (dp.rho_f - dp.rho_e)

@@ -402,10 +402,10 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
     the smallest step of any of them, NaN when none took a step).  Every
     integration runs on the Dormand-Prince pair (``RK45``) with the
-    tolerances and ``max_step`` of ``config``, and ends a step on every
-    breakpoint of the protocol's four schedules.  From nucleation on, the
-    ice mass is written as the nucleation inventory less the water mass,
-    so that water and ice add up to the inventory exactly.  Raises
+    tolerances of ``config``, and ends a step on every breakpoint of the
+    protocol's four schedules.  From nucleation on, the ice mass is
+    written as the nucleation inventory less the water mass, so that water
+    and ice add up to the inventory exactly.  Raises
     :class:`StageTimeoutError` when a stage fails to
     reach its completion event within the protocol's horizon.
     ``stop_after="solidification"`` ends the run once the target ice

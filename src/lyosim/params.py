@@ -76,7 +76,6 @@ _TABLE: dict[str, Any] = {
     "integrator": {
         "rtol": _key(IntegratorConfig, "rtol"),
         "atol": _key(IntegratorConfig, "atol"),
-        "max_step_s": (None, nullable(POS)),
     },
     "formulation": {
         "solute_mass_fraction": _key(Formulation, "x_s"),
@@ -399,7 +398,6 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
                                 "a [top, bottom] pair")
         c0 = (float(c0[0]), float(c0[1]))
 
-    max_step = scenario["integrator"]["max_step_s"]
     pr, fz, pl = scenario["primary"], scenario["freezing"], scenario["pipeline"]
     if pl["primary_start"] not in ("final_cooling_end", "solidification_end"):
         raise ScenarioError("pipeline.primary_start must be 'final_cooling_end' or "
@@ -422,8 +420,7 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         bound_water_target=sd["target_bound_water_kg_per_kg"],
         secondary_time_limit_s=sd["time_limit_s"],
         chamber=_build(ChamberModel, scenario, M_w=formulation.M_w),
-        integrator=_build(IntegratorConfig, scenario,
-                          max_step=float("inf") if max_step is None else max_step),
+        integrator=_build(IntegratorConfig, scenario),
         n_z=int(scenario["grid"]["n_nodes"]),
         seed=seed,
         primary_start=pl["primary_start"],

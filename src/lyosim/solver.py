@@ -29,6 +29,9 @@ Appl. Math., 1980) with the tableau, error norm, step control and
 steps also end on given knots, the breakpoints of piecewise-linear
 schedules, so that no step straddles a kink of a ramp.
 
+Both integrators step forward only, one accepted step per call, to the
+end of ``t_span``; a zero-length span takes no step and gives the mesh
+[t0, t0] with one constant segment.
 After each accepted step the loop keeps the step's dense output and checks
 the terminal events (:class:`EventSpec`) for a zero crossing in their
 direction; the earliest crossing, located on the dense output by
@@ -98,17 +101,16 @@ def _bind_lapack() -> None:
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and step bound of one integration.
+    """Tolerances of one integration.
 
-    ``atol`` may be a scalar or a per-component array; ``max_step`` (s)
-    bounds every step, for schedules with ramps shorter than the steps the
-    tolerances would allow.  The method is not configured: each stage
-    driver passes its own to :func:`integrate_adaptive`.
+    ``atol`` may be a scalar or a per-component array.  Steps are bounded
+    by the tolerances alone; a schedule's ramps shorter than the steps are
+    met by the Dormand-Prince pair's knots.  The method is not configured:
+    each stage driver passes its own to :func:`integrate_adaptive`.
     """
 
     rtol: float = field(default=1.0e-6, metadata=POS)
     atol: float | np.ndarray = field(default=1.0e-9, metadata=POS)
-    max_step: float = field(default=np.inf, metadata=POS)
 
     def __post_init__(self) -> None:
         check_bounds(self)
@@ -383,22 +385,10 @@ class _TridiagonalLU:
         return x[:self.m]
 
 
-class _DenseJacobian:
-    """A square matrix Jacobian, with the factor interface of the
-    structured ones: LAPACK's ``dgetrf``/``dgetrs``, as scipy's
-    ``lu_factor``/``lu_solve`` call them."""
-
-    __slots__ = ("J",)
-
-    def __init__(self, J: np.ndarray) -> None:
-        self.J = J
-
-    def factor(self, c: float) -> "_DenseFactor":
-        """LU of I - cJ; raises :class:`SolverError` if it is singular."""
-        return _DenseFactor(self.J, c)
-
-
 class _DenseFactor:
+    """LU of I - cJ for a square ndarray J: LAPACK's ``dgetrf``/``dgetrs``,
+    as scipy's ``lu_factor``/``lu_solve`` call them."""
+
     __slots__ = ("lu", "piv")
 
     def __init__(self, J: np.ndarray, c: float) -> None:
@@ -502,33 +492,27 @@ class _Constant:
 
 
 class _Stepper:
-    """The stepping interface both integrators share with scipy's
-    ``OdeSolver``: :meth:`step` advances one accepted step and sets
-    ``status`` to ``"finished"`` at ``t_bound`` or ``"failed"`` when the step
-    would fall below 10 ulps of t; ``nfev``, ``njev`` and ``nlu`` count the
-    RHS, Jacobian and LU evaluations and ``rejected`` the step attempts
-    turned down.  A subclass defines ``_step_impl``, which takes one step
-    and returns a failure message or ``None``, and ``_ERROR_ORDER``, the
-    order of the error estimate that sets the first step."""
+    """What both integrators share: the state (``t``, ``y``), the tolerances,
+    the first step and the counters.  They step forward only, from t0 to
+    ``t_bound`` >= t0.  A subclass defines ``step()``, which takes one
+    accepted step, ending on ``t_bound`` rather than past it, and returns
+    ``False`` when the step would fall below 10 ulps of t, and
+    ``_ERROR_ORDER``, the order of the error estimate that sets the first
+    step.  ``nfev``, ``njev`` and ``nlu`` count the RHS, Jacobian and LU
+    evaluations and ``rejected`` the step attempts turned down."""
 
-    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
     _ERROR_ORDER: int
 
     def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
-                 y0: np.ndarray, t_bound: float, rtol: float, atol: float | np.ndarray,
-                 max_step: float) -> None:
+                 y0: np.ndarray, t_bound: float, rtol: float, atol: float | np.ndarray) -> None:
         self.fun = fun
-        self.t_old: float | None = None
         self.t = t0
         self.y = y = np.asarray(y0, dtype=float)
         if y.ndim != 1 or not np.isfinite(y).all():
             raise ConfigurationError("the initial state must be a finite 1-D array")
         self.n = n = y.shape[0]
         self.t_bound = t_bound
-        self.direction = 1.0 if t_bound >= t0 else -1.0
-        self.status = "running"
         self.nfev = self.njev = self.nlu = self.rejected = 0
-        self.max_step = max_step
         self.rtol = max(rtol, 100 * _EPS)
         atol = np.asarray(atol, dtype=float)
         if atol.ndim > 0 and atol.shape != (n,):
@@ -554,8 +538,8 @@ class _Stepper:
         """The first step of Hairer, Norsett & Wanner (Solving Ordinary
         Differential Equations I, Sec. II.4) for an error estimate of order
         ``_ERROR_ORDER``, as scipy's ``select_initial_step``; one RHS call."""
-        t0, y0, direction = self.t, self.y, self.direction
-        interval_length = abs(self.t_bound - t0)
+        t0, y0 = self.t, self.y
+        interval_length = self.t_bound - t0
         if interval_length == 0.0:
             return 0.0
         scale = self.atol + np.abs(y0) * self.rtol
@@ -566,31 +550,15 @@ class _Stepper:
         else:
             h0 = 0.01 * d0 / d1
         h0 = min(h0, interval_length)
-        y1 = y0 + h0 * direction * f0
+        y1 = y0 + h0 * f0
         self.nfev += 1
-        f1 = self.fun(t0 + h0 * direction, y1)
+        f1 = self.fun(t0 + h0, y1)
         d2 = self._norm((f1 - f0) / scale) / h0
         if d1 <= 1e-15 and d2 <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
             h1 = (0.01 / max(d1, d2)) ** (1 / (self._ERROR_ORDER + 1))
-        return min(100 * h0, h1, interval_length, self.max_step)
-
-    def step(self) -> str | None:
-        """Take one accepted step; returns the failure message, if any."""
-        t = self.t
-        if t == self.t_bound:
-            self.t_old = t
-            self.status = "finished"
-            return None
-        message = self._step_impl()
-        if message is not None:
-            self.status = "failed"
-        else:
-            self.t_old = t
-            if self.direction * (self.t - self.t_bound) >= 0:
-                self.status = "finished"
-        return message
+        return min(100 * h0, h1, interval_length)
 
 
 class BDF(_Stepper):
@@ -611,16 +579,15 @@ class BDF(_Stepper):
     forms scipy's forward-difference Jacobian.  ``fun(t, y)`` returns a
     float ndarray of the state's shape.
 
-    It steps as scipy's ``OdeSolver`` does (:class:`_Stepper`), and
-    :meth:`dense_output` interpolates the last step; ``rejected`` counts the
-    step attempts that a Newton failure or the error test turned down.
+    :meth:`step` takes one step (:class:`_Stepper`) and :meth:`dense_output`
+    interpolates it; ``rejected`` counts the step attempts that a Newton
+    failure or the error test turned down.
     """
 
     _ERROR_ORDER = 1
 
     def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
-                 y0: np.ndarray, t_bound: float, *, rtol: float,
-                 atol: float | np.ndarray, max_step: float,
+                 y0: np.ndarray, t_bound: float, *, rtol: float, atol: float | np.ndarray,
                  jac: Callable[[float, np.ndarray], object] | None = None) -> None:
         if jac is None:
             jac = self._difference_jacobian
@@ -628,7 +595,7 @@ class BDF(_Stepper):
             raise ConfigurationError("BDF takes jac(t, y), a callable returning a "
                                      "BorderedTridiagonal, a CoupledTridiagonal or a square "
                                      "ndarray")
-        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step)
+        super().__init__(fun, t0, y0, t_bound, rtol, atol)
         self.jac = jac
         self._fd_factor = None
         f = self._rhs_at_start()
@@ -638,7 +605,7 @@ class BDF(_Stepper):
         self.J = self._jacobian(t0, self.y)
         self.D = D = np.empty((_MAX_ORDER + 3, self.n))
         D[0] = self.y
-        D[1] = f * self.h_abs * self.direction
+        D[1] = f * self.h_abs
         self.order = 1
         self.n_equal_steps = 0
         self.LU = None
@@ -650,7 +617,7 @@ class BDF(_Stepper):
         if isinstance(J, (BorderedTridiagonal, CoupledTridiagonal)) and J.shape == (n, n):
             return J
         if isinstance(J, np.ndarray) and J.shape == (n, n):
-            return _DenseJacobian(np.asarray(J, dtype=float))
+            return np.asarray(J, dtype=float)
         raise ConfigurationError(
             f"jac returned {type(J).__name__} of shape {getattr(J, 'shape', None)}; BDF "
             f"needs a BorderedTridiagonal, a CoupledTridiagonal or an ndarray of shape "
@@ -720,15 +687,13 @@ class BDF(_Stepper):
     def _factor(self, J, c: float):
         self.nlu += 1
         try:
-            return J.factor(c)
+            return _DenseFactor(J, c) if isinstance(J, np.ndarray) else J.factor(c)
         except SolverError as err:
             raise SolverError(str(err), t=self.t) from None
 
-    def dense_output(self) -> _StepInterpolant | _Constant:
+    def dense_output(self) -> _StepInterpolant:
         """Interpolant over the last step."""
-        if self.t == self.t_old:
-            return _Constant(self.y)
-        return _StepInterpolant(self.t, self.h_abs * self.direction, self.order,
+        return _StepInterpolant(self.t, self.h_abs, self.order,
                                 self.D[:self.order + 1].copy())
 
     def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray,
@@ -765,16 +730,13 @@ class BDF(_Stepper):
             dy_norm_old = dy_norm
         return converged, k + 1, y, d
 
-    def _step_impl(self) -> str | None:
+    def step(self) -> bool:
+        """Take one accepted step; ``False`` when it would fall below 10
+        ulps of t."""
         t = self.t
         D = self.D
-        max_step = self.max_step
-        min_step = 10 * abs(math.nextafter(t, self.direction * math.inf) - t)
-        if self.h_abs > max_step:
-            h_abs = max_step
-            _change_D(D, self.order, max_step / self.h_abs)
-            self.n_equal_steps = 0
-        elif self.h_abs < min_step:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs < min_step:
             h_abs = min_step
             _change_D(D, self.order, min_step / self.h_abs)
             self.n_equal_steps = 0
@@ -788,23 +750,21 @@ class BDF(_Stepper):
 
         while True:
             if not h_abs >= min_step:  # a NaN step fails here too
-                return self.TOO_SMALL_STEP
-            h = h_abs * self.direction
-            t_new = t + h
-            if self.direction * (t_new - self.t_bound) > 0:
+                return False
+            t_new = t + h_abs
+            if t_new - self.t_bound > 0:
                 t_new = self.t_bound
-                _change_D(D, order, abs(t_new - t) / h_abs)
+                _change_D(D, order, (t_new - t) / h_abs)
                 self.n_equal_steps = 0
                 LU = None
-            h = t_new - t
-            h_abs = abs(h)
+            h_abs = t_new - t
 
             y_predict = D[:order + 1].sum(axis=0)
             scale = atol + rtol * np.abs(y_predict)
             psi = np.dot(D[1: order + 1].T, _GAMMA[1: order + 1]) / _ALPHA[order]
 
             converged = False
-            c = h / _ALPHA[order]
+            c = h_abs / _ALPHA[order]
             while not converged:
                 if LU is None:
                     LU = self._factor(J, c)
@@ -855,7 +815,7 @@ class BDF(_Stepper):
             D[i] += D[i + 1]
 
         if self.n_equal_steps < order + 1:
-            return None
+            return True
 
         if order > 1:
             error_m = _ERROR_CONST[order - 1] * D[order]
@@ -879,7 +839,7 @@ class BDF(_Stepper):
         _change_D(D, order, factor)
         self.n_equal_steps = 0
         self.LU = None
-        return None
+        return True
 
 
 # the Dormand-Prince 5(4) tableau as scipy's RK45 writes it: the nodes, the
@@ -950,10 +910,10 @@ class DormandPrince(_Stepper):
     floating-point operations, so between knots it takes scipy's steps to
     the last bit.  A step that would pass the next of ``knots`` (in any
     order; those outside (t0, t_bound) are ignored) ends on it, as a step
-    ends on ``t_bound``; the breakpoints of a
-    piecewise-linear schedule are where the RHS has a kink, across which
-    the error estimate of one step does not hold.  ``t_bound`` must not lie
-    before t0.
+    ends on ``t_bound``.  The breakpoints of a piecewise-linear schedule
+    are where the RHS has a kink, across which the error estimate of one
+    step does not hold; ending the steps on them keeps a ramp shorter than
+    the steps from being stepped over.
 
     ``fun(t, y)`` returns the derivative as any sequence of floats of the
     state's length, written straight into the array of stages.
@@ -964,10 +924,9 @@ class DormandPrince(_Stepper):
     _ERROR_ORDER = 4
 
     def __init__(self, fun: Callable[[float, np.ndarray], Sequence[float]], t0: float,
-                 y0: np.ndarray, t_bound: float, *, rtol: float,
-                 atol: float | np.ndarray, max_step: float,
+                 y0: np.ndarray, t_bound: float, *, rtol: float, atol: float | np.ndarray,
                  knots: Sequence[float] = ()) -> None:
-        super().__init__(fun, t0, y0, t_bound, rtol, atol, max_step)
+        super().__init__(fun, t0, y0, t_bound, rtol, atol)
         # the stages in rows; row 0 holds the derivative at the step start
         self.K = K = np.empty((7, self.n))
         self._stages = [(s, float(_DP_C[s]), _DP_A[s, :s], K[:s].T) for s in range(1, 6)]
@@ -977,17 +936,16 @@ class DormandPrince(_Stepper):
         # and the index of the next one
         self._stops = sorted(float(k) for k in knots if t0 < k < t_bound) + [t_bound]
         self._next = 0
-        self.y_old: np.ndarray | None = None
+        self.t_old, self.y_old = t0, None
         self.Q: np.ndarray | None = None
 
-    def _step_impl(self) -> str | None:
+    def step(self) -> bool:
+        """Take one accepted step; ``False`` when it would fall below 10
+        ulps of t."""
         t, y, K = self.t, self.y, self.K
         fun, atol, rtol = self.fun, self.atol, self.rtol
-        max_step = self.max_step
-        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
-        if self.h_abs > max_step:
-            h_abs = max_step
-        elif self.h_abs < min_step:
+        min_step = 10 * (math.nextafter(t, math.inf) - t)
+        if self.h_abs < min_step:
             h_abs = min_step
         else:
             h_abs = self.h_abs
@@ -995,12 +953,11 @@ class DormandPrince(_Stepper):
         rejected = False
         while True:
             if h_abs < min_step:
-                return self.TOO_SMALL_STEP
+                return False
             t_new = t + h_abs
             if t_new - stop > 0:
                 t_new = stop
-            h = t_new - t
-            h_abs = abs(h)
+            h_abs = h = t_new - t
             for s, c, a, KT in self._stages:
                 K[s] = fun(t + c * h, y + np.dot(KT, a) * h)
             y_new = y + h * np.dot(K[:-1].T, _DP_B)
@@ -1024,17 +981,15 @@ class DormandPrince(_Stepper):
         if t_new == stop and self._next < len(self._stops) - 1:
             self._next += 1
         self.Q = K.T.dot(_DP_P)
-        self.y_old = y
+        self.t_old, self.y_old = t, y
         self.t = t_new
         self.y = y_new
         self.h_abs = h_abs
         K[0] = K[6]
-        return None
+        return True
 
-    def dense_output(self) -> _RKInterpolant | _Constant:
+    def dense_output(self) -> _RKInterpolant:
         """Interpolant over the last step."""
-        if self.t == self.t_old:
-            return _Constant(self.y)
         return _RKInterpolant(self.t_old, self.t, self.y_old, self.Q)
 
 
@@ -1073,23 +1028,26 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     kwargs = {} if jac is None else {"jac": jac}
     if len(knots):
         kwargs["knots"] = knots
-    solver = _METHODS[method](rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol,
-                              max_step=config.max_step, **kwargs)
+    solver = _METHODS[method](rhs, t0, y0, tf, rtol=config.rtol, atol=config.atol, **kwargs)
     events = list(events or ())
     g = [ev.func(t0, y0) for ev in events]
-    ts = [t0]
-    y_last = y0
+    ts, t = [t0], t0
+    y = y_last = y0
     interpolants = []
     min_step = np.inf
     event: str | None = None
-    while event is None and solver.status == "running":
-        message = solver.step()
-        t_old, t, y = solver.t_old, solver.t, solver.y
-        if solver.status == "failed":
-            raise SolverError(f"integration failed: {message}; "
-                              f"last state {np.array2string(y_last, precision=6)}", t=ts[-1])
+    # a zero-length span takes one pass: the mesh [t0, t0], one constant segment
+    while event is None and (t < tf or not interpolants):
+        t_old = t
+        if t0 == tf:
+            sol = _Constant(y0)
+        elif solver.step():
+            t, y, sol = solver.t, solver.y, solver.dense_output()
+        else:
+            raise SolverError("integration failed: Required step size is less than "
+                              "spacing between numbers.; last state "
+                              f"{np.array2string(y_last, precision=6)}", t=ts[-1])
         min_step = min(min_step, t - t_old)
-        sol = solver.dense_output()
         interpolants.append(sol)
         if events:
             g_new = [ev.func(t, y) for ev in events]

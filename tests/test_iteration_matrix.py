@@ -26,7 +26,7 @@ from lyosim import (
     run_secondary,
 )
 from lyosim import drying_primary, drying_secondary
-from lyosim.solver import BorderedTridiagonal, CoupledTridiagonal
+from lyosim.solver import BDF, BorderedTridiagonal, CoupledTridiagonal
 
 _GEOM = VialGeometry(d=0.024, H=7.2124292981419705e-3)
 
@@ -176,6 +176,16 @@ def test_singular_coupled_blocks_raise_solver_error():
         J.factor(1.0)
 
 
+def test_singular_dense_matrix_raises_solver_error_at_the_start_time():
+    # I - c (I / c) = 0: the dense LU meets a zero pivot in its first row
+    c = 0.5
+    bdf = BDF(lambda t, y: -y, 3.0, np.ones(2), 10.0, rtol=1.0e-6, atol=1.0e-9,
+              jac=lambda t, y: -np.eye(2))
+    with pytest.raises(SolverError, match="zero pivot in row 0") as info:
+        bdf._factor(np.eye(2) / c, c)
+    assert info.value.t == 3.0
+
+
 def test_singular_factor_in_a_step_reports_the_step_time():
     class Singular(CoupledTridiagonal):
         def factor(self, c):  # every iteration matrix has the zero pivot
@@ -266,8 +276,7 @@ def test_dense_jacobian_takes_the_mesh_of_scipys_bdf(stage_settings, stage):
 
     res = integrate_adaptive(rhs, t_span, y0, config, events=call["events"], jac=dense)
     ref = solve_ivp(rhs, t_span, y0, method="BDF", rtol=config.rtol, atol=config.atol,
-                    max_step=config.max_step, jac=dense,
-                    events=[terminal(spec) for spec in call["events"] or ()])
+                    jac=dense, events=[terminal(spec) for spec in call["events"] or ()])
     assert ref.status == 1 and res.event is not None
     assert np.array_equal(res.t, ref.t)
     assert (res.nfev, res.njev, res.nlu) == (ref.nfev, ref.njev, ref.nlu)

@@ -95,6 +95,10 @@ def test_unknown_key_rejected():
     # removed: each stage driver fixes its own integration method
     with pytest.raises(ScenarioError):
         validate_scenario({"integrator": {"method": "bdf"}})
+    # removed: no step bound; the freezing pair ends its steps on the
+    # schedules' knots
+    with pytest.raises(ScenarioError):
+        validate_scenario({"integrator": {"max_step_s": 1.0}})
 
 
 def test_bad_types_rejected():

@@ -52,7 +52,7 @@ def test_config_defaults_and_validation():
     c = IntegratorConfig()
     assert c.rtol == 1.0e-6 and c.atol == 1.0e-9
     for bad in (dict(rtol=0.0), dict(rtol=-1.0), dict(atol=0.0),
-                dict(atol=np.array([1e-9, 0.0])), dict(max_step=0.0)):
+                dict(atol=np.array([1e-9, 0.0]))):
         with pytest.raises(ConfigurationError):
             IntegratorConfig(**bad)
 
@@ -414,9 +414,9 @@ def test_loop_matches_solve_ivp_on_root_at_previous_mesh_point(method, jac):
     assert res.event == "touch" and res.t[-1] == c
 
 
-def test_loop_matches_solve_ivp_on_a_zero_length_span():
-    res = _matches_solve_ivp(_osc_rhs, (1.0, 1.0), np.array([1.0, -0.0]), [], "BDF",
-                             _osc_jac)
+@pytest.mark.parametrize("method, jac", _LOOP_METHODS)
+def test_loop_matches_solve_ivp_on_a_zero_length_span(method, jac):
+    res = _matches_solve_ivp(_osc_rhs, (1.0, 1.0), np.array([1.0, -0.0]), [], method, jac)
     assert res.t.tolist() == [1.0, 1.0] and np.signbit(res.sol(1.0)[1])
 
 
