@@ -197,7 +197,7 @@ def run_secondary(initial_temperature: float | np.ndarray,
         c_last = float(res.y_last[n_z:] @ w)
         raise StageTimeoutError(
             f"average bound water only fell to {c_last:.4g} kg/kg (target "
-            f"{c_target:.4g}) within the horizon", stage=STAGE_SECONDARY, t=res.t[-1])
+            f"{c_target:.4g}) within the horizon", stage=stage_label, t=res.t[-1])
 
     # the end of the horizon is the end of a hold without a target
     ts, ys = res.resample(samples)

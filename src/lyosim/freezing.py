@@ -29,7 +29,9 @@ integrated with the explicit Dormand-Prince 5(4) pair
 (:class:`~lyosim.solver.DormandPrince`) at the configured tolerances.  The
 protocol's schedules are piecewise linear, and the RHS kinks where they
 do; every step ends on their breakpoints, so that the pair's error
-estimate never spans a kink.
+estimate never spans a kink.  Each stage's right-hand side is built once
+at the stage start, with its constants evaluated there; :func:`cooling_rhs`
+serves preconditioning and final cooling.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ from .solver import EventSpec, IntegrationResult, IntegratorConfig, _brentq, int
 from .thermo import (
     MixtureProperties,
     RadiationSpec,
+    STEFAN_BOLTZMANN,
     T_FREEZE_WATER,
     freezing_point,
     heat_of_vaporization,
@@ -54,7 +57,6 @@ from .thermo import (
     overall_htc_cylinder,
     overall_htc_slab,
     psat_evaporation,
-    radiation_exchange,
 )
 from .trajectory import Trajectory
 
@@ -63,7 +65,7 @@ __all__ = [
     "DH_FUSION",
     "VialState", "ControlledNucleation", "StochasticNucleation", "FreezingProtocol",
     "FreezingSystem",
-    "preconditioning_rhs", "visf_rhs", "nucleate_controlled",
+    "cooling_rhs", "visf_rhs", "nucleate_controlled",
     "nucleation_hazard", "first_nucleation_time", "solidification_rhs", "run_freezing",
 ]
 
@@ -92,11 +94,9 @@ class VialState:
     """Lumped product state during freezing: one temperature, the liquid
     water mass, and the ice mass (kg).
 
-    ``t`` (s) is model time in the state :func:`run_freezing` starts from
-    and ends on.  Inside the stage right-hand sides
-    (:func:`preconditioning_rhs`, :func:`visf_rhs`,
-    :func:`solidification_rhs`) it is stage time, measured from the start
-    of freezing: the clock on which the protocol's schedules run.
+    ``t`` (s) is model time: :func:`run_freezing` starts from and ends on
+    such a state.  The stage right-hand sides take their states as arrays
+    and their fixed masses as arguments, and build no ``VialState``.
     """
 
     T: float
@@ -190,30 +190,36 @@ def _heat_capacity_liquid(m_w: float, mx: MixtureProperties) -> float:
     return mx.m_s * f.Cp_s + m_w * f.Cp_w
 
 
-def _plain_heat_total(state: VialState, sys: FreezingSystem) -> float:
-    """Sum of film and radiative heat flows (W) with no ice resistance."""
-    p, mx, rad = sys.protocol, sys.mixture, sys.radiation
-    t, T = state.t, state.T
-    A_z = mx.A_z
-    A_r = mx.side_area(max(state.m_w, 0.0), max(state.m_i, 0.0))
-    T_g = p.gas_temperature(t)
-    q = p.h_top * A_z * (p.upper_temperature(t) - T)
-    q += p.h_bottom * A_z * (T_g - T)
-    q += p.h_side * A_r * (T_g - T)
-    q += radiation_exchange(T, p.wall_temperature(t), rad.F_side, A_r)
-    return q
+def _heat_flow(sys: FreezingSystem) -> Callable[[float, float, float], float]:
+    """``heat(s, T, A_r)``: film and radiative heat flow (W) with no ice
+    resistance at stage time ``s``, temperature ``T`` and side area ``A_r``."""
+    p = sys.protocol
+    top, bottom = p.h_top * sys.mixture.A_z, p.h_bottom * sys.mixture.A_z
+    h_side, F = p.h_side, sys.radiation.F_side
+    gas, wall, upper = p.gas_temperature, p.wall_temperature, p.upper_temperature
+
+    def heat(s: float, T: float, A_r: float) -> float:
+        T_g = gas(s)
+        return (top * (upper(s) - T) + bottom * (T_g - T) + h_side * A_r * (T_g - T)
+                + STEFAN_BOLTZMANN * A_r * F * (wall(s)**4 - T**4))
+
+    return heat
 
 
-def preconditioning_rhs(state: VialState, sys: FreezingSystem) -> float:
-    """dT/dt (K/s) of the single-phase liquid during preconditioning."""
-    return _plain_heat_total(state, sys) / _heat_capacity_liquid(state.m_w, sys.mixture)
+def cooling_rhs(sys: FreezingSystem, m_w: float, m_i: float = 0.0,
+                t0: float = 0.0) -> Callable[[float, Any], tuple[float]]:
+    """``rhs(t, y) -> (dT/dt,)`` (K/s) of sensible cooling at fixed phase
+    masses, y = (T,): the liquid fill during preconditioning (``m_i`` = 0)
+    and the frozen product during final cooling, with the ice heat capacity.
+    The schedules are read at stage time t - ``t0``."""
+    heat = _heat_flow(sys)
+    A_r = sys.mixture.side_area(m_w, m_i)
+    C = _heat_capacity_liquid(m_w, sys.mixture) + m_i * sys.mixture.formulation.Cp_i
 
+    def rhs(t: float, y) -> tuple[float]:
+        return (heat(t - t0, float(y[0]), A_r) / C,)
 
-def _final_cooling_rhs(state: VialState, sys: FreezingSystem) -> float:
-    """dT/dt (K/s) of the fully frozen product (ice heat capacity included)."""
-    f = sys.mixture.formulation
-    C = _heat_capacity_liquid(state.m_w, sys.mixture) + state.m_i * f.Cp_i
-    return _plain_heat_total(state, sys) / C
+    return rhs
 
 
 def _vapor_mass_fraction(p_w: float, p_t: float, M_w: float, M_in: float) -> float:
@@ -224,28 +230,37 @@ def _vapor_mass_fraction(p_w: float, p_t: float, M_w: float, M_in: float) -> flo
     return p_w * M_w / (p_w * M_w + (p_t - p_w) * M_in)
 
 
-def visf_rhs(state: VialState, sys: FreezingSystem) -> tuple[float, float]:
-    """(dT/dt, dm_w/dt) during vacuum-induced surface freezing.
+def visf_rhs(sys: FreezingSystem, t0: float = 0.0) -> Callable[[float, Any], tuple[float, float]]:
+    """``rhs(t, y) -> (dT/dt, dm_w/dt)`` during vacuum-induced surface
+    freezing, y = (T, m_w), with the schedules read at stage time t - ``t0``.
 
     Evaporation from the exposed top surface is driven by the vapor
     mass-fraction difference between saturation at the product temperature
     and the chamber; the latent heat it carries supplements the film and
-    radiative exchange of :func:`preconditioning_rhs`.
-    """
+    radiative exchange of :func:`cooling_rhs`.  A trial state is clipped to
+    T >= ``_VISF_T_FLOOR`` and m_w >= 0."""
     p, mx = sys.protocol, sys.mixture
-    f = mx.formulation
-    p_t = p.total_pressure(state.t)
-    p_sat = psat_evaporation(state.T)
-    if p_t <= p_sat:
-        raise DomainError(
-            f"total pressure {p_t:.3g} Pa is below water saturation {p_sat:.3g} Pa; "
-            "the evaporation model needs an inert-gas-rich atmosphere")
-    x_sat = _vapor_mass_fraction(p_sat, p_t, f.M_w, f.M_in)
-    x_cham = _vapor_mass_fraction(min(p.p_w_chamber, p_t), p_t, f.M_w, f.M_in)
-    dm_w = -p.h_mass * mx.A_z * (x_sat - x_cham)
-    Q = _plain_heat_total(state, sys)
-    dT = (Q + heat_of_vaporization(state.T) * dm_w) / _heat_capacity_liquid(state.m_w, mx)
-    return dT, dm_w
+    M_w, M_in = mx.formulation.M_w, mx.formulation.M_in
+    heat = _heat_flow(sys)
+    pressure, p_w = p.total_pressure, p.p_w_chamber
+    mass = -p.h_mass * mx.A_z
+
+    def rhs(t: float, y) -> tuple[float, float]:
+        s = t - t0
+        T, m_w = max(float(y[0]), _VISF_T_FLOOR), max(float(y[1]), 0.0)
+        p_t = pressure(s)
+        p_sat = psat_evaporation(T)
+        if p_t <= p_sat:
+            raise DomainError(
+                f"total pressure {p_t:.3g} Pa is below water saturation {p_sat:.3g} Pa; "
+                "the evaporation model needs an inert-gas-rich atmosphere")
+        x_sat = _vapor_mass_fraction(p_sat, p_t, M_w, M_in)
+        x_cham = _vapor_mass_fraction(min(p_w, p_t), p_t, M_w, M_in)
+        dm_w = mass * (x_sat - x_cham)
+        Q = heat(s, T, mx.side_area(m_w, 0.0))
+        return (Q + heat_of_vaporization(T) * dm_w) / _heat_capacity_liquid(m_w, mx), dm_w
+
+    return rhs
 
 
 def nucleate_controlled(state: VialState, sys: FreezingSystem) -> tuple[float, float]:
@@ -348,38 +363,43 @@ def _ice_geometry(m_w: float, m_i: float, mx: MixtureProperties) -> tuple[float,
     return max(ell, 0.0), (mx.d / 2.0) * scale, 4.0 * V_tot / mx.d
 
 
-def solidification_rhs(state: VialState, sys: FreezingSystem, *,
-                       h_rad_side: float) -> tuple[float, float]:
-    """(dm_i/dt, dT/dt) during quasi-steady solidification.
+def solidification_rhs(sys: FreezingSystem, m_w_nuc: float, h_rad_side: float,
+                       t0: float = 0.0) -> Callable[[float, Any], tuple[float]]:
+    """``rhs(t, y) -> (dm_i/dt,)`` during quasi-steady solidification of
+    the water ``m_w_nuc`` present at nucleation, y = (m_i,), with the
+    schedules read at stage time t - ``t0``.
 
     The product temperature is slaved to the freezing-point depression of
-    the concentrating solution, which turns the energy balance into a
-    single ODE for the ice mass.  Film coefficients on the bottom and side
-    are degraded by the conductive resistance of the growing ice slab and
-    annulus; the side radiation link uses the stage-start linearized
-    coefficient ``h_rad_side``.
-    """
-    p, mx, rad = sys.protocol, sys.mixture, sys.radiation
+    the concentrating solution, T = T_f - D / (m_w_nuc - m_i), which turns
+    the energy balance into a single ODE for the ice mass.  Film
+    coefficients on the bottom and side are degraded by the conductive
+    resistance of the growing ice slab and annulus; the side radiation link
+    uses the stage-start linearized coefficient ``h_rad_side``.  A trial
+    m_i is clipped to [0, m_w_nuc (1 - 1e-12)]: some liquid always remains."""
+    p, mx = sys.protocol, sys.mixture
     f = mx.formulation
-    t, T, m_w, m_i = state.t, state.T, state.m_w, state.m_i
-    if m_w <= 0.0:
-        raise DomainError("solidification needs remaining liquid water")
-    ell, r_core, A_r = _ice_geometry(m_w, m_i, mx)
-    r_o = mx.d / 2.0
-    U_bottom = overall_htc_slab(p.h_bottom, ell, f.k_i)
-    U_side = overall_htc_cylinder(p.h_side, r_o, r_core, f.k_i)
-    U_side_rad = overall_htc_cylinder(h_rad_side, r_o, r_core, f.k_i)
-    T_g = p.gas_temperature(t)
-    Q = p.h_top * mx.A_z * (p.upper_temperature(t) - T)
-    Q += U_bottom * mx.A_z * (T_g - T)
-    Q += U_side * A_r * (T_g - T)
-    Q += U_side_rad * A_r * (p.wall_temperature(t) - T)
+    A_z, r_o, k_i = mx.A_z, mx.d / 2.0, f.k_i
+    top, h_bottom, h_side, dH = p.h_top * A_z, p.h_bottom, p.h_side, p.dH_fus
+    gas, wall, upper = p.gas_temperature, p.wall_temperature, p.upper_temperature
     D = f.K_f * mx.m_s / f.M_s
-    C = _heat_capacity_liquid(m_w, mx)
-    # dT/dm_i = -D/m_w^2 through the slaved depression relation
-    dm_i = -Q / (p.dH_fus + C * D / m_w**2)
-    dT = -(D / m_w**2) * dm_i
-    return dm_i, dT
+    m_max = m_w_nuc * (1.0 - 1.0e-12)
+
+    def rhs(t: float, y) -> tuple[float]:
+        s = t - t0
+        m_i = min(max(float(y[0]), 0.0), m_max)
+        m_w = m_w_nuc - m_i
+        T = T_FREEZE_WATER - D / m_w
+        ell, r_core, A_r = _ice_geometry(m_w, m_i, mx)
+        U_bottom = overall_htc_slab(h_bottom, ell, k_i)
+        U_side = overall_htc_cylinder(h_side, r_o, r_core, k_i)
+        U_side_rad = overall_htc_cylinder(h_rad_side, r_o, r_core, k_i)
+        T_g = gas(s)
+        Q = (top * (upper(s) - T) + U_bottom * A_z * (T_g - T) + U_side * A_r * (T_g - T)
+             + U_side_rad * A_r * (wall(s) - T))
+        # dT/dm_i = -D/m_w^2 through the slaved depression relation
+        return (-Q / (dH + _heat_capacity_liquid(m_w, mx) * D / m_w**2),)
+
+    return rhs
 
 
 def run_freezing(initial: VialState, sys: FreezingSystem,
@@ -479,10 +499,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
                                     t=res.t[-1])
         return res.resample(samples_per_stage)
 
-    def precond_rhs(tt: float, y: np.ndarray):
-        return (preconditioning_rhs(VialState(T=float(y[0]), m_w=m_w, t=tt - t_start), sys),)
-
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
+    cool = cooling_rhs(sys, m_w, t0=t_start)
     if isinstance(nuc, ControlledNucleation):
         T_n = nuc.temperature_K
         reach = EventSpec(lambda tt, y: y[0] - T_n, direction=-1.0,
@@ -490,7 +508,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         if p.visf_start_s is not None:
             t1 = t + p.visf_start_s
             if p.visf_start_s > 0.0:
-                ts, ys = integrate(precond_rhs, [T], t1).resample(samples_per_stage)
+                ts, ys = integrate(cool, [T], t1).resample(samples_per_stage)
             else:  # no time before VISF: one row at the start
                 ts, ys = np.array([t]), np.array([[T]])
             record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
@@ -499,14 +517,8 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             events["preconditioning_end_s"] = t
             floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
                               name="water_depleted")
-
-            def rhs2(tt: float, y: np.ndarray):
-                s = VialState(T=max(float(y[0]), _VISF_T_FLOOR), m_w=max(float(y[1]), 0.0),
-                              t=tt - t_start)
-                return visf_rhs(s, sys)
-
             ts, ys = advance(
-                rhs2, [T, m_w], reach, STAGE_VISF,
+                visf_rhs(sys, t_start), [T, m_w], reach, STAGE_VISF,
                 "depressurized cooling never reached the nucleation temperature",
                 guard=(floor, "surface evaporation exhausted the liquid fill before "
                               "the nucleation temperature was reached"))
@@ -515,7 +527,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
             t = float(ts[-1])
             events["visf_end_s"] = t
         else:
-            ts, ys = advance(precond_rhs, [T], reach, STAGE_PRECONDITIONING,
+            ts, ys = advance(cool, [T], reach, STAGE_PRECONDITIONING,
                              "preconditioning never reached the nucleation temperature")
             record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
             T = float(ys[0, -1])
@@ -529,9 +541,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         hazard = _hazard_rate(m_w, sys)
 
         def rhs1(tt: float, y: np.ndarray):
-            T = float(y[0])
-            return (preconditioning_rhs(VialState(T=T, m_w=m_w, t=tt - t_start), sys),
-                    hazard(T))
+            return cool(tt, y)[0], hazard(float(y[0]))
 
         hit = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
@@ -568,15 +578,9 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     # at nucleation
     m_target = p.solidification_fraction * m_w_nuc
     D = f.K_f * mx.m_s / f.M_s
-
-    def rhs4(tt: float, y: np.ndarray):
-        m_i = min(max(float(y[0]), 0.0), m_w_nuc * (1.0 - 1.0e-12))
-        m_rem = m_w_nuc - m_i
-        s = VialState(T=T_FREEZE_WATER - D / m_rem, m_w=m_rem, m_i=m_i, t=tt - t_start)
-        return (solidification_rhs(s, sys, h_rad_side=h_rad)[0],)
-
     done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
-    ts, ys = advance(rhs4, [m_i_n], done, STAGE_SOLIDIFICATION,
+    ts, ys = advance(solidification_rhs(sys, m_w_nuc, h_rad, t_start), [m_i_n], done,
+                     STAGE_SOLIDIFICATION,
                      "solidification did not reach the target ice fraction")
     m_ws = m_w_nuc - np.clip(ys[0], 0.0, m_w_nuc)
     Ts = T_FREEZE_WATER - D / m_ws
@@ -591,17 +595,12 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     if stop_after == "final_cooling":
         target, tol = p.final_temperature_K, p.final_tolerance_K
         falling = T > target  # approach direction decides the band edge crossed
-
-        def rhs5(tt: float, y: np.ndarray):
-            s = VialState(T=float(y[0]), m_w=m_w, m_i=m_i, t=tt - t_start)
-            return (_final_cooling_rhs(s, sys),)
-
         # the crossing of the near band edge: one step may jump the whole band
         edge = target + tol if falling else target - tol
         band = EventSpec(lambda tt, y: y[0] - edge, direction=-1.0 if falling else 1.0,
                          name="target_band")
         ts, ys = advance(
-            rhs5, [T], band, STAGE_FINAL_COOLING,
+            cooling_rhs(sys, m_w, m_i, t_start), [T], band, STAGE_FINAL_COOLING,
             f"final cooling never entered the {target} +/- {tol} K band "
             f"({'cooling' if falling else 'heating'} stalled at {{T_last:.2f}} K)")
         record(ts, ys[0], m_w, m_i, STAGE_FINAL_COOLING)

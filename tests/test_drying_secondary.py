@@ -247,9 +247,16 @@ def test_no_target_holds_for_time_limit(geom, stage_settings):
 
 def test_unreached_target_times_out(geom, stage_settings):
     kin = DesorptionKinetics()
-    with pytest.raises(StageTimeoutError, match="target 0.01"):
+    with pytest.raises(StageTimeoutError, match="target 0.01") as err:
         run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
                       **stage_settings("secondary", c_target=0.01, time_limit_s=100.0))
+    assert err.value.stage == "secondary_drying"
+    # a renamed stage reports its timeout under its own name
+    with pytest.raises(StageTimeoutError) as err:
+        run_secondary(273.15, 0.088, kin, RadiationSpec(), _conditions(295.0), geom,
+                      stage_label="hold2",
+                      **stage_settings("secondary", c_target=0.01, time_limit_s=10.0))
+    assert err.value.stage == "hold2"
 
 
 def test_negative_target_rejected(geom, stage_settings):

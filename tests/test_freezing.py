@@ -32,14 +32,14 @@ from lyosim import (
 )
 from lyosim import freezing
 from lyosim.freezing import (
+    cooling_rhs,
     first_nucleation_time,
     nucleate_controlled,
     nucleation_hazard,
-    preconditioning_rhs,
     solidification_rhs,
     visf_rhs,
 )
-from lyosim.thermo import freezing_point
+from lyosim.thermo import STEFAN_BOLTZMANN, freezing_point
 
 
 @pytest.fixture(scope="module")
@@ -94,15 +94,40 @@ def test_nucleation_spec_validation():
 # --- single-phase cooling ------------------------------------------------------
 
 def test_preconditioning_cools_toward_gas(mix):
-    sys_ = _isothermal_system(mix, 250.0)
-    state = VialState(T=293.15, m_w=mix.m_w0)
-    assert preconditioning_rhs(state, sys_) < 0.0
+    rhs = cooling_rhs(_isothermal_system(mix, 250.0), mix.m_w0)
+    assert rhs(0.0, [293.15])[0] < 0.0
     # at the environment temperature every driving force vanishes
-    state_eq = VialState(T=250.0, m_w=mix.m_w0)
-    assert preconditioning_rhs(state_eq, sys_) == pytest.approx(0.0, abs=1e-15)
+    assert rhs(0.0, [250.0])[0] == pytest.approx(0.0, abs=1e-15)
     # below it the product warms back up
-    state_cold = VialState(T=240.0, m_w=mix.m_w0)
-    assert preconditioning_rhs(state_cold, sys_) > 0.0
+    assert rhs(0.0, [240.0])[0] > 0.0
+
+
+def test_final_cooling_oracle(mix):
+    # the frozen product at fixed water and ice masses: no driving force in
+    # an isothermal environment, and otherwise the film and radiation flows
+    # over the lateral area of the whole product divided by the heat
+    # capacity of solute, water and ice
+    m_i = 0.9 * mix.m_w0
+    m_w = mix.m_w0 - m_i
+    assert cooling_rhs(_isothermal_system(mix, 240.0), m_w, m_i)(0.0, [240.0]) == (0.0,)
+    proto = FreezingProtocol(
+        gas_temperature=Schedule.constant(228.0),
+        wall_temperature=Schedule.constant(236.0),
+        upper_temperature=Schedule.constant(232.0),
+        total_pressure=Schedule.constant(1.0e5),
+        h_top=4.0, h_bottom=11.0, h_side=7.0,
+    )
+    sys_ = FreezingSystem(mixture=mix, radiation=RadiationSpec(), protocol=proto)
+    f = mix.formulation
+    T = 250.0
+    A_r = 4.0 * (mix.m_s / f.rho_s + m_w / f.rho_w + m_i / f.rho_i) / mix.d
+    A_z = np.pi * mix.d**2 / 4.0
+    Q = (4.0 * A_z * (232.0 - T) + 11.0 * A_z * (228.0 - T) + 7.0 * A_r * (228.0 - T)
+         + STEFAN_BOLTZMANN * RadiationSpec().F_side * A_r * (236.0**4 - T**4))
+    C = mix.m_s * f.Cp_s + m_w * f.Cp_w + m_i * f.Cp_i
+    (dT,) = cooling_rhs(sys_, m_w, m_i, t0=50.0)(75.0, np.array([T]))
+    assert dT * C == pytest.approx(Q, rel=1e-12)
+    assert dT < 0.0
 
 
 # --- vacuum-induced surface freezing --------------------------------------------
@@ -111,7 +136,7 @@ def test_visf_flux_oracle(mix):
     # environment pinned at the product temperature isolates the latent term:
     # dm_w = -h_m A_z x_sat(268 K), dT = dH_vap dm_w / C
     sys_ = _isothermal_system(mix, 268.0, p_t=1.0e4)
-    dT, dm_w = visf_rhs(VialState(T=268.0, m_w=mix.m_w0), sys_)
+    dT, dm_w = visf_rhs(sys_)(0.0, [268.0, mix.m_w0])
     assert dm_w == pytest.approx(-7.754590684670247e-8, rel=1e-12)
     assert dT == pytest.approx(-0.016044101301645207, rel=1e-12)
 
@@ -119,9 +144,8 @@ def test_visf_flux_oracle(mix):
 def test_visf_cooling_strengthens_at_low_pressure(mix):
     sys_lo = _isothermal_system(mix, 268.0, p_t=5.0e3)
     sys_hi = _isothermal_system(mix, 268.0, p_t=5.0e4)
-    st = VialState(T=268.0, m_w=mix.m_w0)
-    dT_lo, dm_lo = visf_rhs(st, sys_lo)
-    dT_hi, dm_hi = visf_rhs(st, sys_hi)
+    dT_lo, dm_lo = visf_rhs(sys_lo)(0.0, [268.0, mix.m_w0])
+    dT_hi, dm_hi = visf_rhs(sys_hi)(0.0, [268.0, mix.m_w0])
     assert dm_lo < dm_hi < 0.0
     assert dT_lo < dT_hi < 0.0
 
@@ -130,7 +154,17 @@ def test_visf_rejects_saturated_atmosphere(mix):
     # total pressure below the water saturation pressure
     sys_ = _isothermal_system(mix, 268.0, p_t=100.0)
     with pytest.raises(DomainError):
-        visf_rhs(VialState(T=268.0, m_w=mix.m_w0), sys_)
+        visf_rhs(sys_)(0.0, [268.0, mix.m_w0])
+
+
+def test_visf_evaluates_trial_states_in_its_domain(mix):
+    # a trial state below the Antoine range or with negative water is
+    # evaluated at the temperature floor and at no water
+    rhs = visf_rhs(_isothermal_system(mix, 250.0, p_t=1.0e4), t0=10.0)
+    for t in (10.0, 500.0):
+        assert rhs(t, [100.0, mix.m_w0]) == rhs(t, [150.0, mix.m_w0])
+        assert rhs(t, [260.0, -1.0e-6]) == rhs(t, [260.0, 0.0])
+    assert rhs(10.0, [260.0, mix.m_w0]) != rhs(10.0, [260.0, 0.0])
 
 
 # --- nucleation jump -------------------------------------------------------------
@@ -228,22 +262,20 @@ def test_first_nucleation_time_none_without_hazard(mix, rng):
 
 def test_solidification_grows_ice_when_cooled(mix):
     sys_ = _isothermal_system(mix, 230.0)
-    T_eq, m_i0 = nucleate_controlled(VialState(T=265.0, m_w=mix.m_w0), sys_)
-    st = VialState(T=T_eq, m_w=mix.m_w0 - m_i0, m_i=m_i0)
-    dm_i, dT = solidification_rhs(st, sys_, h_rad_side=2.5)
+    _, m_i0 = nucleate_controlled(VialState(T=265.0, m_w=mix.m_w0), sys_)
+    (dm_i,) = solidification_rhs(sys_, mix.m_w0, 2.5)(0.0, [m_i0])
     assert dm_i > 0.0
-    # temperature slaved to the deepening depression
-    assert dT < 0.0
-    f = mix.formulation
-    D = f.K_f * mix.m_s / f.M_s
-    assert dT == pytest.approx(-(D / st.m_w**2) * dm_i, rel=1e-12)
 
 
-def test_solidification_needs_liquid(mix):
-    sys_ = _isothermal_system(mix, 230.0)
-    with pytest.raises(DomainError):
-        solidification_rhs(VialState(T=270.0, m_w=0.0, m_i=mix.m_w0), sys_,
-                           h_rad_side=2.5)
+def test_solidification_evaluates_trial_states_in_its_domain(mix):
+    # a trial ice mass below zero is evaluated at zero, and one at or past
+    # the water present at nucleation just short of it, where the
+    # depression, and so the rate, stays finite
+    rhs = solidification_rhs(_isothermal_system(mix, 230.0), mix.m_w0, 2.5, t0=10.0)
+    assert rhs(20.0, [-1.0e-6]) == rhs(20.0, [0.0])
+    full = rhs(20.0, [mix.m_w0])
+    assert rhs(20.0, [1.5 * mix.m_w0]) == full
+    assert np.isfinite(full[0])
 
 
 # --- full stage machine -------------------------------------------------------------
@@ -492,10 +524,10 @@ def test_stochastic_nucleation_time_is_exact():
     params = load_scenario("stochastic_freezing").parameters()
     sys_ = params.freezing_system()
     initial = params.initial_vial_state()
+    cool = cooling_rhs(sys_, initial.m_w, t0=initial.t)
 
     def rhs(t, y):
-        return [preconditioning_rhs(VialState(T=y[0], m_w=initial.m_w, t=t), sys_),
-                nucleation_hazard(y[0], initial.m_w, sys_)]
+        return [cool(t, y)[0], nucleation_hazard(y[0], initial.m_w, sys_)]
 
     for seed in range(5):
         E = np.random.default_rng(seed).standard_exponential()

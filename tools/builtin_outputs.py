@@ -3,19 +3,20 @@
 A change that should not move any result is checked by writing the
 outputs of the 12 built-in scenarios under each of the five simulation
 commands (``freeze``, ``primary``, ``secondary``, ``cycle``, ``failure``),
-60 runs through ``lyosim.cli.main``, once in each checkout, and comparing
-the two directories::
+60 runs through ``lyosim.cli.main``, and a population of 50
+``stochastic_freezing`` vials (``POPULATION``), once in each checkout, and
+comparing the two directories::
 
     python tools/builtin_outputs.py write DIR
     python tools/builtin_outputs.py compare OLD NEW [--dropped KEY ...]
 
 ``write`` imports ``lyosim`` from the ``src`` directory beside this
 script, so run it from the checkout whose outputs it should write.
-``compare`` passes when every ``*_trajectory.csv`` is byte-identical, every
-``*_summary.json`` is identical apart from ``runtime_s``, and every
-``*_parameters.json`` is identical apart from the dotted keys named by
-``--dropped``, which must be in OLD and gone from NEW.  It exits 1 and
-lists the differences otherwise.
+``compare`` passes when every ``*_trajectory.csv`` and the population
+table are byte-identical, every ``*_summary.json`` is identical apart from
+``runtime_s``, and every ``*_parameters.json`` is identical apart from the
+dotted keys named by ``--dropped``, which must be in OLD and gone from NEW.
+It exits 1 and lists the differences otherwise.
 """
 
 from __future__ import annotations
@@ -29,6 +30,33 @@ from pathlib import Path
 
 COMMANDS = ("freeze", "primary", "secondary", "cycle", "failure")
 KINDS = ("trajectory.csv", "summary.json", "parameters.json")
+POPULATION = "stochastic_freezing_population.csv"
+VIALS = 50
+
+
+def write_population(path: Path) -> None:
+    """One row per vial of ``stochastic_freezing``, vial k frozen on the
+    generator of ``SeedSequence(0, spawn_key=(k,))``, as ``perfbench``
+    seeds its vials: nucleation time and temperature, the ends of
+    solidification and freezing, the final temperature and the RHS calls,
+    floats as ``repr``."""
+    import numpy as np
+    from lyosim import freezing, scenario
+
+    p = scenario.load_scenario("stochastic_freezing").parameters()
+    rows = ["vial,nucleation_s,trigger_temperature_K,solidification_end_s,"
+            "freezing_end_s,final_temperature_K,nfev"]
+    for k in range(VIALS):
+        rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(k,)))
+        traj = freezing.run_freezing(p.initial_vial_state(), p.freezing_system(),
+                                     p.integrator, samples_per_stage=p.samples_per_stage,
+                                     rng=rng)
+        ev, meta = traj.events, traj.meta
+        values = (ev["nucleation_s"], meta["nucleation"]["trigger_temperature_K"],
+                  ev["solidification_end_s"], ev["freezing_end_s"], meta["final_state"].T)
+        rows.append(",".join([str(k), *(repr(float(v)) for v in values),
+                              str(meta["solver"]["nfev"])]))
+    path.write_text("\n".join(rows) + "\n")
 
 
 def write(out: Path) -> int:
@@ -44,6 +72,7 @@ def write(out: Path) -> int:
                 code = main([command, "--scenario", name, "--out", str(out)])
             if code != 0:
                 failed.append(f"{name} {command}: exit {code}")
+    write_population(out / POPULATION)
     for line in failed:
         print(line)
     print(f"wrote {len(list(out.glob('*_trajectory.csv')))} runs to {out}")
@@ -72,6 +101,10 @@ def compare(old: Path, new: Path, dropped: list[str]) -> int:
     for name in names["trajectory.csv"]:
         if (new / name).exists() and (old / name).read_bytes() != (new / name).read_bytes():
             problems.append(f"{name} differs")
+    if not ((old / POPULATION).exists() and (new / POPULATION).exists()):
+        problems.append(f"{POPULATION} is missing")
+    elif (old / POPULATION).read_bytes() != (new / POPULATION).read_bytes():
+        problems.append(f"{POPULATION} differs")
     for name in names["summary.json"]:
         if (new / name).exists():
             a, b = (json.loads((d / name).read_text()) for d in (old, new))
@@ -92,7 +125,7 @@ def compare(old: Path, new: Path, dropped: list[str]) -> int:
             problems.append(f"{name} differs apart from {', '.join(dropped) or 'nothing'}")
     for line in problems:
         print(line)
-    print(f"compared {len(names['trajectory.csv'])} runs: "
+    print(f"compared {len(names['trajectory.csv'])} runs and {POPULATION}: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
     return 1 if problems else 0
 
