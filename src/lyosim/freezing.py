@@ -269,16 +269,17 @@ def nucleate_controlled(state: VialState, sys: FreezingSystem) -> tuple[float, f
     Solves the coupled energy balance and cryoscopic relation
 
         (T_eq - T_n) (m_s Cp_s + m_w Cp_w) = m_i,n dH_fus
-        T_eq = T_f,pure - (K_f / M_s) m_s / (m_w - m_i,n)
+        T_eq = T_f,pure - D / (m_w - m_i,n),   D = K_f m_s / M_s
 
     for the ice mass ``m_i,n`` formed and the post-nucleation equilibrium
-    temperature ``T_eq``.  Raises :class:`DomainError` when the state is not
-    supercooled (no solution with positive ice mass exists).
+    temperature ``T_eq``, with D from
+    :attr:`~lyosim.thermo.MixtureProperties.depression_constant`.  Raises
+    :class:`DomainError` when the state is not supercooled (no solution
+    with positive ice mass exists).
     """
     mx = sys.mixture
-    f = mx.formulation
     T_n, m_w = state.T, state.m_w
-    D = f.K_f * mx.m_s / f.M_s  # depression constant, K*kg
+    D = mx.depression_constant  # K*kg
     C = _heat_capacity_liquid(m_w, mx)
     dH = sys.protocol.dH_fus
     if T_n >= T_FREEZE_WATER - D / m_w:
@@ -381,7 +382,7 @@ def solidification_rhs(sys: FreezingSystem, m_w_nuc: float, h_rad_side: float,
     A_z, r_o, k_i = mx.A_z, mx.d / 2.0, f.k_i
     top, h_bottom, h_side, dH = p.h_top * A_z, p.h_bottom, p.h_side, p.dH_fus
     gas, wall, upper = p.gas_temperature, p.wall_temperature, p.upper_temperature
-    D = f.K_f * mx.m_s / f.M_s
+    D = mx.depression_constant
     m_max = m_w_nuc * (1.0 - 1.0e-12)
 
     def rhs(t: float, y) -> tuple[float]:
@@ -433,7 +434,6 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     the final cooling hold.
     """
     p, mx = sys.protocol, sys.mixture
-    f = mx.formulation
     nuc = p.nucleation
     if samples_per_stage < 2:
         raise ConfigurationError("need at least 2 trajectory samples per stage")
@@ -577,7 +577,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     # completion: total ice reaches the stated fraction of the water present
     # at nucleation
     m_target = p.solidification_fraction * m_w_nuc
-    D = f.K_f * mx.m_s / f.M_s
+    D = mx.depression_constant
     done = EventSpec(lambda tt, y: y[0] - m_target, direction=1.0, name="solidified")
     ts, ys = advance(solidification_rhs(sys, m_w_nuc, h_rad, t_start), [m_i_n], done,
                      STAGE_SOLIDIFICATION,

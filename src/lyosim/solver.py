@@ -30,17 +30,21 @@ steps also end on given knots, the breakpoints of piecewise-linear
 schedules, so that no step straddles a kink of a ramp.
 
 Both integrators step forward only, one accepted step per call, to the
-end of ``t_span``; a zero-length span takes no step and gives the mesh
-[t0, t0] with one constant segment.
-After each accepted step the loop keeps the step's dense output and checks
+end of ``t_span``.  Each accepted step leaves its dense output as one
+polynomial segment of a single form, y(t) = base + scale M p(t) with
+p_k(t) = prod_{j <= k} (t - shift_j) / denom_j, and one evaluator serves
+every segment: a BDF step (its backward differences), a Dormand-Prince
+step (its quartic) and a zero-length span, which takes no step and gives
+the mesh [t0, t0] with one segment of no terms, the state itself.
+After each accepted step the loop keeps the step's segment and checks
 the terminal events (:class:`EventSpec`) for a zero crossing in their
-direction; the earliest crossing, located on the dense output by
+direction; the earliest crossing, located on the segment by
 :func:`_brentq` (a port of scipy's ``brentq``), ends the integration.
-Steps, root search, mesh and interpolant are those of
+Steps, root search, mesh and dense output are those of
 ``scipy.integrate.solve_ivp`` with ``dense_output=True`` and terminal
 events, so wherever ``solve_ivp`` completes the results agree with it to
 the last bit.  Where it does not, the loop ends cleanly instead: a
-crossing that the step's end states show but the interpolant misses by
+crossing that the step's end states show but the segment misses by
 rounding is taken at the nearer end, and an iteration matrix that is
 exactly singular, a BDF step size that turns NaN and an RHS that is not
 finite at the initial state raise :class:`SolverError`, where scipy's BDF
@@ -155,8 +159,9 @@ class EventSpec:
 
 @dataclass
 class IntegrationResult:
-    """Integration outcome: accepted-step mesh ``t``, last state, dense
-    interpolant ``sol``, the ending event and the solver's counters.
+    """Integration outcome: accepted-step mesh ``t``, last state, the dense
+    output ``sol`` over its segments, the ending event and the solver's
+    counters.
 
     ``event`` is the name of the terminal event that ended the
     integration, at time ``t[-1]``, or ``None`` when it reached the end of
@@ -194,7 +199,7 @@ class IntegrationResult:
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` uniform times over [t[0], t[-1]] and the dense output
         there, shape (n_states, n_times); an empty span gives t[0] and the
-        last state, without the interpolant."""
+        last state, without the dense output."""
         t0, t1 = self.t[0], self.t[-1]
         if t1 == t0:
             return self.t[:1], self.y_last[:, None]
@@ -203,21 +208,22 @@ class IntegrationResult:
 
 
 class DenseSolution:
-    """Dense output of an integration: one interpolant per mesh segment
-    [ts[i], ts[i + 1]] of the ascending mesh ``ts``.
+    """Dense output of an integration: ``interpolants`` holds one polynomial
+    segment (``_Segment``, the one form of both integrators) per mesh
+    interval [ts[i], ts[i + 1]] of the ascending mesh ``ts``.
 
     A time is looked up as scipy's ``OdeSolution`` looks it up with
     ``alt_segment=True``: a mesh point belongs to the segment that starts
     there, and times outside the mesh to the nearest end segment.  Sorted
-    times that fall in one segment go to its interpolant in one call, so the
-    values are those of ``OdeSolution`` to the last bit, in its memory
+    times that fall in one segment go to it in one call, so the values are
+    those of ``OdeSolution`` to the last bit, in its column-major memory
     layout.  Returns shape (n_states,) for a scalar time and (n_states,
     n_times) for a 1-D array.
     """
 
     __slots__ = ("ts", "interpolants")
 
-    def __init__(self, ts: np.ndarray, interpolants: list) -> None:
+    def __init__(self, ts: np.ndarray, interpolants: list[_Segment]) -> None:
         self.ts, self.interpolants = ts, interpolants
 
     def __call__(self, t) -> np.ndarray:
@@ -450,45 +456,42 @@ def _change_D(D: np.ndarray, order: int, factor: float) -> None:
     D[:order + 1] = np.dot(RU.T, D[:order + 1])
 
 
-class _StepInterpolant:
-    """Dense output of one BDF step: the interpolating polynomial of the
-    backward differences ``D`` over the last ``order`` + 1 mesh points, as
-    scipy's ``BdfDenseOutput`` evaluates it."""
+class _Segment:
+    """Dense output over one accepted step, of either integrator:
+    y(t) = base + scale M p(t) with p_k(t) = prod_{j <= k} (t - shift_j) /
+    denom_j, the running products that scipy's ``np.cumprod`` forms.
 
-    __slots__ = ("t_shift", "denom", "D")
+    A BDF step of order q is its backward differences D over the last q + 1
+    mesh points, as scipy's ``BdfDenseOutput`` evaluates them: shift_j =
+    t - h (j - 1), denom_j = h j, M = D[1:].T, scale 1 and base D[0].  A
+    Dormand-Prince step from (t_old, y_old) is scipy's ``RkDenseOutput``:
+    every shift t_old, every denom h, M = Q and scale h, so that p is
+    (x, x^2, x^3, x^4) with x = (t - t_old) / h.  A zero-length span is a
+    segment with no terms, which gives ``base`` itself, as scipy's
+    ``ConstantDenseOutput`` does, so that a state of -0.0 keeps its sign.
+    """
 
-    def __init__(self, t: float, h: float, order: int, D: np.ndarray) -> None:
-        J = _RANGES[order][1]
-        self.t_shift = t - h * (J - 1)
-        self.denom = h * J
-        self.D = D
+    __slots__ = ("shift", "denom", "M", "scale", "base")
+
+    def __init__(self, shift: np.ndarray, denom: np.ndarray, M: np.ndarray, scale: float,
+                 base: np.ndarray) -> None:
+        self.shift, self.denom, self.M, self.scale, self.base = shift, denom, M, scale, base
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t)
+        if not self.shift.shape[0]:
+            return self.base if t.ndim == 0 else np.repeat(self.base[:, None], t.shape[0],
+                                                            axis=1)
         if t.ndim == 0:
-            p = np.cumprod((t - self.t_shift) / self.denom)
+            p = np.multiply.accumulate((t - self.shift) / self.denom)
+            base = self.base
         else:
-            p = np.cumprod((t - self.t_shift[:, None]) / self.denom[:, None], axis=0)
-        y = np.dot(self.D[1:].T, p)
-        if y.ndim == 1:
-            y += self.D[0]
-        else:
-            y += self.D[0, :, None]
+            p = np.multiply.accumulate((t - self.shift[:, None]) / self.denom[:, None], axis=0)
+            base = self.base[:, None]
+        y = self.M.dot(p)
+        y *= self.scale
+        y += base
         return y
-
-
-class _Constant:
-    """Dense output of a zero-length integration: the state, as scipy's
-    ``ConstantDenseOutput`` gives it."""
-
-    __slots__ = ("y",)
-
-    def __init__(self, y: np.ndarray) -> None:
-        self.y = y
-
-    def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t)
-        return self.y if t.ndim == 0 else np.repeat(self.y[:, None], t.shape[0], axis=1)
 
 
 class _Stepper:
@@ -691,10 +694,11 @@ class BDF(_Stepper):
         except SolverError as err:
             raise SolverError(str(err), t=self.t) from None
 
-    def dense_output(self) -> _StepInterpolant:
-        """Interpolant over the last step."""
-        return _StepInterpolant(self.t, self.h_abs, self.order,
-                                self.D[:self.order + 1].copy())
+    def dense_output(self) -> _Segment:
+        """Dense output over the last step."""
+        t, h, J = self.t, self.h_abs, _RANGES[self.order][1]
+        D = self.D[:self.order + 1].copy()
+        return _Segment(t - h * (J - 1), h * J, D[1:].T, 1.0, D[0])
 
     def _newton(self, t_new: float, y_predict: np.ndarray, c: float, psi: np.ndarray,
                 LU, scale: np.ndarray) -> tuple[bool, int, np.ndarray, np.ndarray]:
@@ -873,34 +877,6 @@ _RK_MAX_FACTOR = 10
 _RK_EXPONENT = -1 / 5
 
 
-class _RKInterpolant:
-    """Dense output of one Dormand-Prince step: y_old + h Q (x, x^2, x^3,
-    x^4) with x = (t - t_old) / h, as scipy's ``RkDenseOutput`` evaluates
-    it; the powers are the running products that its ``np.cumprod``
-    forms."""
-
-    __slots__ = ("t_old", "h", "y_old", "Q")
-
-    def __init__(self, t_old: float, t: float, y_old: np.ndarray, Q: np.ndarray) -> None:
-        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
-
-    def __call__(self, t) -> np.ndarray:
-        x = (t - self.t_old) / self.h
-        if np.ndim(x) == 0:
-            x2 = x * x
-            x3 = x2 * x
-            y = self.h * np.dot(self.Q, (x, x2, x3, x3 * x))
-            y += self.y_old
-            return y
-        p = np.empty((4, x.shape[0]))
-        p[0] = x
-        for k in range(1, 4):
-            np.multiply(p[k - 1], x, out=p[k])
-        y = self.h * np.dot(self.Q, p)
-        y += self.y_old[:, None]
-        return y
-
-
 class DormandPrince(_Stepper):
     """Explicit Runge-Kutta pair of order 5(4) (Dormand & Prince, J. Comput.
     Appl. Math., 1980), stepping on given knots.
@@ -936,8 +912,7 @@ class DormandPrince(_Stepper):
         # and the index of the next one
         self._stops = sorted(float(k) for k in knots if t0 < k < t_bound) + [t_bound]
         self._next = 0
-        self.t_old, self.y_old = t0, None
-        self.Q: np.ndarray | None = None
+        self._segment: _Segment | None = None
 
     def step(self) -> bool:
         """Take one accepted step; ``False`` when it would fall below 10
@@ -980,17 +955,17 @@ class DormandPrince(_Stepper):
 
         if t_new == stop and self._next < len(self._stops) - 1:
             self._next += 1
-        self.Q = K.T.dot(_DP_P)
-        self.t_old, self.y_old = t, y
+        # the quartic dense output: y + h Q (x, x^2, x^3, x^4), x = (t' - t) / h
+        self._segment = _Segment(np.array((t,) * 4), np.array((h,) * 4), K.T.dot(_DP_P), h, y)
         self.t = t_new
         self.y = y_new
         self.h_abs = h_abs
         K[0] = K[6]
         return True
 
-    def dense_output(self) -> _RKInterpolant:
-        """Interpolant over the last step."""
-        return _RKInterpolant(self.t_old, self.t, self.y_old, self.Q)
+    def dense_output(self) -> _Segment:
+        """Dense output over the last step."""
+        return self._segment
 
 
 _METHODS = {"BDF": BDF, "RK45": DormandPrince}
@@ -1033,14 +1008,14 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     g = [ev.func(t0, y0) for ev in events]
     ts, t = [t0], t0
     y = y_last = y0
-    interpolants = []
+    segments = []
     min_step = np.inf
     event: str | None = None
-    # a zero-length span takes one pass: the mesh [t0, t0], one constant segment
-    while event is None and (t < tf or not interpolants):
+    # a zero-length span takes one pass: the mesh [t0, t0], one segment of no terms
+    while event is None and (t < tf or not segments):
         t_old = t
         if t0 == tf:
-            sol = _Constant(y0)
+            sol = _Segment(np.empty(0), np.empty(0), np.empty((y0.shape[0], 0)), 1.0, y0)
         elif solver.step():
             t, y, sol = solver.t, solver.y, solver.dense_output()
         else:
@@ -1048,7 +1023,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
                               "spacing between numbers.; last state "
                               f"{np.array2string(y_last, precision=6)}", t=ts[-1])
         min_step = min(min_step, t - t_old)
-        interpolants.append(sol)
+        segments.append(sol)
         if events:
             g_new = [ev.func(t, y) for ev in events]
             # every bracketed root, the earliest ends the integration (ties
@@ -1062,7 +1037,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
             g = g_new
         if len(ts) > 1 and t == ts[-1]:
             # a root at the previous mesh point adds no zero-length segment
-            interpolants.pop()
+            segments.pop()
         else:
             ts.append(t)
             y_last = y
@@ -1072,7 +1047,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     return IntegrationResult(
         t=ts_arr,
         y_last=y_last,
-        sol=DenseSolution(ts_arr, interpolants),
+        sol=DenseSolution(ts_arr, segments),
         event=event,
         nfev=solver.nfev,
         njev=solver.njev,
@@ -1096,8 +1071,8 @@ def _root(func: Callable[[float, np.ndarray], float], sol: Callable[[float], np.
         f_old, f_new = f(t_old), f(t)
         if f_old * f_new <= 0.0:  # not the bracket: the event's own error
             raise
-        # the end states touch zero where the interpolant misses it by
-        # rounding (an interpolant need not meet both ends of its step
+        # the end states touch zero where the segment misses it by
+        # rounding (a segment need not meet both ends of its step
         # exactly): the root is the end nearer zero
         return t_old if abs(f_old) <= abs(f_new) else t
 

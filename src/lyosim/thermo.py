@@ -1,4 +1,4 @@
-"""Water property correlations, radiative exchange, and mixture rules.
+"""Water property correlations, radiative links, and mixture rules.
 
 All quantities are SI unless a name says otherwise: temperatures in K,
 pressures in Pa, masses in kg, energies in J.  The vapor-pressure
@@ -29,7 +29,6 @@ __all__ = [
     "psat_sublimation_slope",
     "heat_of_vaporization",
     "freezing_point",
-    "radiation_exchange",
     "linearized_radiation_htc",
     "overall_htc_slab",
     "overall_htc_cylinder",
@@ -98,27 +97,17 @@ def freezing_point(m_s: float, m_w: float, f: "Formulation") -> float:
 
     Cryoscopic relation: T = T_f,pure - (K_f / M_s) * (m_s / m_w), with the
     solute molality built from the dissolved solute mass ``m_s`` and the
-    remaining liquid water mass ``m_w`` (kg).
+    remaining liquid water mass ``m_w`` (kg).  It is T_f,pure - D / m_w with
+    the depression constant D of
+    :attr:`MixtureProperties.depression_constant`, associated as
+    (K_f / M_s) (m_s / m_w), whose last bit can differ; the nucleation
+    hazard's T_eq reads this form.
     """
     if m_w <= 0.0:
         raise DomainError("freezing_point needs liquid water mass m_w > 0")
     if m_s < 0.0:
         raise DomainError("freezing_point needs solute mass m_s >= 0")
     return T_FREEZE_WATER - (f.K_f / f.M_s) * (m_s / m_w)
-
-
-def radiation_exchange(T_self: float, T_other: float, F: float, area: float) -> float:
-    """Net radiative heat flow (W) received by a surface at ``T_self``.
-
-    Q = sigma * area * F * (T_other^4 - T_self^4); positive when the
-    surroundings are hotter.  ``F`` is the gray-body transfer factor of the
-    surface pair (view factor combined with emissivities).
-    """
-    if not 0.0 <= F <= 1.0:
-        raise DomainError(f"transfer factor must lie in [0, 1], got {F}")
-    if area < 0.0:
-        raise DomainError("radiating area must be nonnegative")
-    return STEFAN_BOLTZMANN * area * F * (T_other**4 - T_self**4)
 
 
 def linearized_radiation_htc(F: float, T_ref: float) -> float:
@@ -270,6 +259,13 @@ class MixtureProperties:
     @property
     def A_z(self) -> float:
         return math.pi * self.d**2 / 4.0
+
+    @property
+    def depression_constant(self) -> float:
+        """D = K_f m_s / M_s (K kg): the cryoscopic freezing point of the
+        solution over a liquid water mass m_w is T_f,pure - D / m_w."""
+        f = self.formulation
+        return f.K_f * self.m_s / f.M_s
 
     def side_area(self, m_w: float, m_i: float) -> float:
         """Lateral surface area (m^2) of the product for the current phase

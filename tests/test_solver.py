@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import OdeSolution, solve_ivp
+from scipy.integrate._ivp.rk import RkDenseOutput
 from scipy.optimize import brentq
 from scipy.sparse import csr_matrix
 
@@ -585,3 +586,43 @@ def test_dense_solution_matches_ode_solution(monkeypatch, stage_settings):
     assert np.array_equal(got, want) and got.strides == want.strides
     for t in (res.t[0], res.t[7], inside[3], res.t[-1]):
         assert np.array_equal(res.sol(t), ref(t))
+
+
+def test_pair_segments_match_rk_dense_output(monkeypatch):
+    # a seeded stochastic_freezing vial: every Dormand-Prince segment of its
+    # three integrations is scipy's RkDenseOutput of the same step, to the
+    # last bit, at scalar times and at unsorted array times
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(freezing, "integrate_adaptive", recording)
+    p = load_scenario("stochastic_freezing").parameters()
+    run_freezing(p.initial_vial_state(), p.freezing_system(), p.integrator,
+                 samples_per_stage=p.samples_per_stage, rng=np.random.default_rng(5))
+    assert len(results) == 3
+    rng = np.random.default_rng(1)
+    for res in results:
+        refs = []
+        last = len(res.sol.interpolants) - 1
+        for i, seg in enumerate(res.sol.interpolants):
+            t_old, h = seg.shift[0], seg.denom[0]
+            assert (seg.shift == t_old).all() and (seg.denom == h).all() and seg.scale == h
+            # the step ends on the next mesh point, or past it in the last
+            # step, which the event cuts short
+            assert t_old == res.t[i]
+            assert t_old + h == res.t[i + 1] if i < last else t_old + h >= res.t[i + 1]
+            ref = RkDenseOutput(t_old, t_old + h, seg.base, seg.M)
+            assert ref.h == h
+            refs.append(ref)
+            for t in (t_old, t_old + 0.3 * h, t_old + h, rng.uniform(t_old, t_old + h)):
+                assert np.array_equal(seg(t), ref(t))
+        ode = OdeSolution(res.t, refs, alt_segment=True)
+        times = np.concatenate([rng.uniform(res.t[0], res.t[-1], 60), res.t])
+        rng.shuffle(times)
+        got, want = res.sol(times), ode(times)
+        assert np.array_equal(got, want) and got.strides == want.strides
+        for t in (res.t[0], times[0], res.t[-1]):
+            assert np.array_equal(res.sol(t), ode(t))

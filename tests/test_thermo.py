@@ -25,7 +25,6 @@ from lyosim.thermo import (
     linearized_radiation_htc,
     overall_htc_cylinder,
     overall_htc_slab,
-    radiation_exchange,
 )
 
 
@@ -111,24 +110,18 @@ def test_freezing_point_limits():
         freezing_point(-1.0e-4, 1.0e-3, f)
 
 
+def test_depression_constant_is_the_cryoscopic_relation():
+    f = Formulation()
+    mx = mixture_properties(f)
+    D = mx.depression_constant
+    assert D == f.K_f * mx.m_s / f.M_s
+    # freezing_point associates the same relation as (K_f / M_s)(m_s / m_w)
+    for m_w in (mx.m_w0, 0.3 * mx.m_w0):
+        assert freezing_point(mx.m_s, m_w, f) == pytest.approx(T_FREEZE_WATER - D / m_w,
+                                                               rel=4 * np.finfo(float).eps)
+
+
 # --- radiation ---------------------------------------------------------------
-
-def test_radiation_exchange_sign_and_magnitude():
-    # Q = sigma * A * F * (T_other^4 - T_self^4)
-    q = radiation_exchange(250.0, 300.0, 0.8, 1.0e-3)
-    expect = 5.67e-8 * 1.0e-3 * 0.8 * (300.0**4 - 250.0**4)
-    assert q == pytest.approx(expect, rel=1e-12)
-    assert q > 0.0
-    assert radiation_exchange(300.0, 250.0, 0.8, 1.0e-3) == pytest.approx(-expect, rel=1e-12)
-    assert radiation_exchange(260.0, 260.0, 0.5, 1.0) == 0.0
-
-
-def test_radiation_exchange_validation():
-    with pytest.raises(DomainError):
-        radiation_exchange(250.0, 300.0, 1.5, 1.0e-3)
-    with pytest.raises(DomainError):
-        radiation_exchange(250.0, 300.0, 0.5, -1.0)
-
 
 def test_linearized_radiation_htc():
     assert linearized_radiation_htc(0.624, 260.5) == pytest.approx(2.5017898303944, rel=1e-12)
