@@ -25,7 +25,8 @@ FRACTION = {"type": "number", "exclusiveMinimum": 0, "maximum": 1}
 OPEN_FRACTION = {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}
 UNIT = {"type": "number", "minimum": 0, "maximum": 1}
 
-# schema keyword -> (test a value must pass, its symbol for messages)
+# schema keyword -> (test a value must pass, its symbol for messages); the
+# scenario validator tests the same keywords with the same tests
 _BOUNDS = {
     "minimum": (operator.ge, ">="),
     "exclusiveMinimum": (operator.gt, ">"),

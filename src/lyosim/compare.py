@@ -43,7 +43,8 @@ class ReferenceSeries:
         path = Path(path)
         try:
             with path.open(newline="") as fh:
-                reader = csv.DictReader(fh)
+                # a short row's missing cells read as empty, not numeric
+                reader = csv.DictReader(fh, restval="")
                 cols = reader.fieldnames or []
                 if time_column not in cols or value_column not in cols:
                     raise ComparisonError(
@@ -53,7 +54,7 @@ class ReferenceSeries:
         except OSError as exc:
             raise ComparisonError(f"cannot read reference file {path}: {exc}") from exc
         except ValueError as exc:
-            raise ComparisonError(f"{path}: non-numeric entry: {exc}") from exc
+            raise ComparisonError(f"{path}: missing or non-numeric entry: {exc}") from exc
         if not rows:
             raise ComparisonError(f"{path}: no data rows")
         t, v = zip(*rows)

@@ -8,6 +8,15 @@ checks documents against that schema (which rejects unknown keys, so typos
 fail loudly instead of silently running the defaults) and merges them over
 the defaults, for scenario files and for :func:`default_parameters`
 overrides alike.
+
+The check is a walk over ``SCENARIO_SCHEMA`` itself.  It knows the twelve
+JSON-schema keywords the table uses: ``type``, ``minimum``,
+``exclusiveMinimum``, ``maximum``, ``exclusiveMaximum``, ``enum``,
+``items``, ``minItems``, ``maxItems``, ``oneOf``, ``properties`` and
+``additionalProperties: false``, and ``required``.  It reads them as JSON
+Schema Draft 2020-12 does, with that draft's error messages; the bound
+keywords take their tests from :mod:`lyosim.bounds`.  The parser rejects a
+mapping key given twice, which YAML would otherwise resolve to its last copy.
 """
 
 from __future__ import annotations
@@ -16,12 +25,13 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
+from numbers import Number
 from pathlib import Path
 from typing import Any
 
-import jsonschema
 import yaml
 
+from .bounds import _BOUNDS
 from .errors import ScenarioError
 from .params import (DEFAULT_SCENARIO, SCENARIO_SCHEMA, ParameterSet, build_parameters,
                      deep_merge)
@@ -30,34 +40,189 @@ __all__ = ["Scenario", "load_scenario", "builtin_scenarios", "validate_scenario"
            "default_parameters"]
 
 
-def _non_finite(node: Any, path: tuple = ()) -> tuple | None:
-    """Path of the first NaN or infinity in a parsed document, else None."""
-    if isinstance(node, float):
-        return None if math.isfinite(node) else path
-    items = (node.items() if isinstance(node, dict)
-             else enumerate(node) if isinstance(node, list) else ())
-    for key, value in items:
-        if (found := _non_finite(value, path + (key,))) is not None:
-            return found
-    return None
+def _is_number(value: Any) -> bool:
+    return (type(value) in (float, int)  # the common case, without the ABC check
+            or isinstance(value, Number) and not isinstance(value, bool))
+
+
+# Draft 2020-12 types: a bool is no number, and a whole-number float such
+# as 5.0 is an integer
+_TYPES = {
+    "null": lambda v: v is None,
+    "boolean": lambda v: isinstance(v, bool),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    "integer": lambda v: (isinstance(v, int) and not isinstance(v, bool)
+                          or isinstance(v, float) and v.is_integer()),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+_OUTSIDE = {"minimum": "less than the minimum",
+            "exclusiveMinimum": "less than or equal to the minimum",
+            "maximum": "greater than the maximum",
+            "exclusiveMaximum": "greater than or equal to the maximum"}
+
+
+def _finite(value: Number) -> bool:
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the range of a float
+        return False
+
+
+# Each keyword check appends to ``out`` a (path, message) finding for each
+# violation of the keyword, in the order jsonschema reports them, and a
+# (path, None) finding for each number that a float cannot hold.
+
+def _type(value, name, schema, path, out):
+    if not _TYPES[name](value):
+        out.append((path, f"{value!r} is not of type {name!r}"))
+    elif name == "number" and not _finite(value):
+        out.append((path, None))
+
+
+def _bound(keyword):
+    test, _ = _BOUNDS[keyword]
+
+    def check(value, bound, schema, path, out):
+        # NaN passes every bound here and is reported as not finite
+        if _is_number(value) and value == value and not test(value, bound):
+            out.append((path, f"{value!r} is {_OUTSIDE[keyword]} of {bound!r}"))
+    return check
+
+
+def _enum(value, options, schema, path, out):
+    if value not in options:
+        out.append((path, f"{value!r} is not one of {options!r}"))
+
+
+def _items(value, item, schema, path, out):
+    if isinstance(value, list):
+        for i, v in enumerate(value):
+            _walk(v, item, path + (i,), out)
+
+
+def _min_items(value, n, schema, path, out):
+    if isinstance(value, list) and len(value) < n:
+        out.append((path, f"{value!r} {'should be non-empty' if n == 1 else 'is too short'}"))
+
+
+def _max_items(value, n, schema, path, out):
+    if isinstance(value, list) and len(value) > n:
+        out.append((path, f"{value!r} {'is expected to be empty' if n == 0 else 'is too long'}"))
+
+
+def _one_of(value, branches, schema, path, out):
+    passing = []
+    for branch in branches:
+        found: list = []
+        _walk(value, branch, path, found)
+        if all(message is None for _, message in found):
+            passing.append(found)
+    if len(passing) == 1:
+        out.extend(passing[0])
+    else:
+        which = "any" if not passing else "more than one"
+        out.append((path, f"{value!r} is not valid under {which} of the given schemas"))
+
+
+def _properties(value, properties, schema, path, out):
+    if isinstance(value, dict):
+        for key, v in value.items():
+            if key in properties:
+                _walk(v, properties[key], path + (key,), out)
+
+
+def _no_additional(value, allowed, schema, path, out):
+    # only ``additionalProperties: false`` occurs in the table
+    if isinstance(value, dict):
+        extra = sorted((k for k in value if k not in schema["properties"]), key=str)
+        if extra:
+            names = ", ".join(map(repr, extra))
+            verb = "was" if len(extra) == 1 else "were"
+            out.append((path, f"Additional properties are not allowed ({names} {verb} unexpected)"))
+
+
+def _required(value, names, schema, path, out):
+    if isinstance(value, dict):
+        out.extend((path, f"{name!r} is a required property")
+                   for name in names if name not in value)
+
+
+_KEYWORDS = {
+    "type": _type,
+    **{keyword: _bound(keyword) for keyword in _OUTSIDE},
+    "enum": _enum,
+    "items": _items,
+    "minItems": _min_items,
+    "maxItems": _max_items,
+    "oneOf": _one_of,
+    "properties": _properties,
+    "additionalProperties": _no_additional,
+    "required": _required,
+}
+
+
+def _walk(value, schema, path, out) -> None:
+    """Append the findings of ``value`` against ``schema`` to ``out``."""
+    for keyword, argument in schema.items():
+        _KEYWORDS[keyword](value, argument, schema, path, out)
 
 
 def validate_scenario(data: dict[str, Any], *, where: str = "scenario") -> None:
-    """Check ``data`` against the scenario schema; raise :class:`ScenarioError`.
+    """Check ``data`` against ``SCENARIO_SCHEMA``; raise :class:`ScenarioError`.
 
-    The schema's bounds do not catch NaN (every comparison with it is
-    false) or infinity, which YAML's ``.nan`` and ``.inf`` produce and JSON
-    cannot express, so any non-finite number is rejected as well.
+    One walk over the document and the schema's twelve keywords finds every
+    violation.  The one reported is the first by sorted path, with the text
+    jsonschema would give.  The schema's bounds do not catch NaN (every
+    comparison with it is false) or infinity, which YAML's ``.nan`` and
+    ``.inf`` produce and JSON cannot express, nor an integer too large for
+    a float.  The walk marks each such value the schema types as a number,
+    and the first of them in document order is reported when the document
+    breaks no schema rule.
     """
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        loc = "/".join(str(p) for p in e.absolute_path) or "<root>"
-        raise ScenarioError(f"{where}: invalid value at {loc}: {e.message}")
-    if (path := _non_finite(data)) is not None:
-        loc = "/".join(map(str, path))
-        raise ScenarioError(f"{where}: invalid value at {loc}: not a finite number")
+    found: list = []
+    _walk(data, SCENARIO_SCHEMA, (), found)
+    if not found:
+        return
+    errors = [f for f in found if f[1] is not None]
+    path, message = (min(errors, key=lambda f: f[0]) if errors
+                     else (found[0][0], "not a finite number"))
+    loc = "/".join(map(str, path)) or "<root>"
+    raise ScenarioError(f"{where}: invalid value at {loc}: {message}")
+
+
+class _Loader(yaml.SafeLoader):
+    """The safe YAML loader, but a mapping key given twice is an error
+    where YAML keeps its last copy.  JSON documents load through it too."""
+
+    def construct_document(self, node):
+        self._unique_keys(node, ())
+        return super().construct_document(node)
+
+    def _unique_keys(self, node, path, enclosing=()):
+        if any(node is n for n in enclosing):
+            return  # an alias of an enclosing node
+        if isinstance(node, yaml.SequenceNode):
+            children = list(enumerate(node.value))
+        elif isinstance(node, yaml.MappingNode):
+            children, seen = [], set()
+            for key_node, value in node.value:
+                # a merge key (<<) brings in keys that the mapping may
+                # override; an unhashable key is the constructor's error
+                if not isinstance(key_node, yaml.ScalarNode) or key_node.tag.endswith(":merge"):
+                    continue
+                key = self.construct_object(key_node)
+                if key in seen:
+                    loc = "/".join(map(str, path + (key,)))
+                    raise yaml.constructor.ConstructorError(
+                        None, None, f"duplicate key at {loc}", key_node.start_mark)
+                seen.add(key)
+                children.append((key, value))
+        else:
+            return
+        for key, child in children:
+            self._unique_keys(child, path + (key,), enclosing + (node,))
 
 
 def _merged(raw: dict[str, Any], where: str) -> dict[str, Any]:
@@ -144,7 +309,7 @@ def load_scenario(name_or_path: str | Path) -> Scenario:
         text = res.read_text()
         where = f"built-in scenario {name_or_path!r}"
     try:
-        raw = yaml.safe_load(text)  # YAML is a superset of JSON
+        raw = yaml.load(text, Loader=_Loader)  # YAML is a superset of JSON
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{where}: parse error: {exc}") from exc
     if raw is None:

@@ -4,8 +4,11 @@ Each test drives ``lyosim.cli.main`` in-process (it returns the exit
 code) and inspects the files written to a temporary output directory.
 """
 
+import ast
+import importlib.metadata
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -313,8 +316,11 @@ def test_bad_sweep_spec_exits_2(tmp_path, capsys, spec):
      "invalid value at freezing/initial_temperature_K: not a finite number"),
     ("primary", "primary:\n  wall_temperature_K: -.inf\n",
      "invalid value at primary/wall_temperature_K: not a finite number"),
+    ("primary", "primary:\n  time_limit_s: 1" + "0" * 400 + "\n",
+     "invalid value at primary/time_limit_s: not a finite number"),
 ], ids=["top-level-list", "broken-yaml", "unknown-key", "unsorted-schedule", "nan-shelf",
-        "nan-breakpoint", "nan-rtol", "inf-time-limit", "inf-initial-T", "minus-inf"])
+        "nan-breakpoint", "nan-rtol", "inf-time-limit", "inf-initial-T", "minus-inf",
+        "int-beyond-float"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, command, text, where):
     scn = tmp_path / "bad.yaml"
     scn.write_text(text)
@@ -450,14 +456,27 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "defaults_analyze.json").is_file()
 
 
-def test_import_path_leaves_out_heavy_scipy_modules(tmp_path):
-    # a fresh interpreter that loads the CLI, builds every built-in scenario
-    # and freezes a stochastic vial imports no scipy module at all; its
-    # first primary drying binds LAPACK; the analysis imports
-    # scipy.special itself, and its report is the one this process writes
+@pytest.fixture(scope="module")
+def fresh_run(tmp_path_factory):
+    """A fresh interpreter that loads the CLI, builds every built-in
+    scenario, freezes a stochastic vial, dries and analyzes: its tagged
+    output lines, each ``tag: value`` as {tag: value}, and its output
+    directory.  It lists the top-level modules it loaded after it started,
+    and those that lyosim's own code imported first."""
+    out = tmp_path_factory.mktemp("fresh")
     src = str(Path(lyosim.__file__).resolve().parents[1])
     code = (
         "import sys\n"
+        "started = set(sys.modules)\n"
+        "by_lyosim = set()\n"
+        "class Importers:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        frame = sys._getframe(1)\n"
+        "        while frame.f_globals.get('__name__', '').startswith('importlib'):\n"
+        "            frame = frame.f_back\n"
+        "        if frame.f_globals.get('__name__', '').split('.')[0] == 'lyosim':\n"
+        "            by_lyosim.add(name.split('.')[0])\n"
+        "sys.meta_path.insert(0, Importers())\n"
         f"sys.path.insert(0, {src!r})\n"
         "import lyosim.cli\n"
         "from lyosim.drying_primary import run_primary\n"
@@ -465,7 +484,7 @@ def test_import_path_leaves_out_heavy_scipy_modules(tmp_path):
         "built = [load_scenario(n).parameters() for n in builtin_scenarios()]\n"
         "assert len(built) == 12\n"
         f"code = lyosim.cli.main(['freeze', '--scenario', 'stochastic_freezing', '--out', "
-        f"{str(tmp_path / 'freeze')!r}])\n"
+        f"{str(out / 'freeze')!r}])\n"
         "assert code == 0\n"
         "print('scipy:', sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         "p = built[builtin_scenarios().index('defaults')]\n"
@@ -475,13 +494,52 @@ def test_import_path_leaves_out_heavy_scipy_modules(tmp_path):
         "assert traj.meta['solver']['nlu'] > 0\n"
         "print('lapack:', 'scipy.linalg.lapack' in sys.modules)\n"
         f"code = lyosim.cli.main(['analyze', '--scenario', 'visf_study', '--out', "
-        f"{str(tmp_path / 'child')!r}])\n"
+        f"{str(out / 'child')!r}])\n"
         "assert code == 0\n"
+        "top = {m.split('.')[0] for m in sys.modules} - {m.split('.')[0] for m in started}\n"
+        "print('loaded:', sorted(top))\n"
+        "print('by lyosim:', sorted(by_lyosim & top))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    lines = [line for line in proc.stdout.splitlines() if line.startswith(("scipy:", "lapack:"))]
-    assert lines == ["scipy: []", "lapack: True"], proc.stdout
+    tags = dict(line.split(": ", 1) for line in proc.stdout.splitlines()
+                if line.startswith(("scipy:", "lapack:", "loaded:", "by lyosim:")))
+    return tags, out
+
+
+def test_import_path_leaves_out_heavy_scipy_modules(tmp_path, fresh_run):
+    # the fresh interpreter imports no scipy module at all until it has
+    # built every scenario and frozen a vial; its first primary drying
+    # binds LAPACK; the analysis imports scipy.special itself, and its
+    # report is the one this process writes.  jsonschema and its
+    # dependencies are test-only: nothing loads them
+    tags, out = fresh_run
+    assert (tags["scipy"], tags["lapack"]) == ("[]", "True"), tags
+    loaded = set(ast.literal_eval(tags["loaded"]))
+    assert "yaml" in loaded
+    assert not loaded & {"jsonschema", "referencing", "rpds", "jsonschema_specifications"}
     assert main(["analyze", "--scenario", "visf_study", "--out", str(tmp_path / "here")]) == 0
-    child, here = (tmp_path / d / "visf_study_analyze.json" for d in ("child", "here"))
+    child, here = (d / "visf_study_analyze.json" for d in (out / "child", tmp_path / "here"))
     assert child.read_bytes() == here.read_bytes()
+
+
+def _distribution(requirement: str) -> str:
+    """The normalized distribution name of a requirement string."""
+    return re.sub(r"[-_.]+", "-", re.match(r"[A-Za-z0-9._-]+", requirement)[0]).lower()
+
+
+def test_runtime_dependencies_are_what_the_run_imports(fresh_run):
+    # the runtime dependencies of pyproject.toml name exactly the
+    # distributions of the third-party modules lyosim's code imports in the
+    # fresh run.  Modules that a dependency imports in turn do not count:
+    # scipy.special loads numpy.f2py, which loads charset_normalizer where
+    # it is installed
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    tags, _ = fresh_run
+    by_lyosim = ast.literal_eval(tags["by lyosim"])
+    third_party = [m for m in by_lyosim if m not in sys.stdlib_module_names and m != "lyosim"]
+    owners = importlib.metadata.packages_distributions()
+    imported = {_distribution(d) for m in third_party for d in owners[m]}
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    declared = tomllib.loads(pyproject.read_text())["project"]["dependencies"]
+    assert {_distribution(r) for r in declared} == imported == {"numpy", "scipy", "pyyaml"}

@@ -47,6 +47,14 @@ def test_reference_from_csv(tmp_path):
         ReferenceSeries.from_csv(tmp_path / "missing.csv")
 
 
+def test_reference_csv_with_a_short_row_raises_comparison_error(tmp_path):
+    # csv reads the missing cell as None; it must not reach float() bare
+    p = tmp_path / "short.csv"
+    p.write_text("time_s,value\n0,1\n5\n10,3\n")
+    with pytest.raises(ComparisonError, match="missing or non-numeric entry"):
+        ReferenceSeries.from_csv(p)
+
+
 def test_exact_match_scores_zero():
     traj = _traj()
     ref = ReferenceSeries(t=traj.t.copy(), value=250.0 + 0.1 * traj.t)

@@ -4,9 +4,12 @@ import copy
 import dataclasses
 import inspect
 import json
+import math
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from lyosim import (
     ControlledNucleation,
@@ -21,6 +24,7 @@ from lyosim import (
     run_secondary,
     validate_scenario,
 )
+from lyosim import scenario
 from lyosim.cli import _transport_report
 from lyosim.params import _KEYS, DEFAULT_SCENARIO, SCENARIO_SCHEMA, deep_merge
 
@@ -138,6 +142,32 @@ def test_invalid_yaml_reports_scenario_error(tmp_path):
     p2.write_text("- just\n- a\n- list\n")
     with pytest.raises(ScenarioError):
         load_scenario(p2)
+
+
+@pytest.mark.parametrize("name, text, where", [
+    ("twice.yaml", "primary:\n  shelf_temperature_K: 250.0\nprimary:\n  time_limit_s: 5.0e+3\n",
+     "duplicate key at primary"),
+    ("twice.json", '{"primary": {"shelf_temperature_K": 250.0, "shelf_temperature_K": 240.0}}',
+     "duplicate key at primary/shelf_temperature_K"),
+    ("twice_in_list.yaml", "transport_analysis:\n  biot:\n    - label: a\n      label: b\n",
+     "duplicate key at transport_analysis/biot/0/label"),
+], ids=["yaml", "json", "yaml-list-item"])
+def test_duplicate_keys_rejected(tmp_path, name, text, where):
+    # YAML keeps the last copy of a key given twice, which would drop the
+    # first silently
+    p = tmp_path / name
+    p.write_text(text)
+    with pytest.raises(ScenarioError, match=where):
+        load_scenario(p)
+
+
+def test_merge_keys_may_be_overridden(tmp_path):
+    # a key merged in with << and then given again is an override, not a
+    # duplicate
+    p = tmp_path / "merge.yaml"
+    p.write_text("secondary:\n  <<: {time_limit_s: 5.0}\n  time_limit_s: 6.0\n")
+    sc = load_scenario(p)
+    assert sc.data["secondary"]["time_limit_s"] == 6.0
 
 
 def test_deep_merge_semantics():
@@ -301,3 +331,155 @@ def test_schema_bounds_agree_with_parameter_checks(path, keyword, bound):
                          ids=[".".join(map(str, p)) for p, _, _ in _UPPER_BOUNDS])
 def test_schema_upper_bounds_agree_with_parameter_checks(path, keyword, bound):
     _check_bound(path, keyword, bound)
+
+
+def _keywords(schema):
+    """(keyword, argument) of each keyword of ``schema`` and its subschemas."""
+    for keyword, argument in schema.items():
+        yield keyword, argument
+        subschemas = (argument.values() if keyword == "properties"
+                      else argument if keyword == "oneOf"
+                      else [argument] if keyword == "items" else [])
+        for sub in subschemas:
+            yield from _keywords(sub)
+
+
+def test_walker_handles_exactly_the_schema_keywords():
+    # a keyword the walker does not know would pass unchecked; one the
+    # schema does not use is dead code
+    used = list(_keywords(SCENARIO_SCHEMA))
+    assert {keyword for keyword, _ in used} == set(scenario._KEYWORDS)
+    # the walker reads additionalProperties as false
+    assert all(arg is False for keyword, arg in used if keyword == "additionalProperties")
+
+
+def _keys_where(schema, test, path=()):
+    """Paths of the keys whose schema, or a nullable form of it, passes
+    ``test``; no such schema may sit in an array."""
+    for variant in [schema, *schema.get("oneOf", [])]:
+        for key, sub in variant.get("properties", {}).items():
+            yield from _keys_where(sub, test, path + (key,))
+        if test(variant):
+            assert not any(isinstance(key, int) for key in path)
+            yield path
+
+
+_INTEGER_KEYS = set(_keys_where(SCENARIO_SCHEMA, lambda s: s.get("type") == "integer"))
+_ENUM_KEYS = sorted(_keys_where(SCENARIO_SCHEMA, lambda s: "enum" in s))
+_JSONSCHEMA = Draft202012Validator(SCENARIO_SCHEMA)
+
+
+def _non_finite(node, path=()):
+    """Path of the first NaN or infinity in a parsed document, or of the
+    first int beyond the float range outside an integer key, else None."""
+    if isinstance(node, float) or (isinstance(node, int) and not isinstance(node, bool)
+                                   and path not in _INTEGER_KEYS):
+        try:
+            return None if math.isfinite(node) else path
+        except OverflowError:
+            return path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        if (found := _non_finite(value, path + (key,))) is not None:
+            return found
+    return None
+
+
+def _reference(data):
+    """(location, message, keyword) that validation with jsonschema
+    reported: its first error by sorted path, else the first non-finite
+    number; None for a valid document."""
+    errors = sorted(_JSONSCHEMA.iter_errors(data), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        return "/".join(map(str, e.absolute_path)) or "<root>", e.message, e.validator
+    path = _non_finite(data)
+    return None if path is None else ("/".join(map(str, path)), "not a finite number", None)
+
+
+def _nodes(node, path=()):
+    """(path, node) of ``node`` and of everything in it."""
+    yield path, node
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+# the defaults, the defaults with a comparison block (the one object with
+# required keys), and built-ins with other schedules and nucleation modes
+_BASES = [DEFAULT_SCENARIO, _at_bound(("comparison", "thresholds", "rmse"), 0.5),
+          *(load_scenario(name).data for name in ("case4a_conventional", "stochastic_freezing",
+                                                  "visf_study"))]
+_PROPERTY_NAMES = sorted({name for keyword, arg in _keywords(SCENARIO_SCHEMA)
+                          if keyword == "properties" for name in arg})
+_LEAVES = (st.sampled_from([0, 1, -1, 2, 3, 0.5, 1.0, 11.0, 2.5, -0.0, 1.0e308, math.nan,
+                            math.inf, -math.inf, 10**400, -10**400, True, False, None, "",
+                            "controlled", "stochastic", [], {}, [1.0, 2.0], [[0.0, 1.0]],
+                            [[0.0, 1.0], [1.0]], [0.1, math.nan]])
+           | st.integers() | st.floats() | st.text(max_size=3))
+
+
+@st.composite
+def _mutated(draw):
+    """A valid scenario with keys dropped, added and retyped, and values
+    pushed to and past their bounds."""
+    data = copy.deepcopy(draw(st.sampled_from(_BASES)))
+    for _ in range(draw(st.integers(1, 4))):
+        op = draw(st.sampled_from(["drop", "add", "set", "bound", "bound", "enum", "reorder"]))
+        if op == "bound":
+            path, _, bound = draw(st.sampled_from(_BOUNDS + _UPPER_BOUNDS))
+            value = draw(st.sampled_from([bound, float(bound), bound - 1, bound + 1,
+                                          math.nextafter(bound, -math.inf),
+                                          math.nextafter(bound, math.inf), math.nan,
+                                          math.inf, -math.inf, 10**400, True]))
+            data = _set(data, path, value)
+            continue
+        if op == "enum":
+            path = draw(st.sampled_from(_ENUM_KEYS))
+            data = _set(data, path, draw(st.sampled_from(["controlled", "solidification_end",
+                                                          "magic"]) | _LEAVES))
+            continue
+        path, node = draw(st.sampled_from(list(_nodes(data))[1:]))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "drop":
+            del parent[path[-1]]
+        elif op == "reorder":
+            # the document's key order, not the schema's, decides which
+            # of two non-finite numbers is reported
+            if isinstance(node, dict):
+                parent[path[-1]] = dict(reversed(node.items()))
+        elif op == "set":
+            parent[path[-1]] = draw(_LEAVES)
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(_PROPERTY_NAMES) | st.text(max_size=3))] = draw(_LEAVES)
+        elif isinstance(node, list):
+            node.append(draw(_LEAVES))
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=_mutated())
+@example(data={"primary": {"time_limit_s": math.nan}, "integrator": {"rtol": math.inf}})
+@example(data={"zz": 1, "primary": {}, "aa": 2})
+def test_walker_agrees_with_jsonschema(data):
+    # the same verdict at the same first path as jsonschema plus the
+    # non-finite check, with jsonschema's message except under oneOf
+    expected = _reference(data)
+    try:
+        validate_scenario(data, where="w")
+    except ScenarioError as exc:
+        got = str(exc)
+    else:
+        got = None
+    if expected is None:
+        assert got is None
+        return
+    loc, message, keyword = expected
+    prefix = f"w: invalid value at {loc}: "
+    assert got is not None and got.startswith(prefix), (got, expected)
+    if keyword != "oneOf":
+        assert got == prefix + message
