@@ -78,10 +78,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _output_dir(args, scenario: Scenario) -> Path:
     """Create and return the output directory: ``--out``, else the
     scenario's ``output.directory``, else ``$LYOSIM_OUTPUT_DIR``, else the
-    current directory."""
+    current directory.  A path that cannot be a directory raises
+    :class:`ScenarioError`."""
     path = Path(args.out or scenario.output_directory()
                 or os.environ.get("LYOSIM_OUTPUT_DIR") or ".")
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ScenarioError(f"cannot use {path} as the output directory: "
+                            f"{exc.strerror or exc}") from exc
     return path
 
 

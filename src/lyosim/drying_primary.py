@@ -117,34 +117,33 @@ def sublimation_flux(T_interface: float, S: float, dp: DryingParams,
 
 
 def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
-               n_z: int, pressure_state: bool = False, t0: float = 0.0
-               ) -> tuple[Callable[[float, np.ndarray, float, float],
-                                   tuple[np.ndarray, float, float]],
-                          Callable[..., BorderedTridiagonal]]:
-    """Build the discretized right-hand side shared by the fixed-pressure
-    and chamber-coupled modes of :func:`run_primary`, and its exact Jacobian.
+               n_z: int, chamber: ChamberModel | None = None, t0: float = 0.0
+               ) -> tuple[Callable[[float, np.ndarray], np.ndarray],
+                          Callable[[float, np.ndarray], BorderedTridiagonal]]:
+    """Build the discretized equations of :func:`run_primary` on its state
+    y = (T_0 ... T_{n_z-1}, S), with the chamber pressure p appended under a
+    ``chamber``, and their exact Jacobian.
 
-    Returns ``(core, jac)``.  ``core`` maps (t, T, S, p_w_chamber) to
-    (dT/dt, dS/dt, N_w) and is total: implicit-solver trial steps may probe
-    unphysical states, so the flux vanishes for nonpositive front
-    temperatures (the continuous limit, since saturation pressure vanishes
-    there) and the gap H - S is floored at half the front-completion margin
-    of :func:`run_primary` so the 1/gap^2 diffusion coefficient stays
-    bounded when a trial step overshoots the terminal event.
+    Returns ``(rhs, jac)``.  Without a chamber the chamber water partial
+    pressure is ``dp.p_w_chamber``; with one it is max(p, setpoint), as the
+    controller holds the setpoint from below, and dp/dt is the chamber water
+    balance :func:`~lyosim.chamber.chamber_pressure_rhs` under the load of
+    ``chamber.n_vial`` vials.  ``rhs(t, y)`` is total: implicit-solver trial
+    steps may probe unphysical states, so the flux vanishes for nonpositive
+    front temperatures (the continuous limit, since saturation pressure
+    vanishes there) and the gap H - S is floored at half the
+    front-completion margin of :func:`run_primary` so the 1/gap^2 diffusion
+    coefficient stays bounded when a trial step overshoots the terminal
+    event.
 
-    ``jac(t, T, S, p_w_chamber, dp_dy=1.0, load_gain=None)`` is the
-    Jacobian of (dT/dt, dS/dt) with respect to the state (T, S) as a
-    :class:`~lyosim.solver.BorderedTridiagonal`: tridiagonal in
-    T_1 ... T_{n_z-1}, bordered by T_0 and S (every equation senses the
-    front temperature through dS/dt and the gap through H - S; the front
-    equation senses T_1 through its ghost node; the S row holds entries in
-    the border columns only).  It takes the branches of ``core``, each with
-    its one-sided derivative, so it is total on the same states.  With
-    ``pressure_state`` the state gains the chamber pressure p as a last
-    component: the model sees p_w_chamber, whose derivative with respect to
-    p is ``dp_dy`` (zero under a setpoint clamp), and the appended row of
-    dp/dt is ``load_gain(N_w)`` (d(dp/dt)/dN_w) times dN_w/d(T_0, S, p);
-    p joins the border.  Both read the schedules at stage time, t - t0.
+    ``jac(t, y)`` is a :class:`~lyosim.solver.BorderedTridiagonal`:
+    tridiagonal in T_1 ... T_{n_z-1}, bordered by T_0, S and p (every
+    equation senses the front temperature through dS/dt and the gap
+    through H - S; the front equation senses T_1 through its ghost node;
+    the S and p rows hold entries in the border columns only).  It takes
+    the branches of ``rhs``, the setpoint clamp among them, each with its
+    one-sided derivative, so it is total on the same states.  Both read the
+    schedules at stage time, t - t0.
     """
     if n_z < 3:
         raise ConfigurationError("need at least 3 grid nodes")
@@ -158,13 +157,20 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     side_rad = STEFAN_BOLTZMANN * rad.F_side * 4.0 * H / geom.d  # A_r / (A_z H) folded in
     top_rad = STEFAN_BOLTZMANN * rad.F_top
     gap_floor = 0.5 * _FRONT_EPSILON_REL * H
+    n = n_z + 1 if chamber is None else n_z + 2
+    border = [0, *range(n_z, n)]  # T_0, S and p
+    if chamber is not None:
+        load = chamber.n_vial * geom.A_z  # vapor load (kg/s) per unit flux (kg/m^2/s)
+        p_set = chamber.p_setpoint
 
-    def core(t: float, T: np.ndarray, S: float, p_w_c: float):
+    def rhs(t: float, y: np.ndarray) -> np.ndarray:
+        T = y[:n_z]
+        S = float(y[n_z])
+        p = dp.p_w_chamber if chamber is None else max(float(y[n_z + 1]), p_set)
         gap = max(H - S, gap_floor)
         T_front = T[0]
         # T_front > 0 is False for NaN too; both want a dead flux
-        N_w = (sublimation_flux(T_front, max(S, 0.0), dp, p_w_c)
-               if T_front > 0.0 else 0.0)
+        N_w = sublimation_flux(T_front, max(S, 0.0), dp, p) if T_front > 0.0 else 0.0
         dS = N_w / drho
         T_b = dp.shelf_temperature(t - t0)
         T_u = dp.upper_temperature(t - t0)
@@ -178,21 +184,25 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         diff = (Te[2:] - 2.0 * T + Te[:-2]) * (k / (rho_cp * gap**2 * dxi**2))
         conv = (Te[2:] - Te[:-2]) * (upwind_coef * dS / (2.0 * dxi * gap))
         q_rad = (side_rad / (rho_cp * gap)) * (T_c**4 - T**4)
-        return diff + conv + q_rad, dS, N_w
+        out = np.empty(n)
+        out[:n_z] = diff + conv + q_rad
+        out[n_z] = dS
+        if chamber is not None:
+            out[n_z + 1] = chamber_pressure_rhs(p, load * N_w, chamber)
+        return out
 
-    n = n_z + 1 + int(pressure_state)
-    border = [0, n_z, n_z + 1] if pressure_state else [0, n_z]
-
-    def jac(t: float, T: np.ndarray, S: float, p_w_c: float,
-            dp_dy: float = 1.0, load_gain: Callable[[float], float] | None = None):
-        # the branches of core: gap floor, dead flux, max(S, 0)
+    def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
+        T = y[:n_z]
+        S = float(y[n_z])
+        p = dp.p_w_chamber if chamber is None else max(float(y[n_z + 1]), p_set)
+        # the branches of rhs: gap floor, dead flux, max(S, 0)
         gap = max(H - S, gap_floor)
         gap_S = -1.0 if H - S >= gap_floor else 0.0
         T_front = T[0]
         N_w = N_T = N_S = N_p = 0.0
         if T_front > 0.0:
             S_eff = max(S, 0.0)
-            driving = psat_sublimation(T_front) - p_w_c
+            driving = psat_sublimation(T_front) - p
             if driving > 0.0:
                 R = cake_resistance(S_eff, dp)
                 N_w = driving / R
@@ -203,7 +213,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         T_b = dp.shelf_temperature(t - t0)
         T_u = dp.upper_temperature(t - t0)
         T_c = dp.wall_temperature(t - t0)
-        # core's coefficients: diffusion a, advection beta, side radiation c
+        # rhs's coefficients: diffusion a, advection beta, side radiation c
         a = k / (rho_cp * gap**2 * dxi**2)
         beta_N = 1.0 / (drho * 2.0 * dxi * gap)  # d beta / d N_w
         beta = N_w * beta_N
@@ -244,13 +254,15 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         col_S[0] += via_top * top_S
         col_S[n_z - 1] += via_bot * bot_S
         col_S[n_z] = N_S / drho
-        if pressure_state:
+        if chamber is not None:
+            dp_dy = 1.0 if y[n_z + 1] >= p_set else 0.0  # zero under the setpoint clamp
             col_p = cols[:, 2]
             col_p[:n_z] = u_diff * (N_p * beta_N)
             col_p[0] -= via_top * front_gain * N_p * dp.dH_sub
             col_p[n_z] = N_p / drho
             col_p *= dp_dy
-            gain = load_gain(N_w)
+            # the load row: d(dp/dt)/dN_w times dN_w/d(T_0, S, p)
+            gain = load * chamber_pressure_gain(p, load * N_w, chamber)
             col_T0[-1] = gain * N_T
             col_S[-1] = gain * N_S
             col_p[-1] = gain * N_p * dp_dy
@@ -258,7 +270,7 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         rows[0, 0] = 2.0 * a  # the top ghost node carries T_1 too
         return BorderedTridiagonal(lower, diag, upper, border, cols, rows)
 
-    return core, jac
+    return rhs, jac
 
 
 def run_primary(initial_temperature: float | np.ndarray,
@@ -284,10 +296,12 @@ def run_primary(initial_temperature: float | np.ndarray,
     front stalled for lack of driving force.  The trajectory carries the
     full temperature field under ``fields["temperature_K"]``.
 
-    Without a ``chamber`` the chamber water partial pressure is held at
+    The mode is the ``chamber`` argument of one state-vector core,
+    :func:`_make_core`, whose state is (T, S) or (T, S, p).  Without a
+    ``chamber`` the chamber water partial pressure is held at
     ``dp.p_w_chamber``.  With a :class:`~lyosim.chamber.ChamberModel` the
     vial is one of ``chamber.n_vial`` identical vials sharing the chamber
-    water balance: the partial pressure is a state that starts at the
+    water balance: the partial pressure p is a state that starts at the
     setpoint, rises whenever the collective sublimation load exceeds the
     condenser capacity and feeds back on the flux of every vial, and
     ``meta`` gains ``peak_pressure_Pa`` and ``peak_load_kg_per_s``.
@@ -298,46 +312,16 @@ def run_primary(initial_temperature: float | np.ndarray,
     S_stop = H * (1.0 - _FRONT_EPSILON_REL)
     T0 = as_profile(initial_temperature, n_z, "initial temperature")
     log.info("%s: start at t = %.6g s", STAGE_PRIMARY, t0)
-    core, core_jac = _make_core(dp, rad, geom, n_z, pressure_state=chamber is not None,
-                                t0=t0)
+    rhs, jac = _make_core(dp, rad, geom, n_z, chamber, t0)
     A_z = geom.A_z
 
-    if chamber is None:
-        def pressure(y: np.ndarray) -> np.ndarray:
+    def pressure(y: np.ndarray) -> np.ndarray:
+        # the chamber water partial pressure along the states y, as rhs reads it
+        if chamber is None:
             return np.full(y.shape[1:], dp.p_w_chamber)
+        return np.maximum(y[n_z + 1], chamber.p_setpoint)
 
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            dT, dS, _ = core(t, y[:n_z], float(y[n_z]), dp.p_w_chamber)
-            return np.concatenate([dT, [dS]])
-
-        def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
-            return core_jac(t, y[:n_z], float(y[n_z]), dp.p_w_chamber)
-
-        y0 = np.concatenate([T0, [0.0]])
-    else:
-        load = chamber.n_vial * A_z  # vapor load (kg/s) per unit flux (kg/m^2/s)
-
-        def pressure(y: np.ndarray) -> np.ndarray:
-            # the controller holds the setpoint from below
-            return np.maximum(y[n_z + 1], chamber.p_setpoint)
-
-        def rhs(t: float, y: np.ndarray) -> np.ndarray:
-            p = max(float(y[n_z + 1]), chamber.p_setpoint)
-            dT, dS, N_w = core(t, y[:n_z], float(y[n_z]), p)
-            return np.concatenate([dT, [dS, chamber_pressure_rhs(p, load * N_w, chamber)]])
-
-        def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
-            p_w_c = float(y[n_z + 1])
-            p = max(p_w_c, chamber.p_setpoint)
-            dp_dy = 1.0 if p_w_c >= chamber.p_setpoint else 0.0
-
-            def load_gain(N_w: float) -> float:
-                return load * chamber_pressure_gain(p, load * N_w, chamber)
-
-            return core_jac(t, y[:n_z], float(y[n_z]), p, dp_dy=dp_dy, load_gain=load_gain)
-
-        y0 = np.concatenate([T0, [0.0, chamber.p_setpoint]])
-
+    y0 = np.concatenate([T0, [0.0] if chamber is None else [0.0, chamber.p_setpoint]])
     done = EventSpec(lambda t, y: y[n_z] - S_stop, direction=1.0, name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
                              events=[done], jac=jac)
@@ -388,7 +372,7 @@ def run_primary(initial_temperature: float | np.ndarray,
     traj.meta["duration_s"] = float(t_complete - t0)
     if chamber is not None:
         traj.meta["peak_pressure_Pa"] = float(np.max(p_hist))
-        traj.meta["peak_load_kg_per_s"] = float(np.max(load * N_w))
+        traj.meta["peak_load_kg_per_s"] = float(np.max(chamber.n_vial * A_z * N_w))
     traj.meta["n_z"] = n_z
     traj.meta["solver"] = res.counters()
     log.info("%s: end at t = %.6g s, solver %s", STAGE_PRIMARY, t_complete,

@@ -500,58 +500,55 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         return res.resample(samples_per_stage)
 
     # ---- stage 1 + 2: cool down and trigger nucleation -------------------
+    # the nucleation mode sets the cooldown's RHS, start, completion event,
+    # timeout message and tolerances
     cool = cooling_rhs(sys, m_w, t0=t_start)
     if isinstance(nuc, ControlledNucleation):
         T_n = nuc.temperature_K
+        rhs, y0, cfg = cool, [T], config
         reach = EventSpec(lambda tt, y: y[0] - T_n, direction=-1.0,
                           name="reach_nucleation_T")
-        if p.visf_start_s is not None:
-            t1 = t + p.visf_start_s
-            if p.visf_start_s > 0.0:
-                ts, ys = integrate(cool, [T], t1).resample(samples_per_stage)
-            else:  # no time before VISF: one row at the start
-                ts, ys = np.array([t]), np.array([[T]])
-            record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
-            T = float(ys[0, -1])
-            t = t1
-            events["preconditioning_end_s"] = t
-            floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
-                              name="water_depleted")
-            ts, ys = advance(
-                visf_rhs(sys, t_start), [T, m_w], reach, STAGE_VISF,
-                "depressurized cooling never reached the nucleation temperature",
-                guard=(floor, "surface evaporation exhausted the liquid fill before "
-                              "the nucleation temperature was reached"))
-            record(ts, ys[0], ys[1], 0.0, STAGE_VISF)
-            T, m_w = float(ys[0, -1]), float(ys[1, -1])
-            t = float(ts[-1])
-            events["visf_end_s"] = t
-        else:
-            ts, ys = advance(cool, [T], reach, STAGE_PRECONDITIONING,
-                             "preconditioning never reached the nucleation temperature")
-            record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
-            T = float(ys[0, -1])
-            t = float(ts[-1])
-            events["preconditioning_end_s"] = t
-            events["visf_end_s"] = t
+        timeout = "preconditioning never reached the nucleation temperature"
     else:
         # exact first-event sampling: nucleate where the cumulative hazard
         # Lambda, integrated beside T, reaches one Exp(1) draw E
         E = (rng if rng is not None else np.random.default_rng(nuc.seed)).standard_exponential()
         hazard = _hazard_rate(m_w, sys)
 
-        def rhs1(tt: float, y: np.ndarray):
+        def rhs(tt: float, y: np.ndarray):
             return cool(tt, y)[0], hazard(float(y[0]))
 
-        hit = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
+        y0 = [T, 0.0]
         # Lambda needs rtol accuracy only where it crosses E: atol rtol * E
-        ts, ys = advance(rhs1, [T, 0.0], hit, STAGE_PRECONDITIONING,
-                         "no stochastic nucleation event within the stage horizon",
-                         cfg=replace(config, atol=np.append(config.atol, config.rtol * E)))
+        cfg = replace(config, atol=np.append(config.atol, config.rtol * E))
+        reach = EventSpec(lambda tt, y: y[1] - E, direction=1.0, name="nucleation")
+        timeout = "no stochastic nucleation event within the stage horizon"
+    if p.visf_start_s is None:
+        ts, ys = advance(rhs, y0, reach, STAGE_PRECONDITIONING, timeout, cfg=cfg)
         record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
         T = float(ys[0, -1])
         t = float(ts[-1])
+        events["preconditioning_end_s"] = events["visf_end_s"] = t
+    else:  # controlled nucleation only: FreezingProtocol rejects VISF with stochastic
+        t1 = t + p.visf_start_s
+        if p.visf_start_s > 0.0:
+            ts, ys = integrate(cool, [T], t1).resample(samples_per_stage)
+        else:  # no time before VISF: one row at the start
+            ts, ys = np.array([t]), np.array([[T]])
+        record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
+        T = float(ys[0, -1])
+        t = t1
         events["preconditioning_end_s"] = t
+        floor = EventSpec(lambda tt, y: y[1] - 1.0e-3 * m_w, direction=-1.0,
+                          name="water_depleted")
+        ts, ys = advance(
+            visf_rhs(sys, t_start), [T, m_w], reach, STAGE_VISF,
+            "depressurized cooling never reached the nucleation temperature",
+            guard=(floor, "surface evaporation exhausted the liquid fill before "
+                          "the nucleation temperature was reached"))
+        record(ts, ys[0], ys[1], 0.0, STAGE_VISF)
+        T, m_w = float(ys[0, -1]), float(ys[1, -1])
+        t = float(ts[-1])
         events["visf_end_s"] = t
 
     # ---- stage 3: nucleation jump ----------------------------------------

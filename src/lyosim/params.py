@@ -19,13 +19,13 @@ from __future__ import annotations
 import copy
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
 import numpy as np
 
 from .analysis import PorousMedium
-from .bounds import NONNEG, POS, nullable
+from .bounds import NONNEG, POS, check_bounds, nullable
 from .chamber import ChamberModel
 from .drying_primary import DryingParams
 from .drying_secondary import DesorptionKinetics, DryingConditions
@@ -69,10 +69,67 @@ class _key(NamedTuple):
     name: str
 
 
+@dataclass
+class ParameterSet:
+    """Everything one cycle simulation needs, in model units.  The stage
+    settings after ``integrator`` are read one-to-one from the scenario and
+    declare their defaults and bounds here."""
+
+    formulation: Formulation
+    mixture: MixtureProperties
+    geometry: VialGeometry
+    radiation: RadiationSpec
+    freezing: FreezingProtocol
+    primary: DryingParams
+    secondary: DesorptionKinetics
+    secondary_conditions: DryingConditions
+    bound_water_initial: float | tuple[float, float]
+    chamber: ChamberModel
+    integrator: IntegratorConfig
+    freezing_initial_T: float = field(default=298.15, metadata=POS)
+    primary_initial_T: float = field(default=235.0, metadata=POS)
+    primary_time_limit_s: float = field(default=1.0e6, metadata=POS)
+    secondary_initial_T: float = field(default=273.15, metadata=POS)
+    bound_water_target: float = field(default=0.01, metadata=NONNEG)
+    secondary_time_limit_s: float = field(default=1.0e6, metadata=POS)
+    # the largest grid and sample count keep a cycle within about 0.5 GB: it
+    # holds about five n_z x samples float fields at its peak
+    n_z: int = field(default=51, metadata={"type": "integer", "minimum": 3, "maximum": 2001})
+    primary_start: str = field(default="final_cooling_end", metadata={
+        "enum": ["final_cooling_end", "solidification_end"]})
+    post_heat_duration_s: float = field(default=0.0, metadata=NONNEG)
+    samples_per_stage: int = field(default=300, metadata={"type": "integer", "minimum": 2,
+                                                          "maximum": 5001})
+    # re-derive dried density and initial bound water from the actual
+    # end-of-freezing state so all three stages share one water inventory
+    consistent_water: bool = field(default=False, metadata={"type": "boolean"})
+
+    def __post_init__(self) -> None:
+        check_bounds(self)
+        if self.primary_start not in ("final_cooling_end", "solidification_end"):
+            raise ConfigurationError("primary_start must be 'final_cooling_end' or "
+                                     "'solidification_end'")
+
+    def freezing_system(self) -> FreezingSystem:
+        return FreezingSystem(mixture=self.mixture, radiation=self.radiation,
+                              protocol=self.freezing)
+
+    def initial_vial_state(self) -> VialState:
+        return VialState(T=self.freezing_initial_T, m_w=self.mixture.m_w0, t=0.0)
+
+    def bound_water_profile(self) -> np.ndarray:
+        """Initial bound-water node profile: uniform from a scalar, or a
+        top-to-bottom linear gradient from a (top, bottom) pair."""
+        if isinstance(self.bound_water_initial, (int, float)):
+            return np.full(self.n_z, float(self.bound_water_initial))
+        top, bottom = self.bound_water_initial
+        return np.linspace(float(top), float(bottom), self.n_z)
+
+
 _TABLE: dict[str, Any] = {
     "name": ("defaults", _STRING),
     "seed": (20260815, nullable({"type": "integer", "minimum": 0})),
-    "grid": {"n_nodes": (51, {"type": "integer", "minimum": 3})},
+    "grid": {"n_nodes": _key(ParameterSet, "n_z")},
     "integrator": {
         "rtol": _key(IntegratorConfig, "rtol"),
         "atol": _key(IntegratorConfig, "atol"),
@@ -110,7 +167,7 @@ _TABLE: dict[str, Any] = {
         "conductivity_W_per_mK": (DryingParams.k_f, nullable(POS)),
     },
     "freezing": {
-        "initial_temperature_K": (298.15, POS),
+        "initial_temperature_K": _key(ParameterSet, "freezing_initial_T"),
         # the vial moves to the depressurized chamber at 3600 s; conditions
         # transition linearly over the 30 s pressure ramp
         "gas_temperature_K": ([[3600.0, 268.0], [3630.0, 230.0]], _SCHEDULE),
@@ -136,7 +193,7 @@ _TABLE: dict[str, Any] = {
         "stage_time_limit_s": _key(FreezingProtocol, "stage_time_limit_s"),
     },
     "primary": {
-        "initial_temperature_K": (235.0, POS),
+        "initial_temperature_K": _key(ParameterSet, "primary_initial_T"),
         "shelf_temperature_K": (270.0, _SCHEDULE),
         "wall_temperature_K": (265.0, _SCHEDULE),
         "upper_temperature_K": (265.0, _SCHEDULE),
@@ -147,15 +204,15 @@ _TABLE: dict[str, Any] = {
         "cake_resistance_R2_m": _key(DryingParams, "Rp2"),
         "sublimation_heat_J_per_kg": _key(DryingParams, "dH_sub"),
         "dried_density_kg_per_m3": _key(DryingParams, "rho_e"),
-        "time_limit_s": (1.0e6, POS),
+        "time_limit_s": _key(ParameterSet, "primary_time_limit_s"),
     },
     "secondary": {
-        "initial_temperature_K": (273.15, POS),
+        "initial_temperature_K": _key(ParameterSet, "secondary_initial_T"),
         "initial_bound_water_kg_per_kg": (0.088, {"oneOf": [
             NONNEG,
             {"type": "array", "items": NONNEG, "minItems": 2, "maxItems": 2},
         ]}),
-        "target_bound_water_kg_per_kg": (0.01, NONNEG),
+        "target_bound_water_kg_per_kg": _key(ParameterSet, "bound_water_target"),
         "equilibrium_bound_water_kg_per_kg": _key(DesorptionKinetics, "c_eq"),
         "shelf_temperature_K": (295.0, _SCHEDULE),
         "wall_temperature_K": (290.0, _SCHEDULE),
@@ -168,7 +225,7 @@ _TABLE: dict[str, Any] = {
         "cake_conductivity_W_per_mK": _key(DesorptionKinetics, "k_e"),
         "cake_density_kg_per_m3": _key(DesorptionKinetics, "rho_e"),
         "cake_heat_capacity_J_per_kgK": _key(DesorptionKinetics, "Cp_e"),
-        "time_limit_s": (1.0e6, POS),
+        "time_limit_s": _key(ParameterSet, "secondary_time_limit_s"),
     },
     "chamber": {
         "volume_m3": _key(ChamberModel, "V_c"),
@@ -178,13 +235,10 @@ _TABLE: dict[str, Any] = {
         "pressure_setpoint_Pa": _key(ChamberModel, "p_setpoint"),
     },
     "pipeline": {
-        "primary_start": ("final_cooling_end",
-                          {"enum": ["final_cooling_end", "solidification_end"]}),
-        "post_heat_duration_s": (0.0, NONNEG),
-        "samples_per_stage": (300, {"type": "integer", "minimum": 2}),
-        # re-derive dried density and initial bound water from the actual
-        # end-of-freezing state so all three stages share one water inventory
-        "consistent_water": (False, {"type": "boolean"}),
+        "primary_start": _key(ParameterSet, "primary_start"),
+        "post_heat_duration_s": _key(ParameterSet, "post_heat_duration_s"),
+        "samples_per_stage": _key(ParameterSet, "samples_per_stage"),
+        "consistent_water": _key(ParameterSet, "consistent_water"),
     },
     "transport_analysis": {
         "porosity": _key(PorousMedium, "porosity"),
@@ -254,50 +308,6 @@ def deep_merge(base: dict, override: dict) -> dict:
         else:
             out[key] = copy.deepcopy(value)
     return out
-
-
-@dataclass
-class ParameterSet:
-    """Everything one cycle simulation needs, in model units."""
-
-    formulation: Formulation
-    mixture: MixtureProperties
-    geometry: VialGeometry
-    radiation: RadiationSpec
-    freezing: FreezingProtocol
-    freezing_initial_T: float
-    primary: DryingParams
-    primary_initial_T: float
-    primary_time_limit_s: float
-    secondary: DesorptionKinetics
-    secondary_conditions: DryingConditions
-    secondary_initial_T: float
-    bound_water_initial: float | tuple[float, float]
-    bound_water_target: float
-    secondary_time_limit_s: float
-    chamber: ChamberModel
-    integrator: IntegratorConfig
-    n_z: int
-    seed: int | None
-    primary_start: str
-    post_heat_duration_s: float
-    samples_per_stage: int
-    consistent_water: bool
-
-    def freezing_system(self) -> FreezingSystem:
-        return FreezingSystem(mixture=self.mixture, radiation=self.radiation,
-                              protocol=self.freezing)
-
-    def initial_vial_state(self) -> VialState:
-        return VialState(T=self.freezing_initial_T, m_w=self.mixture.m_w0, t=0.0)
-
-    def bound_water_profile(self) -> np.ndarray:
-        """Initial bound-water node profile: uniform from a scalar, or a
-        top-to-bottom linear gradient from a (top, bottom) pair."""
-        if isinstance(self.bound_water_initial, (int, float)):
-            return np.full(self.n_z, float(self.bound_water_initial))
-        top, bottom = self.bound_water_initial
-        return np.linspace(float(top), float(bottom), self.n_z)
 
 
 @contextmanager
@@ -398,33 +408,18 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
                                 "a [top, bottom] pair")
         c0 = (float(c0[0]), float(c0[1]))
 
-    pr, fz, pl = scenario["primary"], scenario["freezing"], scenario["pipeline"]
-    if pl["primary_start"] not in ("final_cooling_end", "solidification_end"):
-        raise ScenarioError("pipeline.primary_start must be 'final_cooling_end' or "
-                            "'solidification_end'")
-    return ParameterSet(
+    return _build(
+        ParameterSet, scenario,
         formulation=formulation,
         mixture=mixture,
         geometry=geometry,
         radiation=_build(RadiationSpec, scenario),
         freezing=freezing,
-        freezing_initial_T=fz["initial_temperature_K"],
         primary=primary,
-        primary_initial_T=pr["initial_temperature_K"],
-        primary_time_limit_s=pr["time_limit_s"],
         secondary=_build(DesorptionKinetics, scenario),
         secondary_conditions=_build(DryingConditions, scenario,
                                     **_temperatures(scenario, "secondary")),
-        secondary_initial_T=sd["initial_temperature_K"],
         bound_water_initial=c0,
-        bound_water_target=sd["target_bound_water_kg_per_kg"],
-        secondary_time_limit_s=sd["time_limit_s"],
         chamber=_build(ChamberModel, scenario, M_w=formulation.M_w),
         integrator=_build(IntegratorConfig, scenario),
-        n_z=int(scenario["grid"]["n_nodes"]),
-        seed=seed,
-        primary_start=pl["primary_start"],
-        post_heat_duration_s=pl["post_heat_duration_s"],
-        samples_per_stage=int(pl["samples_per_stage"]),
-        consistent_water=pl["consistent_water"],
     )

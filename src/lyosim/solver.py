@@ -989,13 +989,21 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     itself, or as a square ndarray; anything else raises
     :class:`ConfigurationError`, and without it BDF forms a difference
     Jacobian.  ``knots``, for ``RK45`` only, are times on which a step must
-    end.  The integration stops at the earliest zero crossing of any of
-    ``events``, which the result's ``event`` names, or at the end of
-    ``t_span``.  Returns an :class:`IntegrationResult`; raises
+    end; another method, or an option the method does not take, raises
+    :class:`ConfigurationError`.  The integration stops at the earliest
+    zero crossing of any of ``events``, which the result's ``event`` names,
+    or at the end of ``t_span``.  Returns an :class:`IntegrationResult`; raises
     :class:`SolverError` when the integrator fails (the error reports the
     last reached time and state).
     """
     wall0 = perf_counter()
+    extra = ("jac" if jac is not None and method != "BDF"
+             else "knots" if len(knots) and method != "RK45" else None)
+    if method not in _METHODS or extra:
+        raise ConfigurationError(
+            f"method={method!r}{f' with {extra}' if extra else ''} is not an allowed "
+            "combination: method='BDF' with an optional jac, or method='RK45' with "
+            "optional knots")
     y0 = np.atleast_1d(np.asarray(y0, dtype=float))
     t0, tf = map(float, t_span)
     if tf < t0:

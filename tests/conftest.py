@@ -52,32 +52,6 @@ def rng():
     return np.random.default_rng(1234)
 
 
-class _Captured(Exception):
-    """Stops a stage driver at its call of the integrator."""
-
-
-@pytest.fixture
-def driver_system(monkeypatch):
-    """``capture(module, run)`` calls ``run()``, a stage driver of ``module``,
-    up to its call of ``integrate_adaptive`` and returns the ``(rhs, jac,
-    y0)`` the driver hands to the integrator, without integrating."""
-
-    def capture(module, run):
-        seen = {}
-
-        def fake(rhs, t_span, y0, config, *, events=None, method="BDF", jac=None):
-            seen.update(rhs=rhs, jac=jac, y0=np.asarray(y0, dtype=float))
-            raise _Captured
-
-        monkeypatch.setattr(module, "integrate_adaptive", fake)
-        with pytest.raises(_Captured):
-            run()
-        monkeypatch.undo()
-        return seen["rhs"], seen["jac"], seen["y0"]
-
-    return capture
-
-
 @pytest.fixture
 def jacobian_error():
     """``error(rhs, jac, t, y, steps=None)``: the largest column-scaled

@@ -15,25 +15,31 @@ from lyosim import (
     Formulation,
     FreezingProtocol,
     IntegratorConfig,
+    ParameterSet,
     PorousMedium,
     RadiationSpec,
     Schedule,
     StochasticNucleation,
     VialGeometry,
+    default_parameters,
 )
 from lyosim.params import _KEYS
 
 _T = Schedule.constant(250.0)
+_DEFAULTS = default_parameters()
 # the arguments without a default
 _REQUIRED = {
     FreezingProtocol: dict(gas_temperature=_T, wall_temperature=_T, upper_temperature=_T,
                            total_pressure=Schedule.constant(1.0e5)),
     DryingParams: dict(shelf_temperature=_T, wall_temperature=_T, upper_temperature=_T),
     DryingConditions: dict(shelf_temperature=_T, wall_temperature=_T, upper_temperature=_T),
+    # the model objects a ParameterSet bundles, as the defaults build them
+    ParameterSet: {f.name: getattr(_DEFAULTS, f.name) for f in dataclasses.fields(ParameterSet)
+                   if f.default is dataclasses.MISSING},
 }
 _CLASSES = (Formulation, VialGeometry, RadiationSpec, ControlledNucleation,
             StochasticNucleation, FreezingProtocol, DryingParams, DesorptionKinetics,
-            DryingConditions, ChamberModel, IntegratorConfig, PorousMedium)
+            DryingConditions, ChamberModel, IntegratorConfig, PorousMedium, ParameterSet)
 # which side of a bound a value must not cross, by schema keyword
 _PAST = {"minimum": -np.inf, "exclusiveMinimum": -np.inf,
          "maximum": np.inf, "exclusiveMaximum": np.inf}

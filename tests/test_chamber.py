@@ -83,18 +83,9 @@ def test_pressure_gain_follows_the_clamp():
         assert chamber_pressure_gain(p, load, ch) == pytest.approx(factor, rel=1e-12)
 
 
-def _chamber_system(driver_system, settings, geom, n_z, ch):
-    """(rhs, jac) that run_primary under a chamber hands to the integrator."""
-    rhs, jac, _ = driver_system(drying_primary, lambda: run_primary(
-        235.0, _default_dp(), RadiationSpec(), geom, chamber=ch,
-        **settings("primary", n_z=n_z)))
-    return rhs, jac
-
-
 @pytest.mark.parametrize("n_z", [5, 51])
 @pytest.mark.parametrize("case", ["setpoint_clamp", "overload"])
-def test_jacobian_matches_central_differences(driver_system, stage_settings,
-                                              jacobian_error, geom, n_z, case):
+def test_jacobian_matches_central_differences(jacobian_error, geom, n_z, case):
     T = np.linspace(240.0, 255.0, n_z)
     S = 0.4 * geom.H
     if case == "setpoint_clamp":
@@ -104,7 +95,7 @@ def test_jacobian_matches_central_differences(driver_system, stage_settings,
     else:
         ch = ChamberModel()
         p_state = 10.0
-    rhs, jac = _chamber_system(driver_system, stage_settings, geom, n_z, ch)
+    rhs, jac = drying_primary._make_core(_default_dp(), RadiationSpec(), geom, n_z, ch)
     y = np.concatenate([T, [S, p_state]])
     assert jacobian_error(rhs, jac, 1000.0, y) < 1.0e-5
     J = jac(1000.0, y).toarray()

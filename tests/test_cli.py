@@ -318,9 +318,21 @@ def test_bad_sweep_spec_exits_2(tmp_path, capsys, spec):
      "invalid value at primary/wall_temperature_K: not a finite number"),
     ("primary", "primary:\n  time_limit_s: 1" + "0" * 400 + "\n",
      "invalid value at primary/time_limit_s: not a finite number"),
+    ("primary", "grid:\n  n_nodes: 1" + "0" * 400 + "\n",
+     "invalid value at grid/n_nodes: 1" + "0" * 400 + " is greater than the maximum of 2001"),
+    ("primary", "grid:\n  n_nodes: 1.0e+400\n",
+     "invalid value at grid/n_nodes: inf is not of type 'integer'"),
+    ("primary", "grid:\n  n_nodes: 1000000000000000000\n",
+     "invalid value at grid/n_nodes: 1000000000000000000 is greater than the maximum of 2001"),
+    ("primary", "grid:\n  n_nodes: 100000000000\n",
+     "invalid value at grid/n_nodes: 100000000000 is greater than the maximum of 2001"),
+    ("primary", "pipeline:\n  samples_per_stage: 100000000000\n",
+     "invalid value at pipeline/samples_per_stage: 100000000000 is greater than the maximum "
+     "of 5001"),
 ], ids=["top-level-list", "broken-yaml", "unknown-key", "unsorted-schedule", "nan-shelf",
         "nan-breakpoint", "nan-rtol", "inf-time-limit", "inf-initial-T", "minus-inf",
-        "int-beyond-float"])
+        "int-beyond-float", "huge-grid", "inf-grid", "grid-1e18", "grid-1e11",
+        "huge-samples"])
 def test_malformed_scenario_exits_2(tmp_path, capsys, command, text, where):
     scn = tmp_path / "bad.yaml"
     scn.write_text(text)
@@ -441,6 +453,24 @@ def test_scenario_output_directory_beats_env_var_and_loses_to_out_flag(tmp_path,
     assert main(["analyze", "--scenario", str(scn), "--out", str(explicit)]) == 0
     assert (explicit / "dirs_analyze.json").is_file()
     assert not (tmp_path / "envout").exists()
+
+
+@pytest.mark.parametrize("via", ["--out", "output.directory"])
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "under-a-file"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, via, below):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    target = taken / "sub" if below else taken
+    if via == "--out":
+        argv = ["analyze", "--out", str(target)]
+    else:
+        scn = tmp_path / "dirs.json"
+        scn.write_text(json.dumps({"output": {"directory": str(target)}}))
+        argv = ["analyze", "--scenario", str(scn)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"cannot use {target} as the output directory" in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_module_entry_point(tmp_path):

@@ -136,13 +136,10 @@ def test_event_localization_stable_under_rtol_halving(geom, stage_settings):
 
 
 @pytest.mark.parametrize("n_z", [5, 51])
-def test_jacobian_matches_central_differences(driver_system, stage_settings,
-                                              jacobian_error, geom, n_z):
+def test_jacobian_matches_central_differences(jacobian_error, geom, n_z):
     kin = DesorptionKinetics(c_eq=0.005)
     cond = _conditions(300.0, T_wall=290.0, T_upper=285.0)
-    rhs, jac, _ = driver_system(drying_secondary, lambda: run_secondary(
-        273.15, 0.088, kin, RadiationSpec(), cond, geom,
-        **stage_settings("secondary", n_z=n_z)))
+    rhs, jac = drying_secondary._make_core(kin, RadiationSpec(), cond, geom, n_z)
     rng = np.random.default_rng(7)
     y = np.concatenate([275.0 + 20.0 * rng.random(n_z), 0.02 + 0.06 * rng.random(n_z)])
     assert jacobian_error(rhs, jac, 500.0, y) < 1.0e-5

@@ -318,7 +318,8 @@ def test_schema_bounds_walk_finds_the_known_leaves():
     assert {p for p, _, _ in _UPPER_BOUNDS} == {
         ("formulation", "solute_mass_fraction"), ("radiation", "glass_emissivity"),
         ("radiation", "transfer_factor_top"), ("radiation", "transfer_factor_side"),
-        ("freezing", "solidification_fraction"), ("transport_analysis", "porosity")}
+        ("freezing", "solidification_fraction"), ("transport_analysis", "porosity"),
+        ("grid", "n_nodes"), ("pipeline", "samples_per_stage")}
 
 
 @pytest.mark.parametrize("path, keyword, bound", _BOUNDS,

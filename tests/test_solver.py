@@ -2,6 +2,7 @@
 knots and failures."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -161,6 +162,17 @@ def test_bdf_rejects_a_jacobian_it_cannot_factor(jac):
     with pytest.raises(ConfigurationError):
         integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), IntegratorConfig(),
                            jac=jac)
+
+
+@pytest.mark.parametrize("options, where", [
+    (dict(method="RK45", jac=_stiff_jac), "method='RK45' with jac"),
+    (dict(method="BDF", knots=[0.5]), "method='BDF' with knots"),
+    (dict(method="LSODA"), "method='LSODA' is not"),
+], ids=["rk45-jac", "bdf-knots", "unknown-method"])
+def test_options_that_do_not_match_the_method_are_refused(options, where):
+    with pytest.raises(ConfigurationError, match=re.escape(where)):
+        integrate_adaptive(_stiff_rhs, (0.0, 1.0), np.array([1.0, 0.0]), IntegratorConfig(),
+                           **options)
 
 
 def test_terminal_event_stops_at_known_time():
