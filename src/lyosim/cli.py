@@ -133,14 +133,16 @@ def _run_one(command: str, params: ParameterSet) -> tuple[Trajectory, dict[str, 
     if command == "cycle":
         result = run_full_cycle(params)
         t = result.stage_times
+        durations = {
+            "freezing": t["freezing_end_s"],
+            "primary_drying": t["primary_drying_end_s"] - t["freezing_end_s"],
+            "secondary_drying": t["secondary_drying_end_s"] - t["primary_drying_end_s"],
+        }
+        if "post_heating_end_s" in t:
+            durations["post_heating"] = t["post_heating_end_s"] - t["secondary_drying_end_s"]
         return result.combined, {
             "events": dict(t),
-            "stage_durations_s": {
-                "freezing": t["freezing_end_s"],
-                "primary_drying": t["primary_drying_end_s"] - t["freezing_end_s"],
-                "secondary_drying": t["secondary_drying_end_s"]
-                                    - t["primary_drying_end_s"],
-            },
+            "stage_durations_s": durations,
             "water_balance": result.water_balance,
             "diagnostics": _cycle_diagnostics(result.water_balance,
                                               params.consistent_water),
@@ -277,7 +279,12 @@ def _dispatch(args) -> int:
     if args.seed is not None:
         scenario.data["seed"] = args.seed
         validate_scenario(scenario.data, where=f"--seed {args.seed}")
-    prefix = f"{scenario.name}_{args.command}"
+    name = scenario.name
+    # the name prefixes the output files: it may not lead out of their directory
+    if name in (".", "..") or any(c in name for c in ("\0", os.sep, os.altsep) if c):
+        raise ScenarioError(f"scenario name {name!r} is not a plain file name: it may not "
+                            "hold a path separator or a NUL, or be '.' or '..'")
+    prefix = f"{name}_{args.command}"
     # each command builds its inputs before it makes the output directory,
     # so a run that a bad input ends leaves no directory behind
 

@@ -416,15 +416,16 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     ``solidification_end_s``, ``freezing_end_s``) to absolute model times,
     and whose stage column labels each stage's samples (the scenario's
     ``pipeline.samples_per_stage`` per integrated stage, one for a stage
-    whose start already completes it); ``stage[-1]`` is the stage the run
-    stopped in.  The protocol's schedules run on stage time,
+    that takes no step: one whose start already completes it, or a
+    preconditioning of no time before VISF); ``stage[-1]`` is the stage the
+    run stopped in.  The protocol's schedules run on stage time,
     t - ``initial.t``.  The final state for chaining into drying is stored
     under ``meta["final_state"]`` and the solver counters of the stage's
-    integrations under ``meta["solver"]`` (summed, except ``min_step_s``,
-    the smallest step of any of them, NaN when none took a step).  Every
-    integration runs on the Dormand-Prince pair (``RK45``) with the
-    tolerances of ``config``, and ends a step on every breakpoint of the
-    protocol's four schedules.  From nucleation on, the ice mass is
+    integrations under ``meta["solver"]``: summed from those of a run that
+    takes no step, except ``min_step_s``, the smallest step of any of them,
+    NaN when none took a step.  Every integration runs on the
+    Dormand-Prince pair (``RK45``) with the tolerances of ``config``, and
+    ends a step on every breakpoint of the protocol's four schedules.  From nucleation on, the ice mass is
     written as the nucleation inventory less the water mass, so that water
     and ice add up to the inventory exactly.  Raises
     :class:`StageTimeoutError` when a stage fails to
@@ -447,8 +448,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
     limit = p.stage_time_limit_s
     stages: dict[str, Trajectory] = {}
     events: dict[str, float] = {}
-    solver: dict[str, int | float] = {"steps": 0, "rejected": 0, "nfev": 0, "njev": 0,
-                                      "nlu": 0, "min_step_s": np.nan, "wall_s": 0.0}
+    solver = IntegrationResult.at_start(t, [T]).counters()
     meta: dict[str, Any] = {"solver": solver}
     log.info("freezing: start at t = %.6g s", t)
 
@@ -531,10 +531,7 @@ def run_freezing(initial: VialState, sys: FreezingSystem,
         events["preconditioning_end_s"] = events["visf_end_s"] = t
     else:  # controlled nucleation only: FreezingProtocol rejects VISF with stochastic
         t1 = t + p.visf_start_s
-        if p.visf_start_s > 0.0:
-            ts, ys = integrate(cool, [T], t1).resample(samples_per_stage)
-        else:  # no time before VISF: one row at the start
-            ts, ys = np.array([t]), np.array([[T]])
+        ts, ys = integrate(cool, [T], t1).resample(samples_per_stage)
         record(ts, ys[0], m_w, 0.0, STAGE_PRECONDITIONING)
         T = float(ys[0, -1])
         t = t1

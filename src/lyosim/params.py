@@ -75,7 +75,6 @@ class ParameterSet:
     settings after ``integrator`` are read one-to-one from the scenario and
     declare their defaults and bounds here."""
 
-    formulation: Formulation
     mixture: MixtureProperties
     geometry: VialGeometry
     radiation: RadiationSpec
@@ -410,7 +409,6 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
 
     return _build(
         ParameterSet, scenario,
-        formulation=formulation,
         mixture=mixture,
         geometry=geometry,
         radiation=_build(RadiationSpec, scenario),

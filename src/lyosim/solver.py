@@ -33,13 +33,11 @@ Both integrators step forward only, one accepted step per call, to the
 end of ``t_span``.  Each accepted step leaves its dense output as one
 polynomial segment of a single form, y(t) = base + scale M p(t) with
 p_k(t) = prod_{j <= k} (t - shift_j) / denom_j, and one evaluator serves
-every segment: a BDF step (its backward differences), a Dormand-Prince
-step (its quartic) and a zero-length span, which takes no step and gives
-the mesh [t0, t0] with one segment of no terms, the state itself.
-After each accepted step the loop keeps the step's segment and checks
-the terminal events (:class:`EventSpec`) for a zero crossing in their
-direction; the earliest crossing, located on the segment by
-:func:`_brentq` (a port of scipy's ``brentq``), ends the integration.
+every segment: a BDF step (its backward differences) and a Dormand-Prince
+step (its quartic).  After each accepted step the loop keeps the step's
+segment and checks the terminal events (:class:`EventSpec`) for a zero
+crossing in their direction; the earliest crossing, located on the segment
+by :func:`_brentq` (a port of scipy's ``brentq``), ends the integration.
 Steps, root search, mesh and dense output are those of
 ``scipy.integrate.solve_ivp`` with ``dense_output=True`` and terminal
 events, so wherever ``solve_ivp`` completes the results agree with it to
@@ -60,13 +58,14 @@ keeps the last state only, not a mesh of every state.  The result reports
 the solver's step, rejected-step, RHS, Jacobian and LU counts, its
 smallest step and its wall time.
 
-A stage driver has one completion rule: its completion event is reached
-at (t, y) when direction * g(t, y) > 0 (:meth:`EventSpec.reached`).  A
-stage whose start has already reached it does not integrate; it takes
-:meth:`IntegrationResult.at_start`, a result with the one mesh point t0
-and no solver work, and resamples and packages that like any other.  The
-step loop itself keeps ``solve_ivp``'s semantics, where an event that
-starts past its zero waits for its next crossing.
+A run that takes no step has one form, :meth:`IntegrationResult.at_start`:
+the mesh [t0], no solver work and no dense output.  An empty span (t0, t0)
+returns it without an RHS call (``solve_ivp`` gives [t0, t0] after one),
+and so does a stage whose start has already reached its completion event:
+every event has a direction, +1 or -1, and is reached at (t, y) when
+direction * g(t, y) > 0 (:meth:`EventSpec.reached`).  The step loop keeps
+``solve_ivp``'s semantics, where an event that starts past its zero waits
+for its next crossing.
 """
 
 from __future__ import annotations
@@ -123,11 +122,9 @@ class IntegratorConfig:
 @dataclass
 class EventSpec:
     """Terminal scalar event g(t, y) = 0: the integration stops at its
-    first zero crossing.
-
-    ``direction`` > 0 triggers only on rising zero crossings, < 0 only on
-    falling ones, 0 on any.  ``name`` labels the event in results, logs
-    and errors.
+    first zero crossing in ``direction``, +1 for a rising crossing and -1
+    for a falling one; any other value raises :class:`ConfigurationError`.
+    ``name`` labels the event in results, logs and errors.
 
     As a stage's completion event it is reached at (t, y) when
     direction * g(t, y) > 0 (:meth:`reached`); a start at exactly zero is
@@ -135,26 +132,25 @@ class EventSpec:
     """
 
     func: Callable[[float, np.ndarray], float]
-    direction: float = 0.0
+    direction: float
     name: str = "event"
+
+    def __post_init__(self) -> None:
+        if self.direction not in (1.0, -1.0):
+            raise ConfigurationError(f"event {self.name!r} has direction {self.direction!r}, "
+                                     "not +1 (rising) or -1 (falling)")
 
     def reached(self, t: float, y: np.ndarray) -> bool:
         """Whether the state y at t already lies past the zero in this
         event's direction, so that a stage it completes is done before
-        it starts (never, for ``direction`` 0)."""
+        it starts."""
         return self.direction * self.func(t, y) > 0.0
 
     def crossed(self, g: float, g_new: float) -> bool:
         """Whether the values g at the start and g_new at the end of a step
-        bracket a zero crossing this event watches (a value at zero counts
-        as either side)."""
-        up = g <= 0.0 <= g_new
-        down = g >= 0.0 >= g_new
-        if self.direction > 0:
-            return up
-        if self.direction < 0:
-            return down
-        return up or down
+        bracket a zero crossing in this event's direction (a value at zero
+        counts as either side)."""
+        return self.direction * g <= 0.0 <= self.direction * g_new
 
 
 @dataclass
@@ -180,13 +176,13 @@ class IntegrationResult:
     wall_s: float = 0.0
 
     @classmethod
-    def at_start(cls, t0: float, y0: np.ndarray, done: EventSpec) -> "IntegrationResult":
-        """The result of a stage whose start (t0, y0) has already reached
-        its completion event ``done``: the mesh [t0], no steps, step
-        attempts, RHS, Jacobian or LU evaluations, and ``min_step_s`` NaN
-        (no step)."""
+    def at_start(cls, t0: float, y0: np.ndarray,
+                 done: EventSpec | None = None) -> "IntegrationResult":
+        """The one form of a run that takes no step from (t0, y0): the mesh
+        [t0], zero counts, ``min_step_s`` NaN and no dense output.  ``event``
+        names ``done``, a completion event that the start has reached."""
         return cls(t=np.array([float(t0)]), y_last=np.asarray(y0, dtype=float), sol=None,
-                   event=done.name, min_step_s=np.nan)
+                   event=None if done is None else done.name, min_step_s=np.nan)
 
     def counters(self) -> dict[str, int | float]:
         """Accepted steps (the mesh ``t``), rejected step attempts, the RHS,
@@ -466,9 +462,8 @@ class _Segment:
     t - h (j - 1), denom_j = h j, M = D[1:].T, scale 1 and base D[0].  A
     Dormand-Prince step from (t_old, y_old) is scipy's ``RkDenseOutput``:
     every shift t_old, every denom h, M = Q and scale h, so that p is
-    (x, x^2, x^3, x^4) with x = (t - t_old) / h.  A zero-length span is a
-    segment with no terms, which gives ``base`` itself, as scipy's
-    ``ConstantDenseOutput`` does, so that a state of -0.0 keeps its sign.
+    (x, x^2, x^3, x^4) with x = (t - t_old) / h.  Every segment has at
+    least one term: a run that takes no step has no dense output.
     """
 
     __slots__ = ("shift", "denom", "M", "scale", "base")
@@ -479,9 +474,6 @@ class _Segment:
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t)
-        if not self.shift.shape[0]:
-            return self.base if t.ndim == 0 else np.repeat(self.base[:, None], t.shape[0],
-                                                            axis=1)
         if t.ndim == 0:
             p = np.multiply.accumulate((t - self.shift) / self.denom)
             base = self.base
@@ -497,17 +489,20 @@ class _Segment:
 class _Stepper:
     """What both integrators share: the state (``t``, ``y``), the tolerances,
     the first step and the counters.  They step forward only, from t0 to
-    ``t_bound`` >= t0.  A subclass defines ``step()``, which takes one
-    accepted step, ending on ``t_bound`` rather than past it, and returns
-    ``False`` when the step would fall below 10 ulps of t, and
-    ``_ERROR_ORDER``, the order of the error estimate that sets the first
-    step.  ``nfev``, ``njev`` and ``nlu`` count the RHS, Jacobian and LU
-    evaluations and ``rejected`` the step attempts turned down."""
+    ``t_bound`` > t0; an empty span raises :class:`ConfigurationError`.  A
+    subclass defines ``step()``, which takes one accepted step, ending on
+    ``t_bound`` rather than past it, and returns ``False`` when the step
+    would fall below 10 ulps of t, and ``_ERROR_ORDER``, the order of the
+    error estimate that sets the first step.  ``nfev``, ``njev`` and ``nlu``
+    count the RHS, Jacobian and LU evaluations and ``rejected`` the step
+    attempts turned down."""
 
     _ERROR_ORDER: int
 
     def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray], t0: float,
                  y0: np.ndarray, t_bound: float, rtol: float, atol: float | np.ndarray) -> None:
+        if not t_bound > t0:
+            raise ConfigurationError(f"the span [{t0}, {t_bound}] has no step to take")
         self.fun = fun
         self.t = t0
         self.y = y = np.asarray(y0, dtype=float)
@@ -543,8 +538,6 @@ class _Stepper:
         ``_ERROR_ORDER``, as scipy's ``select_initial_step``; one RHS call."""
         t0, y0 = self.t, self.y
         interval_length = self.t_bound - t0
-        if interval_length == 0.0:
-            return 0.0
         scale = self.atol + np.abs(y0) * self.rtol
         d0 = self._norm(y0 / scale)
         d1 = self._norm(f0 / scale)
@@ -992,9 +985,10 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     end; another method, or an option the method does not take, raises
     :class:`ConfigurationError`.  The integration stops at the earliest
     zero crossing of any of ``events``, which the result's ``event`` names,
-    or at the end of ``t_span``.  Returns an :class:`IntegrationResult`; raises
-    :class:`SolverError` when the integrator fails (the error reports the
-    last reached time and state).
+    or at the end of ``t_span``.  Returns an :class:`IntegrationResult`, the
+    :meth:`~IntegrationResult.at_start` one for an empty span, which calls
+    neither ``rhs`` nor ``jac``; raises :class:`SolverError` when the
+    integrator fails (the error reports the last reached time and state).
     """
     wall0 = perf_counter()
     extra = ("jac" if jac is not None and method != "BDF"
@@ -1008,6 +1002,8 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     t0, tf = map(float, t_span)
     if tf < t0:
         raise ConfigurationError(f"t_span {t_span} runs backwards")
+    if tf == t0:
+        return IntegrationResult.at_start(t0, y0)
     kwargs = {} if jac is None else {"jac": jac}
     if len(knots):
         kwargs["knots"] = knots
@@ -1019,12 +1015,9 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     segments = []
     min_step = np.inf
     event: str | None = None
-    # a zero-length span takes one pass: the mesh [t0, t0], one segment of no terms
-    while event is None and (t < tf or not segments):
+    while event is None and t < tf:
         t_old = t
-        if t0 == tf:
-            sol = _Segment(np.empty(0), np.empty(0), np.empty((y0.shape[0], 0)), 1.0, y0)
-        elif solver.step():
+        if solver.step():
             t, y, sol = solver.t, solver.y, solver.dense_output()
         else:
             raise SolverError("integration failed: Required step size is less than "

@@ -13,7 +13,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import lyosim
@@ -93,6 +92,32 @@ def test_cycle_summary_contents(tmp_path):
 
 # the counters without wall_s, which differs run to run
 COUNTERS = {"steps", "rejected", "nfev", "njev", "nlu", "min_step_s"}
+
+
+@pytest.mark.parametrize("hold", ["10.0", "1.0e-300"])
+def test_cycle_summary_reports_post_heating(tmp_path, hold):
+    # the stage durations add up to the cycle's end, post-heating included;
+    # a hold shorter than the clock's resolution takes no step
+    scn = tmp_path / "hold.yaml"
+    scn.write_text(f"pipeline:\n  post_heat_duration_s: {hold}\n")
+    assert main(["cycle", "--scenario", str(scn), "--out", str(tmp_path)]) == 0
+    summary = _read_json(tmp_path / "hold_cycle_summary.json")
+    durations, events = summary["stage_durations_s"], summary["events"]
+    assert list(durations) == ["freezing", "primary_drying", "secondary_drying",
+                               "post_heating"]
+    assert durations["post_heating"] == \
+        events["post_heating_end_s"] - events["secondary_drying_end_s"]
+    assert sum(durations.values()) == pytest.approx(summary["end_time_s"], rel=1.0e-12)
+    counters = summary["solver"]["post_heating"]
+    assert set(counters) == COUNTERS
+    if hold == "10.0":
+        assert durations["post_heating"] == pytest.approx(10.0, rel=1.0e-9)
+        assert counters["steps"] > 0 and counters["min_step_s"] > 0.0
+    else:
+        assert durations["post_heating"] == 0.0
+        assert [counters[k] for k in ("steps", "rejected", "nfev", "njev", "nlu")] \
+            == [0, 0, 0, 0, 0]
+        assert counters["min_step_s"] is None
 
 
 @pytest.mark.parametrize("command", ["freeze", "primary", "secondary", "failure", "cycle"])
@@ -471,6 +496,21 @@ def test_unusable_output_directory_exits_2(tmp_path, capsys, via, below):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"cannot use {target} as the output directory" in err
     assert taken.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("command", ["freeze", "analyze"])
+@pytest.mark.parametrize("name", ["../escaped", "a/b", ".", "..", "nul\0name"],
+                         ids=["parent", "subdirectory", "dot", "dot-dot", "nul"])
+def test_scenario_name_that_is_not_a_file_name_exits_2(tmp_path, capsys, command, name):
+    # the name prefixes the output files: it may not lead outside --out
+    work = tmp_path / "work"
+    work.mkdir()
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({"name": name}))
+    assert main([command, "--scenario", str(scn), "--out", str(work / "inner")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"scenario name {name!r} is not a plain file name" in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scn.json", "work"]
 
 
 def test_module_entry_point(tmp_path):

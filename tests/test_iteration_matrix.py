@@ -50,13 +50,7 @@ def _captured_call(module, run):
     return seen
 
 
-def _captured_jac(module, run):
-    """The ``jac`` that the stage driver ``run()`` of ``module`` hands to
-    the integrator, without integrating."""
-    return _captured_call(module, run)["jac"]
-
-
-def _primary_jacobian(stage_settings, case, chamber, n_z):
+def _primary_jacobian(case, chamber, n_z):
     """The primary-drying Jacobian at the states of the central-difference
     Jacobian tests, with a fixed pressure, a chamber under its setpoint
     clamp or an overloaded chamber."""
@@ -65,8 +59,7 @@ def _primary_jacobian(stage_settings, case, chamber, n_z):
                       upper_temperature=Schedule.constant(265.0))
     ch = {"fixed": None, "setpoint_clamp": ChamberModel(j_w_max=1.0),
           "overload": ChamberModel()}[chamber]
-    jac = _captured_jac(drying_primary, lambda: run_primary(
-        235.0, dp, RadiationSpec(), _GEOM, ch, **stage_settings("primary", n_z=n_z)))
+    _, jac = drying_primary._make_core(dp, RadiationSpec(), _GEOM, n_z, ch, t0=0.0)
     T = np.linspace(240.0, 255.0, n_z)
     S = {"gap_floor": _GEOM.H * (1.0 - 0.25e-3), "behind_top": -1.0e-4}.get(case, 0.4 * _GEOM.H)
     if case == "cold_front":
@@ -77,13 +70,12 @@ def _primary_jacobian(stage_settings, case, chamber, n_z):
     return jac(1000.0, y)
 
 
-def _secondary_jacobian(stage_settings, n_z):
+def _secondary_jacobian(n_z):
     cond = DryingConditions(shelf_temperature=Schedule.constant(300.0),
                             wall_temperature=Schedule.constant(290.0),
                             upper_temperature=Schedule.constant(285.0))
-    jac = _captured_jac(drying_secondary, lambda: run_secondary(
-        273.15, 0.088, DesorptionKinetics(c_eq=0.005), RadiationSpec(), cond, _GEOM,
-        **stage_settings("secondary", n_z=n_z)))
+    _, jac = drying_secondary._make_core(DesorptionKinetics(c_eq=0.005), RadiationSpec(), cond,
+                                         _GEOM, n_z, t0=0.0)
     rng = np.random.default_rng(7)
     return jac(500.0, np.concatenate([275.0 + 20.0 * rng.random(n_z),
                                       0.02 + 0.06 * rng.random(n_z)]))
@@ -114,8 +106,8 @@ _SEED = st.integers(0, 2**32 - 1)
 @pytest.mark.parametrize("case", ["mid_drying", "gap_floor", "cold_front", "behind_top"])
 @settings(max_examples=25, deadline=None)
 @given(n_z=_N_Z, c=_C, seed=_SEED)
-def test_primary_factor_solves_as_dense(stage_settings, case, chamber, n_z, c, seed):
-    J = _primary_jacobian(stage_settings, case, chamber, n_z)
+def test_primary_factor_solves_as_dense(case, chamber, n_z, c, seed):
+    J = _primary_jacobian(case, chamber, n_z)
     assert isinstance(J, BorderedTridiagonal)
     # under the gap floor the 1/gap^2 diffusion makes I - cJ so ill
     # conditioned (up to 1e18) that no double-precision solve, the dense
@@ -127,8 +119,8 @@ def test_primary_factor_solves_as_dense(stage_settings, case, chamber, n_z, c, s
 
 @settings(max_examples=50, deadline=None)
 @given(n_z=_N_Z, c=_C, seed=_SEED)
-def test_secondary_factor_solves_as_dense(stage_settings, n_z, c, seed):
-    J = _secondary_jacobian(stage_settings, n_z)
+def test_secondary_factor_solves_as_dense(n_z, c, seed):
+    J = _secondary_jacobian(n_z)
     assert isinstance(J, CoupledTridiagonal)
     _assert_solves_as_dense(J, c, seed)
 

@@ -13,7 +13,6 @@ from jsonschema import Draft202012Validator
 
 from lyosim import (
     ControlledNucleation,
-    Scenario,
     ScenarioError,
     build_parameters,
     builtin_scenarios,

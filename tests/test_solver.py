@@ -217,7 +217,7 @@ def test_event_direction_filter():
 
 
 def test_missing_event_returns_none():
-    ev = EventSpec(lambda t, y: y[0] + 10.0, name="never")
+    ev = EventSpec(lambda t, y: y[0] + 10.0, direction=-1.0, name="never")
     res = integrate_adaptive(lambda t, y: -y, (0.0, 1.0), np.array([1.0]),
                              IntegratorConfig(), events=[ev])
     assert res.event is None and res.t[-1] == 1.0
@@ -370,7 +370,7 @@ def test_difference_jacobian_matches_solve_ivp():
 
 
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
-@pytest.mark.parametrize("direction", [1.0, -1.0, 0.0])
+@pytest.mark.parametrize("direction", [1.0, -1.0])
 def test_loop_matches_solve_ivp_on_direction_filters(method, jac, direction):
     # x starts at 1 moving up: it falls through zero first, then rises
     spec = EventSpec(lambda t, y: y[0], direction=direction, name="zero")
@@ -427,10 +427,55 @@ def test_loop_matches_solve_ivp_on_root_at_previous_mesh_point(method, jac):
     assert res.event == "touch" and res.t[-1] == c
 
 
+def test_event_needs_a_direction():
+    # every event watches one direction: rising (+1) or falling (-1)
+    for direction in (0.0, 0.5, -2.0, math.nan):
+        with pytest.raises(ConfigurationError, match="direction"):
+            EventSpec(lambda t, y: y[0], direction=direction, name="zero")
+    with pytest.raises(TypeError):
+        EventSpec(lambda t, y: y[0], name="zero")
+
+
 @pytest.mark.parametrize("method, jac", _LOOP_METHODS)
-def test_loop_matches_solve_ivp_on_a_zero_length_span(method, jac):
-    res = _matches_solve_ivp(_osc_rhs, (1.0, 1.0), np.array([1.0, -0.0]), [], method, jac)
-    assert res.t.tolist() == [1.0, 1.0] and np.signbit(res.sol(1.0)[1])
+def test_an_empty_span_is_the_at_start_result(method, jac):
+    # no step, one form: the mesh [t0], zero counts and no dense output,
+    # without a call to rhs or jac (solve_ivp gives [t0, t0] after one RHS
+    # call); the state keeps the sign of a -0.0
+    calls = []
+
+    def rhs(t, y):
+        calls.append("rhs")
+        return _osc_rhs(t, y)
+
+    def counted_jac(t, y):
+        calls.append("jac")
+        return jac(t, y)
+
+    options = {"jac": counted_jac} if method == "BDF" else {"knots": [0.5, 1.0, 2.0]}
+    spec = EventSpec(lambda t, y: y[0], direction=-1.0, name="zero")
+    res = integrate_adaptive(rhs, (1.0, 1.0), np.array([1.0, -0.0]), IntegratorConfig(),
+                             events=[spec], method=method, **options)
+    assert calls == []
+    assert res.t.tolist() == [1.0] and res.event is None and res.sol is None
+    assert res.y_last.tolist() == [1.0, 0.0] and np.signbit(res.y_last[1])
+    counters = res.counters()
+    assert math.isnan(counters.pop("min_step_s"))
+    assert counters == {"steps": 0, "rejected": 0, "nfev": 0, "njev": 0, "nlu": 0,
+                        "wall_s": 0.0}
+    ts, ys = res.resample(50)
+    assert ts.tolist() == [1.0] and ys.shape == (2, 1) and np.signbit(ys[1, 0])
+    # a backward span is refused, and so is an option the method does not
+    # take, also on an empty span
+    with pytest.raises(ConfigurationError, match="backwards"):
+        integrate_adaptive(rhs, (1.0, 0.5), np.array([1.0, 0.0]), method=method, **options)
+    wrong = {"knots": [0.5]} if method == "BDF" else {"jac": _osc_jac}
+    with pytest.raises(ConfigurationError, match="not an allowed combination"):
+        integrate_adaptive(rhs, (1.0, 1.0), np.array([1.0, 0.0]), method=method, **wrong)
+    # the integrator itself has no step to take on an empty span
+    with pytest.raises(ConfigurationError, match="no step to take"):
+        solver._METHODS[method](rhs, 1.0, np.array([1.0, 0.0]), 1.0, rtol=1.0e-6,
+                                atol=1.0e-9, **options)
+    assert calls == []
 
 
 def test_counters_report_smallest_step_and_wall_time():
