@@ -8,8 +8,11 @@ every vial; the coupled system finds a plateau where the vials collectively
 sublime exactly at the condenser capacity.  The chamber gas is treated as
 ideal and well mixed at a representative temperature.
 
-This module holds the chamber model and its water balance; primary drying
-under it is :func:`lyosim.drying_primary.run_primary` with ``chamber=``,
+This module holds the chamber model and its ideal-gas water balance.  The
+setpoint is primary drying's chamber water pressure,
+:attr:`lyosim.drying_primary.DryingParams.p_w_chamber`, and the rule that
+holds it lives in the one primary-drying core: primary drying under a
+chamber is :func:`lyosim.drying_primary.run_primary` with ``chamber=``,
 which adds the chamber pressure to the state.
 """
 
@@ -30,40 +33,31 @@ class ChamberModel:
 
     ``j_w_max`` is the maximum condensation mass rate (kg/s) of the
     condenser; ``n_vial`` vials feed vapor into the free volume ``V_c``
-    (m^3) at mean gas temperature ``T_bar`` (K).  ``p_setpoint`` (Pa) is
-    the controlled water partial pressure while the condenser keeps up.
+    (m^3) at mean gas temperature ``T_bar`` (K).  The controlled water
+    partial pressure while the condenser keeps up is the drying
+    parameters' ``p_w_chamber``, not a field of the chamber.
     """
 
     V_c: float = field(default=0.118, metadata=POS)
     j_w_max: float = field(default=1.8e-5, metadata=NONNEG)
     n_vial: int = field(default=200, metadata={"type": "integer", "minimum": 1})
     T_bar: float = field(default=260.0, metadata=POS)
-    p_setpoint: float = field(default=3.0, metadata=NONNEG)
     M_w: float = field(default=Formulation.M_w, metadata=POS)
 
     def __post_init__(self) -> None:
         check_bounds(self)
 
 
-def chamber_pressure_rhs(p_w_c: float, j_w: float, ch: ChamberModel) -> float:
-    """dp_w,c/dt (Pa/s) from the ideal-gas water balance of the chamber.
-
-    ``j_w`` is the total vapor load (kg/s).  While the pressure sits at the
-    setpoint and the condenser has spare capacity the controller holds the
-    setpoint, so the derivative clamps to zero instead of going negative.
-    """
-    rate = (j_w - ch.j_w_max) * GAS_CONSTANT * ch.T_bar / (ch.V_c * ch.M_w)
-    if p_w_c <= ch.p_setpoint and rate < 0.0:
-        return 0.0
-    return rate
+def chamber_pressure_rhs(j_w: float, ch: ChamberModel) -> float:
+    """dp_w,c/dt (Pa/s) from the ideal-gas water balance of the chamber
+    under the total vapor load ``j_w`` (kg/s): negative while the condenser
+    has spare capacity."""
+    return (j_w - ch.j_w_max) * GAS_CONSTANT * ch.T_bar / (ch.V_c * ch.M_w)
 
 
-def chamber_pressure_gain(p_w_c: float, j_w: float, ch: ChamberModel) -> float:
-    """d(dp_w,c/dt)/dj_w (Pa/kg): the ideal-gas factor R T / (V M), or zero
-    while the setpoint clamp of :func:`chamber_pressure_rhs` holds (the
-    rate there is negative exactly when the load is under capacity)."""
-    if p_w_c <= ch.p_setpoint and j_w < ch.j_w_max:
-        return 0.0
+def chamber_pressure_gain(ch: ChamberModel) -> float:
+    """d(dp_w,c/dt)/dj_w (Pa/kg) of :func:`chamber_pressure_rhs`: the
+    ideal-gas factor R T / (V M)."""
     return GAS_CONSTANT * ch.T_bar / (ch.V_c * ch.M_w)
 
 

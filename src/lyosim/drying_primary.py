@@ -14,8 +14,9 @@ grows with cake depth, R_p(S) = Rp0 + Rp1 S / (Rp2 + S); the flux is
 proportional to the gap between the ice saturation pressure at the front
 temperature and the chamber water partial pressure, clamped at zero
 because recondensation from the chamber is not modeled.  The chamber
-partial pressure is either fixed or, when a condenser cannot keep up, a
-state of the chamber water balance (:mod:`lyosim.chamber`).
+partial pressure is one value, ``DryingParams.p_w_chamber``: held fixed, or,
+under a chamber model, the setpoint of a pressure state that rises off it
+when the condenser cannot keep up (:mod:`lyosim.chamber`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,9 @@ class DryingParams:
     travel removes.  ``shelf_temperature`` drives the bottom film ``h_b``;
     the top exchanges radiatively with ``upper_temperature`` and the side
     with ``wall_temperature``.  Cake-resistance constants: ``Rp0`` (m/s),
-    ``Rp1`` (1/s), ``Rp2`` (m).
+    ``Rp1`` (1/s), ``Rp2`` (m).  ``p_w_chamber`` (Pa) is the chamber water
+    partial pressure: held as it is without a chamber model, and the
+    controller's setpoint under one.
     """
 
     shelf_temperature: Schedule
@@ -124,17 +127,19 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     y = (T_0 ... T_{n_z-1}, S), with the chamber pressure p appended under a
     ``chamber``, and their exact Jacobian.
 
-    Returns ``(rhs, jac)``.  Without a chamber the chamber water partial
-    pressure is ``dp.p_w_chamber``; with one it is max(p, setpoint), as the
-    controller holds the setpoint from below, and dp/dt is the chamber water
+    Returns ``(rhs, jac)``; ``rhs.pressure(y)`` is the chamber water partial
+    pressure the vials see at y.  It is ``dp.p_w_chamber`` without a
+    chamber.  With one that is the setpoint, and the setpoint rule lives
+    here: the vials see max(p, setpoint), and dp/dt, the chamber water
     balance :func:`~lyosim.chamber.chamber_pressure_rhs` under the load of
-    ``chamber.n_vial`` vials.  ``rhs(t, y)`` is total: implicit-solver trial
-    steps may probe unphysical states, so the flux vanishes for nonpositive
-    front temperatures (the continuous limit, since saturation pressure
-    vanishes there) and the gap H - S is floored at half the
-    front-completion margin of :func:`run_primary` so the 1/gap^2 diffusion
-    coefficient stays bounded when a trial step overshoots the terminal
-    event.
+    ``chamber.n_vial`` vials, clamps to zero at or below the setpoint while
+    the condenser has spare capacity.  ``rhs(t, y)`` is total:
+    implicit-solver trial steps may probe unphysical states, so the flux
+    vanishes for nonpositive front temperatures (the continuous limit, since
+    saturation pressure vanishes there) and the gap H - S is floored at half
+    the front-completion margin of :func:`run_primary` so the 1/gap^2
+    diffusion coefficient stays bounded when a trial step overshoots the
+    terminal event.
 
     ``jac(t, y)`` is a :class:`~lyosim.solver.BorderedTridiagonal`:
     tridiagonal in T_1 ... T_{n_z-1}, bordered by T_0, S and p (every
@@ -159,14 +164,21 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
     gap_floor = 0.5 * _FRONT_EPSILON_REL * H
     n = n_z + 1 if chamber is None else n_z + 2
     border = [0, *range(n_z, n)]  # T_0, S and p
+    p_set = dp.p_w_chamber
     if chamber is not None:
         load = chamber.n_vial * geom.A_z  # vapor load (kg/s) per unit flux (kg/m^2/s)
-        p_set = chamber.p_setpoint
+        gain = load * chamber_pressure_gain(chamber)  # d(dp/dt)/dN_w off the clamp
+
+    def pressure(y: np.ndarray) -> float:  # the controller holds the setpoint from below
+        return p_set if chamber is None else max(float(y[n_z + 1]), p_set)
+
+    def held(p: float, N_w: float) -> bool:  # the setpoint clamp: dp/dt = 0
+        return p <= p_set and load * N_w < chamber.j_w_max
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         T = y[:n_z]
         S = float(y[n_z])
-        p = dp.p_w_chamber if chamber is None else max(float(y[n_z + 1]), p_set)
+        p = pressure(y)
         gap = max(H - S, gap_floor)
         T_front = T[0]
         # T_front > 0 is False for NaN too; both want a dead flux
@@ -188,13 +200,13 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         out[:n_z] = diff + conv + q_rad
         out[n_z] = dS
         if chamber is not None:
-            out[n_z + 1] = chamber_pressure_rhs(p, load * N_w, chamber)
+            out[n_z + 1] = 0.0 if held(p, N_w) else chamber_pressure_rhs(load * N_w, chamber)
         return out
 
     def jac(t: float, y: np.ndarray) -> BorderedTridiagonal:
         T = y[:n_z]
         S = float(y[n_z])
-        p = dp.p_w_chamber if chamber is None else max(float(y[n_z + 1]), p_set)
+        p = pressure(y)
         # the branches of rhs: gap floor, dead flux, max(S, 0)
         gap = max(H - S, gap_floor)
         gap_S = -1.0 if H - S >= gap_floor else 0.0
@@ -255,21 +267,22 @@ def _make_core(dp: DryingParams, rad: RadiationSpec, geom: VialGeometry,
         col_S[n_z - 1] += via_bot * bot_S
         col_S[n_z] = N_S / drho
         if chamber is not None:
-            dp_dy = 1.0 if y[n_z + 1] >= p_set else 0.0  # zero under the setpoint clamp
+            dp_dy = 1.0 if y[n_z + 1] >= p_set else 0.0  # d pressure(y) / dp
             col_p = cols[:, 2]
             col_p[:n_z] = u_diff * (N_p * beta_N)
             col_p[0] -= via_top * front_gain * N_p * dp.dH_sub
             col_p[n_z] = N_p / drho
             col_p *= dp_dy
             # the load row: d(dp/dt)/dN_w times dN_w/d(T_0, S, p)
-            gain = load * chamber_pressure_gain(p, load * N_w, chamber)
-            col_T0[-1] = gain * N_T
-            col_S[-1] = gain * N_S
-            col_p[-1] = gain * N_p * dp_dy
+            g = 0.0 if held(p, N_w) else gain
+            col_T0[-1] = g * N_T
+            col_S[-1] = g * N_S
+            col_p[-1] = g * N_p * dp_dy
         rows = np.zeros((len(border), n_z - 1))  # J[border, T_1 ... T_{n_z-1}]
         rows[0, 0] = 2.0 * a  # the top ghost node carries T_1 too
         return BorderedTridiagonal(lower, diag, upper, border, cols, rows)
 
+    rhs.pressure = pressure
     return rhs, jac
 
 
@@ -302,8 +315,9 @@ def run_primary(initial_temperature: float | np.ndarray,
     ``dp.p_w_chamber``.  With a :class:`~lyosim.chamber.ChamberModel` the
     vial is one of ``chamber.n_vial`` identical vials sharing the chamber
     water balance: the partial pressure p is a state that starts at the
-    setpoint, rises whenever the collective sublimation load exceeds the
-    condenser capacity and feeds back on the flux of every vial, and
+    setpoint ``dp.p_w_chamber``, rises whenever the collective sublimation
+    load exceeds the condenser capacity and feeds back on the flux of every
+    vial, so a condenser that always keeps up gives the run without one;
     ``meta`` gains ``peak_pressure_Pa`` and ``peak_load_kg_per_s``.
     """
     H = geom.H
@@ -314,21 +328,14 @@ def run_primary(initial_temperature: float | np.ndarray,
     log.info("%s: start at t = %.6g s", STAGE_PRIMARY, t0)
     rhs, jac = _make_core(dp, rad, geom, n_z, chamber, t0)
     A_z = geom.A_z
-
-    def pressure(y: np.ndarray) -> np.ndarray:
-        # the chamber water partial pressure along the states y, as rhs reads it
-        if chamber is None:
-            return np.full(y.shape[1:], dp.p_w_chamber)
-        return np.maximum(y[n_z + 1], chamber.p_setpoint)
-
-    y0 = np.concatenate([T0, [0.0] if chamber is None else [0.0, chamber.p_setpoint]])
+    y0 = np.concatenate([T0, [0.0] if chamber is None else [0.0, dp.p_w_chamber]])
     done = EventSpec(lambda t, y: y[n_z] - S_stop, direction=1.0, name="front_complete")
     res = integrate_adaptive(rhs, (t0, t0 + time_limit_s), y0, config,
                              events=[done], jac=jac)
     if res.event is None:
         y_last = res.y_last
         S_last = float(y_last[n_z])
-        flux = sublimation_flux(float(y_last[0]), S_last, dp, float(pressure(y_last)))
+        flux = sublimation_flux(float(y_last[0]), S_last, dp, rhs.pressure(y_last))
         detail = ("sublimation driving force is nonpositive (front temperature too "
                   "cold for the chamber pressure)" if flux <= 0.0
                   else f"front still moving at {flux:.3e} kg/m^2/s")
@@ -340,14 +347,14 @@ def run_primary(initial_temperature: float | np.ndarray,
     t_end = float(res.t[-1])
     y_end = res.y_last
     T_end = y_end[:n_z].copy()
-    p_end = float(pressure(y_end))
+    p_end = rhs.pressure(y_end)
     dS_end = sublimation_flux(T_end[0], S_stop, dp, p_end) / (dp.rho_f - dp.rho_e)
     t_complete = t_end + (H - S_stop) / dS_end if dS_end > 0.0 else t_end
 
     ts, ys = res.resample(samples - 1)
     T_hist = np.vstack([ys[:n_z, :].T, T_end])  # (n_time, n_z)
     S_hist = np.append(np.clip(ys[n_z, :], 0.0, H), H)
-    p_hist = np.append(pressure(ys), p_end)
+    p_hist = np.append(np.fromiter(map(rhs.pressure, ys.T), float, ys.shape[1]), p_end)
     ts = np.append(ts, t_complete)
     N_w = np.array([sublimation_flux(T_hist[i, 0], S_hist[i], dp, p_hist[i])
                     for i in range(ts.shape[0] - 1)] + [0.0])

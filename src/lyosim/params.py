@@ -197,7 +197,6 @@ _TABLE: dict[str, Any] = {
         "wall_temperature_K": (265.0, _SCHEDULE),
         "upper_temperature_K": (265.0, _SCHEDULE),
         "bottom_htc_W_per_m2K": _key(DryingParams, "h_b"),
-        "chamber_water_pressure_Pa": _key(DryingParams, "p_w_chamber"),
         "cake_resistance_R0_m_per_s": _key(DryingParams, "Rp0"),
         "cake_resistance_R1_m_per_s": _key(DryingParams, "Rp1"),
         "cake_resistance_R2_m": _key(DryingParams, "Rp2"),
@@ -231,7 +230,9 @@ _TABLE: dict[str, Any] = {
         "condenser_capacity_kg_per_s": _key(ChamberModel, "j_w_max"),
         "vial_count": _key(ChamberModel, "n_vial"),
         "gas_temperature_K": _key(ChamberModel, "T_bar"),
-        "pressure_setpoint_Pa": _key(ChamberModel, "p_setpoint"),
+        # primary drying's chamber water pressure: held as it is without a
+        # chamber model, the setpoint under one
+        "pressure_setpoint_Pa": _key(DryingParams, "p_w_chamber"),
     },
     "pipeline": {
         "primary_start": _key(ParameterSet, "primary_start"),
@@ -372,12 +373,7 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
     whole-number float such as ``5.0`` as an integer.
     """
     formulation = _build(Formulation, scenario)
-    matrix = scenario["frozen_matrix"]
-    mixture = mixture_properties(
-        formulation, scenario["vial"]["diameter_m"],
-        Cp_f_override=matrix["heat_capacity_J_per_kgK"],
-        k_f_override=matrix["conductivity_W_per_mK"],
-    )
+    mixture = mixture_properties(formulation, scenario["vial"]["diameter_m"])
     height = scenario["vial"]["product_height_m"]
     geometry = _build(VialGeometry, scenario, H=height if height is not None else mixture.H)
     seed = scenario.get("seed")
@@ -391,13 +387,18 @@ def build_parameters(scenario: dict[str, Any]) -> ParameterSet:
         nucleation=_nucleation(scenario, seed),
     )
 
-    rho_f = matrix["density_kg_per_m3"]
-    frozen_density = ("frozen_matrix.density_kg_per_m3" if rho_f is not None
+    # the frozen matrix: each measured value, else its mixing rule
+    measured = scenario["frozen_matrix"]
+    matrix = {name: measured[key] if measured[key] is not None else getattr(mixture, name)
+              for name, key in (("rho_f", "density_kg_per_m3"),
+                                ("Cp_f", "heat_capacity_J_per_kgK"),
+                                ("k_f", "conductivity_W_per_mK"))}
+    frozen_density = ("frozen_matrix.density_kg_per_m3"
+                      if measured["density_kg_per_m3"] is not None
                       else "the frozen density from the formulation")
     with _scenario_keys({"rho_f": frozen_density}):
         primary = _build(DryingParams, scenario, **_temperatures(scenario, "primary"),
-                         rho_f=rho_f if rho_f is not None else mixture.rho_f,
-                         Cp_f=mixture.Cp_f, k_f=mixture.k_f)
+                         **matrix)
 
     sd = scenario["secondary"]
     c0 = sd["initial_bound_water_kg_per_kg"]

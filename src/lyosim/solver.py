@@ -486,6 +486,14 @@ class _Segment:
         return y
 
 
+def _start_state(y0) -> np.ndarray:
+    """``y0`` as a float array, which must be finite and 1-D."""
+    y = np.asarray(y0, dtype=float)
+    if y.ndim != 1 or not np.isfinite(y).all():
+        raise ConfigurationError("the initial state must be a finite 1-D array")
+    return y
+
+
 class _Stepper:
     """What both integrators share: the state (``t``, ``y``), the tolerances,
     the first step and the counters.  They step forward only, from t0 to
@@ -505,9 +513,7 @@ class _Stepper:
             raise ConfigurationError(f"the span [{t0}, {t_bound}] has no step to take")
         self.fun = fun
         self.t = t0
-        self.y = y = np.asarray(y0, dtype=float)
-        if y.ndim != 1 or not np.isfinite(y).all():
-            raise ConfigurationError("the initial state must be a finite 1-D array")
+        self.y = y = _start_state(y0)
         self.n = n = y.shape[0]
         self.t_bound = t_bound
         self.nfev = self.njev = self.nlu = self.rejected = 0
@@ -983,12 +989,14 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
     :class:`ConfigurationError`, and without it BDF forms a difference
     Jacobian.  ``knots``, for ``RK45`` only, are times on which a step must
     end; another method, or an option the method does not take, raises
-    :class:`ConfigurationError`.  The integration stops at the earliest
-    zero crossing of any of ``events``, which the result's ``event`` names,
-    or at the end of ``t_span``.  Returns an :class:`IntegrationResult`, the
-    :meth:`~IntegrationResult.at_start` one for an empty span, which calls
-    neither ``rhs`` nor ``jac``; raises :class:`SolverError` when the
-    integrator fails (the error reports the last reached time and state).
+    :class:`ConfigurationError`, and so does a start state that is not a
+    finite 1-D array, on an empty span too.  The integration stops at the
+    earliest zero crossing of any of ``events``, which the result's
+    ``event`` names, or at the end of ``t_span``.  Returns an
+    :class:`IntegrationResult`, the :meth:`~IntegrationResult.at_start` one
+    for an empty span, which calls neither ``rhs`` nor ``jac``; raises
+    :class:`SolverError` when the integrator fails (the error reports the
+    last reached time and state).
     """
     wall0 = perf_counter()
     extra = ("jac" if jac is not None and method != "BDF"
@@ -998,7 +1006,7 @@ def integrate_adaptive(rhs: Callable[[float, np.ndarray], np.ndarray],
             f"method={method!r}{f' with {extra}' if extra else ''} is not an allowed "
             "combination: method='BDF' with an optional jac, or method='RK45' with "
             "optional knots")
-    y0 = np.atleast_1d(np.asarray(y0, dtype=float))
+    y0 = _start_state(np.atleast_1d(y0))
     t0, tf = map(float, t_span)
     if tf < t0:
         raise ConfigurationError(f"t_span {t_span} runs backwards")

@@ -275,17 +275,15 @@ class MixtureProperties:
         return 4.0 * v_tot / self.d
 
 
-def mixture_properties(f: Formulation, d: float = VialGeometry.d, *,
-                       Cp_f_override: float | None = None,
-                       k_f_override: float | None = None) -> MixtureProperties:
+def mixture_properties(f: Formulation, d: float = VialGeometry.d) -> MixtureProperties:
     """Build derived fill and frozen-matrix properties.
 
     Mixing rules: the liquid density is the volume-additive mixture
     1 / rho_l = x_s / rho_s + (1 - x_s) / rho_w; the frozen density uses ice
     in place of liquid water.  Heat capacity mixes by mass fraction and
-    conductivity by volume fraction.  Measured matrix values, when
-    available, can be supplied through the override arguments (the shipped
-    defaults use measured Cp_f and k_f).
+    conductivity by volume fraction.  Measured matrix values, which the
+    shipped defaults use for Cp_f and k_f, take the place of these rules in
+    :func:`lyosim.params.build_parameters`.
     """
     rho_l = 1.0 / (f.x_s / f.rho_s + (1.0 - f.x_s) / f.rho_w)
     m_s = f.x_s * rho_l * f.V_l
@@ -297,14 +295,5 @@ def mixture_properties(f: Formulation, d: float = VialGeometry.d, *,
     k_f = phi_s * f.k_s + (1.0 - phi_s) * f.k_i
     A_z = math.pi * d**2 / 4.0
     H = (m_s + m_w0) / (rho_f * A_z)
-    return MixtureProperties(
-        formulation=f,
-        d=d,
-        rho_l=rho_l,
-        m_s=m_s,
-        m_w0=m_w0,
-        rho_f=rho_f,
-        Cp_f=Cp_f_override if Cp_f_override is not None else Cp_f,
-        k_f=k_f_override if k_f_override is not None else k_f,
-        H=H,
-    )
+    return MixtureProperties(formulation=f, d=d, rho_l=rho_l, m_s=m_s, m_w0=m_w0,
+                             rho_f=rho_f, Cp_f=Cp_f, k_f=k_f, H=H)

@@ -17,11 +17,11 @@ POPULATION = b"vial,nucleation_s\n0,757.9\n1,812.25\n"
 
 
 def _write(d: Path, *, trajectory=TRAJECTORY, population=POPULATION, runtime=0.5,
-           parameters=None) -> Path:
+           parameters=None, freezing_end_s=5400.0) -> Path:
     d.mkdir()
     (d / "defaults_cycle_trajectory.csv").write_bytes(trajectory)
     (d / "defaults_cycle_summary.json").write_text(
-        json.dumps({"runtime_s": runtime, "events": {"freezing_end_s": 5400.0}}))
+        json.dumps({"runtime_s": runtime, "events": {"freezing_end_s": freezing_end_s}}))
     (d / "defaults_cycle_parameters.json").write_text(json.dumps(
         parameters or {"grid": {"n_nodes": 51}, "integrator": {"rtol": 1e-6}}))
     (d / builtin_outputs.POPULATION).write_bytes(population)
@@ -37,7 +37,8 @@ def _compare(old: Path, new: Path, *dropped: str) -> int:
 
 def test_identical_directories_pass(tmp_path, capsys):
     assert _compare(_write(tmp_path / "old"), _write(tmp_path / "new")) == 0
-    assert "compared 1 runs" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "compared 1 runs" in out and "largest shift" not in out
 
 
 def test_a_summary_that_differs_only_in_runtime_passes(tmp_path):
@@ -68,3 +69,21 @@ def test_dropped_key_must_be_gone_from_new(tmp_path, capsys, still_there):
     assert _compare(old, new, "integrator.rtol") == (1 if still_there else 0)
     out = capsys.readouterr().out
     assert ("integrator.rtol is still in" in out) == still_there
+
+
+def test_a_moved_end_time_is_reported_with_its_shift(tmp_path, capsys):
+    new = _write(tmp_path / "new", freezing_end_s=5940.0)
+    assert _compare(_write(tmp_path / "old"), new) == 1
+    out = capsys.readouterr().out
+    assert "defaults_cycle_summary.json differs apart from runtime_s" in out
+    assert "largest shift of freezing_end_s: 1.000e-01 (defaults_cycle)" in out
+
+
+def test_end_time_shifts_keep_the_largest_of_each_event():
+    largest = builtin_outputs.end_time_shifts([
+        ("a", {"events": {"x_s": 100.0, "y_s": 0.0}}, {"events": {"x_s": 101.0, "y_s": 5.0}}),
+        ("b", {"events": {"x_s": 200.0, "z_s": 10.0}}, {"events": {"x_s": 190.0}}),
+        ("c", {"events": {"x_s": 50.0}}, {"events": {"x_s": 51.0}}),
+    ])
+    # y_s starts at 0 s and z_s is gone from the new summary: no relative shift
+    assert largest == {"x_s": (pytest.approx(0.05, rel=1e-12), "b")}

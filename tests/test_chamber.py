@@ -45,42 +45,68 @@ def test_chamber_model_validation():
         ChamberModel(j_w_max=-1.0)
     with pytest.raises(ConfigurationError):
         ChamberModel(T_bar=-10.0)
-    with pytest.raises(ConfigurationError):
-        ChamberModel(p_setpoint=-1.0)
     ChamberModel(j_w_max=0.0)  # dead condenser is allowed
+    # the setpoint is the drying parameters' chamber pressure, not a field
+    with pytest.raises(TypeError):
+        ChamberModel(p_setpoint=3.0)
 
 
 def test_pressure_rhs_oracle():
     ch = ChamberModel()
     # ideal-gas factor R T / (V M) converts net kg/s into Pa/s
     factor = 8.314 * 260.0 / (0.118 * 0.018)
-    assert chamber_pressure_rhs(10.0, ch.j_w_max + 1.0e-6, ch) == pytest.approx(
+    assert chamber_pressure_rhs(ch.j_w_max + 1.0e-6, ch) == pytest.approx(
         1.0e-6 * factor, rel=1e-12)
-    assert chamber_pressure_rhs(10.0, ch.j_w_max + 1.0e-6, ch) == pytest.approx(
+    assert chamber_pressure_rhs(ch.j_w_max + 1.0e-6, ch) == pytest.approx(
         1.0177212806026368, rel=1e-12)
     # balance point: zero derivative exactly at capacity
-    assert chamber_pressure_rhs(10.0, ch.j_w_max, ch) == 0.0
+    assert chamber_pressure_rhs(ch.j_w_max, ch) == 0.0
+    # the bare balance has no setpoint: spare capacity pulls the pressure down
+    assert chamber_pressure_rhs(0.0, ch) == pytest.approx(-ch.j_w_max * factor, rel=1e-12)
+    assert chamber_pressure_gain(ch) == pytest.approx(factor, rel=1e-12)
 
 
-def test_pressure_rhs_setpoint_clamp():
-    ch = ChamberModel()
+def _core_at(geom, p_state, flux_scale):
+    """The last entry of the condenser core's ``rhs``, its ``jac`` and the
+    chamber at a 3 Pa setpoint, for a chamber pressure state and a condenser
+    whose capacity is ``flux_scale`` times the vials' load."""
+    dp = _default_dp(p_w_chamber=3.0)
+    T = np.linspace(240.0, 255.0, 5)
+    S = 0.4 * geom.H
+    load = 200 * geom.A_z * sublimation_flux(T[0], S, dp, max(p_state, 3.0))
+    ch = ChamberModel(j_w_max=flux_scale * load)
+    rhs, jac = drying_primary._make_core(dp, RadiationSpec(), geom, 5, ch)
+    y = np.concatenate([T, [S, p_state]])
+    return rhs(1000.0, y)[-1], jac(1000.0, y).toarray(), ch
+
+
+def test_pressure_rhs_setpoint_clamp(geom):
     # at or below the setpoint with spare capacity the controller holds
-    assert chamber_pressure_rhs(3.0, 0.5 * ch.j_w_max, ch) == 0.0
-    assert chamber_pressure_rhs(2.0, 0.0, ch) == 0.0
+    for p_state in (3.0, 2.0):
+        assert _core_at(geom, p_state, 2.0)[0] == 0.0
     # above the setpoint the condenser is free to pull the pressure down
-    assert chamber_pressure_rhs(3.1, 0.5 * ch.j_w_max, ch) < 0.0
+    assert _core_at(geom, 3.1, 2.0)[0] < 0.0
     # overload raises the pressure regardless
-    assert chamber_pressure_rhs(3.0, 2.0 * ch.j_w_max, ch) > 0.0
+    for p_state in (2.0, 3.0):
+        assert _core_at(geom, p_state, 0.5)[0] > 0.0
 
 
-def test_pressure_gain_follows_the_clamp():
-    ch = ChamberModel()
-    factor = 8.314 * 260.0 / (0.118 * 0.018)
-    # held setpoint: the rate does not respond to the load
-    assert chamber_pressure_gain(3.0, 0.5 * ch.j_w_max, ch) == 0.0
-    assert chamber_pressure_gain(2.0, 0.0, ch) == 0.0
-    for p, load in ((3.1, 0.5 * ch.j_w_max), (3.0, 2.0 * ch.j_w_max), (10.0, ch.j_w_max)):
-        assert chamber_pressure_gain(p, load, ch) == pytest.approx(factor, rel=1e-12)
+def test_pressure_gain_follows_the_clamp(geom):
+    # held setpoint: the rate does not respond to the state
+    for p_state in (3.0, 2.0):
+        assert np.all(_core_at(geom, p_state, 2.0)[1][-1] == 0.0)
+    # off the clamp the load row is the ideal-gas factor times the load's
+    # derivative, read off the front row dS/dt = N_w / (rho_f - rho_e): more
+    # load (a warmer front) raises the rate, and a higher pressure state
+    # lowers it, except under the setpoint, where the vials see the setpoint
+    drho = _default_dp().rho_f - _default_dp().rho_e
+    for p_state, scale in ((3.1, 2.0), (3.0, 0.5), (10.0, 0.5), (2.0, 0.5)):
+        _, J, ch = _core_at(geom, p_state, scale)
+        load_row, front_row = J[-1], J[5]
+        gain = chamber_pressure_gain(ch) * 200 * geom.A_z * drho
+        assert load_row == pytest.approx(gain * front_row, rel=1e-12)
+        assert load_row[0] > 0.0
+        assert (load_row[-1] < 0.0) if p_state >= 3.0 else (load_row[-1] == 0.0)
 
 
 @pytest.mark.parametrize("n_z", [5, 51])
@@ -154,12 +180,13 @@ def test_front_completes_under_failure(failure_run, geom):
     assert failure_run.series["ice_mass_kg"][-1] == 0.0
 
 
-def test_oversized_condenser_matches_fixed_pressure(geom, stage_settings):
-    # with ample capacity the chamber stays at the setpoint and the run
-    # reduces to the uncoupled one; both run at tolerances whose integration
-    # error stays well under the compared 1e-6, so a gap left is a gap
-    # between the models
-    dp = _default_dp()
+@pytest.mark.parametrize("p_w_chamber", [3.0, 15.0])
+def test_oversized_condenser_matches_fixed_pressure(geom, stage_settings, p_w_chamber):
+    # with ample capacity the chamber stays at the setpoint, the drying
+    # parameters' chamber pressure, and the run reduces to the uncoupled
+    # one; both run at tolerances whose integration error stays well under
+    # the compared 1e-6, so a gap left is a gap between the models
+    dp = _default_dp(p_w_chamber=p_w_chamber)
     ch = ChamberModel(j_w_max=1.0)
     tight = IntegratorConfig(rtol=1.0e-9, atol=1.0e-12)
     settings = stage_settings("primary", samples=50)
@@ -167,7 +194,7 @@ def test_oversized_condenser_matches_fixed_pressure(geom, stage_settings):
                           config=tight, **settings)
     plain = run_primary(235.0, dp, RadiationSpec(), geom, config=tight, **settings)
     p = coupled.series["chamber_water_pressure_Pa"]
-    assert np.all(np.abs(p - 3.0) < 1e-9)
+    assert np.all(p == dp.p_w_chamber)
     assert coupled.events["primary_drying_end_s"] == pytest.approx(
         plain.events["primary_drying_end_s"], rel=1e-6)
 
@@ -201,15 +228,15 @@ def test_final_state_and_sublimed_mass_under_chamber(failure_run, geom):
     assert failure_run.meta["sublimed_mass_kg"] == pytest.approx(expected, rel=1e-12)
 
 
-@pytest.mark.parametrize("p_setpoint, detail", [
+@pytest.mark.parametrize("p_w_chamber, detail", [
     (3.0, "front still moving"),
     # above the ice saturation pressure at the shelf temperature: no flux
     (1000.0, "driving force is nonpositive"),
 ])
-def test_timeout_reports_stall_under_chamber(geom, stage_settings, p_setpoint, detail):
+def test_timeout_reports_stall_under_chamber(geom, stage_settings, p_w_chamber, detail):
     with pytest.raises(StageTimeoutError, match=detail):
-        run_primary(235.0, _default_dp(), RadiationSpec(), geom,
-                    chamber=ChamberModel(p_setpoint=p_setpoint),
+        run_primary(235.0, _default_dp(p_w_chamber=p_w_chamber), RadiationSpec(), geom,
+                    chamber=ChamberModel(),
                     **stage_settings("primary", time_limit_s=60.0, samples=10))
 
 

@@ -44,7 +44,7 @@ from lyosim.thermo import STEFAN_BOLTZMANN, freezing_point
 
 @pytest.fixture(scope="module")
 def mix():
-    return mixture_properties(Formulation(), Cp_f_override=2163.0, k_f_override=2.07)
+    return mixture_properties(Formulation())
 
 
 def _isothermal_system(mix, T_env, p_t=1.0e4, **kw):

@@ -13,6 +13,7 @@ from jsonschema import Draft202012Validator
 
 from lyosim import (
     ControlledNucleation,
+    DryingParams,
     ScenarioError,
     build_parameters,
     builtin_scenarios,
@@ -85,6 +86,30 @@ def test_default_parameters_validates_overrides():
         default_parameters({"formulation": {"solute_mass_fraction": 0.0}})
     p = default_parameters({"primary": {"shelf_temperature_K": 300.0}})
     assert p.primary.shelf_temperature(0.0) == 300.0
+    # the frozen matrix: each measured value reaches the drying parameters,
+    # and null falls back to its mixing rule
+    measured = {"density_kg_per_m3": 917.0, "heat_capacity_J_per_kgK": 1967.8,
+                "conductivity_W_per_mK": 2.30}
+    p = default_parameters({"frozen_matrix": measured})
+    assert (p.primary.rho_f, p.primary.Cp_f, p.primary.k_f) == (917.0, 1967.8, 2.30)
+    assert p.mixture.Cp_f == pytest.approx(2062.8, rel=1e-12)  # the rule, untouched
+    p = default_parameters({"frozen_matrix": dict.fromkeys(measured)})
+    mx = p.mixture
+    assert (p.primary.rho_f, p.primary.Cp_f, p.primary.k_f) == (mx.rho_f, mx.Cp_f, mx.k_f)
+
+
+def test_the_chamber_setpoint_is_primary_drying_chamber_pressure():
+    # one scenario key and one field: chamber.pressure_setpoint_Pa is read
+    # into DryingParams.p_w_chamber, held without a chamber model and the
+    # setpoint under one; primary.chamber_water_pressure_Pa is gone
+    assert _KEYS[DryingParams]["p_w_chamber"] == "chamber.pressure_setpoint_Pa"
+    p = default_parameters({"chamber": {"pressure_setpoint_Pa": 15.0}})
+    assert p.primary.p_w_chamber == 15.0
+    assert not hasattr(p.chamber, "p_setpoint")
+    with pytest.raises(ScenarioError):
+        validate_scenario({"primary": {"chamber_water_pressure_Pa": 15.0}})
+    for name in ("case4a_conventional", "case4b_conventional"):
+        assert load_scenario(name).parameters().primary.p_w_chamber == 15.0
 
 
 def test_unknown_key_rejected():

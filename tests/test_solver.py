@@ -475,6 +475,11 @@ def test_an_empty_span_is_the_at_start_result(method, jac):
     with pytest.raises(ConfigurationError, match="no step to take"):
         solver._METHODS[method](rhs, 1.0, np.array([1.0, 0.0]), 1.0, rtol=1.0e-6,
                                 atol=1.0e-9, **options)
+    # a start state that is not a finite 1-D array is refused as on any span
+    for bad in (np.array([np.nan, 0.0]), np.array([1.0, np.inf]), np.ones((2, 1))):
+        for tf in (1.0, 2.0):
+            with pytest.raises(ConfigurationError, match="finite 1-D"):
+                integrate_adaptive(rhs, (1.0, tf), bad, method=method, **options)
     assert calls == []
 
 

@@ -184,15 +184,9 @@ def test_mixture_default_fill_oracles():
     assert mp.m_w0 == pytest.approx(2.903753918017587e-3, rel=1e-12)
     assert mp.rho_f == pytest.approx(936.7900511787848, rel=1e-12)
     assert mp.H == pytest.approx(7.2124292981419705e-3, rel=1e-12)
-    # without overrides the mixing rules apply directly
+    # the mixing rules; measured values take their place in build_parameters
     assert mp.Cp_f == pytest.approx(2062.8, rel=1e-12)
     assert mp.k_f == pytest.approx(2.1873467451129245, rel=1e-12)
-
-
-def test_mixture_overrides():
-    mp = mixture_properties(Formulation(), Cp_f_override=2163.0, k_f_override=2.07)
-    assert mp.Cp_f == 2163.0
-    assert mp.k_f == 2.07
 
 
 def test_mixture_mass_conservation():

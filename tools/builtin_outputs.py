@@ -16,7 +16,9 @@ script, so run it from the checkout whose outputs it should write.
 table are byte-identical, every ``*_summary.json`` is identical apart from
 ``runtime_s``, and every ``*_parameters.json`` is identical apart from the
 dotted keys named by ``--dropped``, which must be in OLD and gone from NEW.
-It exits 1 and lists the differences otherwise.
+It exits 1 and lists the differences otherwise.  For the summaries that
+differ it also prints, for each stage end time under ``events``, the
+largest relative shift |new/old - 1| and the run it came from.
 """
 
 from __future__ import annotations
@@ -90,8 +92,25 @@ def _pop(data: dict, dotted: str) -> bool:
     return found
 
 
+def end_time_shifts(runs) -> dict[str, tuple[float, str]]:
+    """{event: (largest |new/old - 1|, run)} over the ``events`` of the
+    (run, old summary, new summary) triples in ``runs``; an event in one
+    summary only, or at 0 s in the old one, has no relative shift."""
+    largest: dict[str, tuple[float, str]] = {}
+    for run, a, b in runs:
+        for event, t_old in a.get("events", {}).items():
+            t_new = b.get("events", {}).get(event)
+            if t_new is None or t_old == 0:
+                continue
+            shift = abs(t_new / t_old - 1.0)
+            if event not in largest or shift > largest[event][0]:
+                largest[event] = (shift, run)
+    return largest
+
+
 def compare(old: Path, new: Path, dropped: list[str]) -> int:
     problems = []
+    moved = []  # (run, old summary, new summary) of the summaries that differ
     names = {kind: sorted(p.name for p in old.glob(f"*_{kind}")) for kind in KINDS}
     for kind in KINDS:
         theirs = sorted(p.name for p in new.glob(f"*_{kind}"))
@@ -112,6 +131,7 @@ def compare(old: Path, new: Path, dropped: list[str]) -> int:
             b.pop("runtime_s", None)
             if a != b:
                 problems.append(f"{name} differs apart from runtime_s")
+                moved.append((name.removesuffix("_summary.json"), a, b))
     for name in names["parameters.json"]:
         if not (new / name).exists():
             continue
@@ -125,6 +145,8 @@ def compare(old: Path, new: Path, dropped: list[str]) -> int:
             problems.append(f"{name} differs apart from {', '.join(dropped) or 'nothing'}")
     for line in problems:
         print(line)
+    for event, (shift, run) in end_time_shifts(moved).items():
+        print(f"largest shift of {event}: {shift:.3e} ({run})")
     print(f"compared {len(names['trajectory.csv'])} runs and {POPULATION}: "
           f"{'identical' if not problems else f'{len(problems)} differences'}")
     return 1 if problems else 0
