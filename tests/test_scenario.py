@@ -105,7 +105,6 @@ def test_the_chamber_setpoint_is_primary_drying_chamber_pressure():
     assert _KEYS[DryingParams]["p_w_chamber"] == "chamber.pressure_setpoint_Pa"
     p = default_parameters({"chamber": {"pressure_setpoint_Pa": 15.0}})
     assert p.primary.p_w_chamber == 15.0
-    assert not hasattr(p.chamber, "p_setpoint")
     with pytest.raises(ScenarioError):
         validate_scenario({"primary": {"chamber_water_pressure_Pa": 15.0}})
     for name in ("case4a_conventional", "case4b_conventional"):
