@@ -53,10 +53,11 @@ Every stage driver ends, resamples and packages through the
 ended the integration (``None`` at the end of ``t_span``, which a driver
 reports as a timeout), the event's time is the last mesh point ``t[-1]``,
 and :meth:`IntegrationResult.resample` evaluates the dense output
-(:class:`DenseSolution`) on the driver's uniform sample grid.  The loop
-keeps the last state only, not a mesh of every state.  The result reports
-the solver's step, rejected-step, RHS, Jacobian and LU counts, its
-smallest step and its wall time.
+(:class:`DenseSolution`) on the driver's uniform sample grid, straight
+into one column-major (n_states, n_times) array, the layout the drivers'
+later dot products rely on.  The loop keeps the last state only, not a
+mesh of every state.  The result reports the solver's step, rejected-step,
+RHS, Jacobian and LU counts, its smallest step and its wall time.
 
 A run that takes no step has one form, :meth:`IntegrationResult.at_start`:
 the mesh [t0], no solver work and no dense output.  An empty span (t0, t0)
@@ -194,13 +195,13 @@ class IntegrationResult:
 
     def resample(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` uniform times over [t[0], t[-1]] and the dense output
-        there, shape (n_states, n_times); an empty span gives t[0] and the
-        last state, without the dense output."""
+        there, one column-major array of shape (n_states, n); an empty span
+        gives t[0] and the last state, without the dense output."""
         t0, t1 = self.t[0], self.t[-1]
         if t1 == t0:
             return self.t[:1], self.y_last[:, None]
         ts = np.linspace(t0, t1, n)
-        return ts, np.atleast_2d(self.sol(ts))
+        return ts, self.sol(ts)
 
 
 class DenseSolution:
@@ -211,10 +212,11 @@ class DenseSolution:
     A time is looked up as scipy's ``OdeSolution`` looks it up with
     ``alt_segment=True``: a mesh point belongs to the segment that starts
     there, and times outside the mesh to the nearest end segment.  Sorted
-    times that fall in one segment go to it in one call, so the values are
-    those of ``OdeSolution`` to the last bit, in its column-major memory
-    layout.  Returns shape (n_states,) for a scalar time and (n_states,
-    n_times) for a 1-D array.
+    times that fall in one segment go to it in one call, and their values
+    go straight into their columns of one column-major output array, the
+    memory layout of ``OdeSolution``'s result; so the values are those of
+    ``OdeSolution`` to the last bit.  Returns shape (n_states,) for a
+    scalar time and (n_states, n_times) for a 1-D array, an empty one too.
     """
 
     __slots__ = ("ts", "interpolants")
@@ -232,14 +234,12 @@ class DenseSolution:
         t_sorted = t[order]
         segments = np.searchsorted(self.ts, t_sorted, side="right") - 1
         np.clip(segments, 0, last, out=segments)
-        cuts = [0, *(np.flatnonzero(np.diff(segments)) + 1).tolist(), t.shape[0]]
-        ys = np.hstack([self.interpolants[segments[a]](t_sorted[a:b])
-                        for a, b in zip(cuts[:-1], cuts[1:])])
-        # back to the order of t by fancy indexing, which gives the
-        # column-major result whose layout later dot products see
-        reverse = np.empty_like(order)
-        reverse[order] = np.arange(order.shape[0])
-        return ys[:, reverse]
+        # the first of each run of times in one segment, and the end
+        cuts = [*np.flatnonzero(np.diff(segments, prepend=-1)).tolist(), t.shape[0]]
+        out = np.empty((self.interpolants[0].base.shape[0], t.shape[0]), order="F")
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            out[:, order[a:b]] = self.interpolants[segments[a]](t_sorted[a:b])
+        return out
 
 
 class BorderedTridiagonal:

@@ -31,6 +31,9 @@ CSV_COLUMNS = (
     "chamber_water_pressure_Pa",
 )
 
+# rows that write_trajectory_csv converts to strings and writes at a time
+_CSV_BLOCK_ROWS = 256
+
 
 @dataclass
 class Trajectory:
@@ -116,18 +119,23 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     Floats use their shortest round-tripping representation, so identical
     runs produce byte-identical files.  The bytes are those of a
     ``csv.writer`` with LF line ends, which quotes a stage label holding a
-    comma, a double quote or a newline.  Rows are streamed, so the table
-    is never held as one string.
+    comma, a double quote or a newline.  Rows are converted and written
+    ``_CSV_BLOCK_ROWS`` at a time, so only one block's cells are ever held
+    as strings.
     """
-    # each column is converted to Python floats once; repr of a Python
-    # float is the shortest round-tripping decimal, which needs no quotes
     quoted = {s: _csv_field(s) for s in set(traj.stage)}
-    cols = [[quoted[s] for s in traj.stage] if c == "stage" else
-            list(map(repr, np.asarray(traj.column(c), dtype=float).tolist()))
-            for c in CSV_COLUMNS]
+    cols = [traj.stage if c == "stage" else traj.column(c) for c in CSV_COLUMNS]
     with Path(path).open("w", newline="") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cols))
+        for a in range(0, traj.t.shape[0], _CSV_BLOCK_ROWS):
+            rows = slice(a, a + _CSV_BLOCK_ROWS)
+            # each column's block is converted to Python floats at once;
+            # repr of a Python float is the shortest round-tripping
+            # decimal, which needs no quotes
+            cells = [[quoted[s] for s in col[rows]] if c == "stage" else
+                     list(map(repr, np.asarray(col[rows], dtype=float).tolist()))
+                     for c, col in zip(CSV_COLUMNS, cols)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _csv_field(text: str) -> str:

@@ -3,6 +3,7 @@ knots and failures."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from lyosim import (
     analysis,
     default_parameters,
     drying_primary,
+    drying_secondary,
     freezing,
     integrate_adaptive,
     load_scenario,
@@ -524,6 +526,46 @@ def test_resample_of_an_empty_span_is_one_point():
                              IntegratorConfig())
     ts, ys = res.resample(3)
     assert ys.shape == (1, 3) and ys[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("method", ["BDF", "RK45"])
+def test_an_empty_time_array_gives_no_columns(method):
+    res = integrate_adaptive(_osc_rhs, (0.0, 5.0), np.array([1.0, 0.0]), IntegratorConfig(),
+                             method=method)
+    ys = res.sol(np.array([]))
+    assert ys.shape == (2, 0)
+    ts, ys = res.resample(0)
+    assert ts.shape == (0,) and ys.shape == (2, 0)
+
+
+def test_resample_holds_one_output_array(monkeypatch, params, stage_settings):
+    # a drying-sized dense output resampled: the values go straight into one
+    # column-major output array, so the heap peak of the call stays near
+    # that array's size; on top of it come the sorting order and sorted
+    # times, one segment's values and at most numpy's 8192-element ufunc
+    # buffer for adding a segment's base
+    results = []
+
+    def recording(*args, **kwargs):
+        results.append(integrate_adaptive(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(drying_secondary, "integrate_adaptive", recording)
+    p = params
+    run_secondary(p.secondary_initial_T, np.full(51, 0.088), p.secondary, p.radiation,
+                  p.secondary_conditions, p.geometry, config=p.integrator,
+                  **stage_settings("secondary", n_z=51))
+    res, = results
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ts, ys = res.resample(300)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert ys.shape == (102, 300) and ys.flags.f_contiguous
+    assert peak <= 1.25 * ys.nbytes + 64 * 1024
 
 
 # --- knots ----------------------------------------------------------------------

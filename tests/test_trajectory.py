@@ -126,6 +126,25 @@ def test_csv_bytes_are_those_of_csv_writer(tmp_path, cycle_table, rename):
         assert [row[1] for row in csv.reader(fh)][1:] == traj.stage
 
 
+def test_csv_is_written_in_blocks_of_rows(tmp_path):
+    # more rows than two blocks, with a stage that changes inside a block
+    # and one that changes on a block boundary: the bytes are those of
+    # csv.writer
+    from lyosim.trajectory import _CSV_BLOCK_ROWS
+    n = 2 * _CSV_BLOCK_ROWS + 7
+    rng = np.random.default_rng(3)
+    stage = (["freezing"] * (_CSV_BLOCK_ROWS + 5) + ["primary, drying"] * (_CSV_BLOCK_ROWS - 5)
+             + ['secondary "drying"'] * 7)
+    traj = Trajectory(t=np.cumsum(rng.uniform(0.1, 1.0, n)), stage=stage,
+                      series={"temperature_avg_K": rng.normal(250.0, 10.0, n),
+                              "ice_mass_kg": rng.uniform(0.0, 1.0, n).astype(np.float32),
+                              "water_mass_kg": np.arange(n)})
+    path = tmp_path / "blocks.csv"
+    write_trajectory_csv(traj, path)
+    assert path.read_bytes() == _csv_writer_bytes(traj)
+    assert path.read_bytes().count(b"\n") == n + 1
+
+
 def test_json_dict_nan_to_null():
     traj = _make()
     d = trajectory_json_dict(traj)
